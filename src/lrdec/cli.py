@@ -149,6 +149,8 @@ def cmd_reconstruct(args):
         for rank in args.rank:
             cfg = _solver_config(args, args.reg, weight, rank)
             activations, report = lrd_fit(signal, dictionary, cfg)
+            for warning in report.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
             recon = forward_model(dictionary, activations)
             quality = psnr(signal, recon, peak=args.peak)
             stats = compression_ratio(activations, activations[0].shape,

@@ -367,19 +367,6 @@ class SpectralOperator:
         blocks[:, idx, idx] += regularizer
         return blocks
 
-    def factor_vec_to_blocks(self, vec):
-        """Reorder a factor-side vector into per-frequency rows
-        ``(I_n, M*R)`` matching :meth:`gram_blocks` column order."""
-        x = np.asarray(vec).reshape(self.num_filters, self.rank,
-                                    self.mode_length)
-        return x.transpose(2, 0, 1).reshape(self.mode_length, -1)
-
-    def blocks_to_factor_vec(self, blocks):
-        """Inverse of :meth:`factor_vec_to_blocks`."""
-        b = np.asarray(blocks).reshape(self.mode_length, self.num_filters,
-                                       self.rank)
-        return b.transpose(1, 2, 0).reshape(-1)
-
     def materialize(self):
         """Dense matrix of the operator, for validation at tiny sizes."""
         cols = [self.apply(e) for e in np.eye(self.factor_size, dtype=complex)]

@@ -1,17 +1,21 @@
-"""Per-mode solvers and the alternating main loop.
+"""Per-mode solvers and the alternating sweep that drives them.
 
 The fit decomposes a signal as ``sum_m d_m (*) K_m`` by cycling over the
 tensor modes and, for each mode, minimizing over that mode's stacked
-factors while the others stay fixed.  Three mode solvers exist:
+factors while the others stay fixed.  One sweep loop runs every fit: a
+mode visit builds the mode's :class:`SpectralOperator`, calls one of three
+mode solvers on it and scores the objective on that same operator.  The
+solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 
-* a closed-form ridge solve (squared-norm penalty on the factors),
-* an ADMM loop for the l1 penalty, whose quadratic step reuses the same
-  closed-form machinery through a proximal term, and
-* a conjugate-gradient solve for masked (partially observed) signals,
-  where the spatial mask destroys the per-frequency decoupling.
+* a closed-form ridge solve (squared-norm penalty on the factors): 1;
+* an ADMM loop for the l1 penalty, whose quadratic step reuses the ridge
+  block solve through a proximal term: its ADMM iterations;
+* a conjugate-gradient solve for masked signals, where the spatial mask
+  breaks the per-frequency decoupling: its CG iterations.
 
 All quadratic solves happen in the unitary DFT domain where the normal
-equations split into one small Hermitian system per mode-n frequency.
+equations split into one small Hermitian system per mode-n frequency;
+by Parseval the unmasked data term is the norm of the spectral residual.
 """
 
 import time
@@ -91,7 +95,8 @@ class AdmmState:
 
     ``x``, ``y`` and ``u`` are the primary, auxiliary and scaled dual
     stacks, all real of shape ``(M, I_n, R)``; ``u`` is rescaled whenever
-    the penalty ``rho`` adapts.
+    the penalty ``rho`` adapts.  ``iterations`` and the residual lists
+    accumulate over every warm-started solve of the mode.
     """
 
     x: np.ndarray
@@ -114,6 +119,8 @@ class SolveReport:
 
     ``objectives`` etc. carry one entry per completed outer sweep;
     ``mode_objectives`` is the finer trace with one entry per mode solve.
+    ``inner_iters`` sums a sweep's inner work over its mode visits: 1 per
+    ridge solve, else the ADMM or CG iterations run.
     """
 
     objectives: list = field(default_factory=list)
@@ -125,15 +132,6 @@ class SolveReport:
     converged: bool = False
     seconds: float = 0.0
     warnings: list = field(default_factory=list)
-
-    def _record_sweep(self, objective, data_term, reg_term, inner):
-        if not np.isfinite(objective):
-            raise ValueError(f"objective became non-finite: {objective}")
-        self.objectives.append(objective)
-        self.data_terms.append(data_term)
-        self.reg_terms.append(reg_term)
-        self.inner_iters.append(inner)
-        self.sweeps += 1
 
 
 def soft_threshold(v, gamma):
@@ -147,12 +145,18 @@ def soft_threshold(v, gamma):
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
-def _solve_blocks(op, rhs_blocks, z_blocks, rho):
-    """Solve the per-frequency systems (gram + rho I) x = rhs + rho z."""
-    blocks = op.normal_blocks(rho)
-    rhs = rhs_blocks if z_blocks is None else rhs_blocks + rho * z_blocks
-    x = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-    return op.blocks_to_factor_vec(x)
+def _solve_blocks(op, rhs, rho):
+    """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency, with `rhs`
+    and `x` spectral factor stacks ``(M, I_n, R)``."""
+    m_count, length, rank = rhs.shape
+    rows = rhs.transpose(1, 0, 2).reshape(length, m_count * rank)
+    x = np.linalg.solve(op.normal_blocks(rho), rows[..., None])[..., 0]
+    return x.reshape(length, m_count, rank).transpose(1, 0, 2)
+
+
+def _signal_arrays(op, shat_vec):
+    """View a spectral signal vector as ``(C, I_n, Lambda)`` unfoldings."""
+    return vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
 
 
 def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
@@ -176,9 +180,11 @@ def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    rhs = op.factor_vec_to_blocks(op.apply_adjoint(shat_vec))
-    z = None if zhat_vec is None else op.factor_vec_to_blocks(zhat_vec)
-    return _solve_blocks(op, rhs, z, rho)
+    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec))
+    if zhat_vec is not None:
+        rhs = rhs + rho * vec_to_factor(zhat_vec, op.num_filters,
+                                        op.mode_length, op.rank)
+    return factor_to_vec(_solve_blocks(op, rhs, rho))
 
 
 def solve_mode_l2(op, shat_vec, alpha):
@@ -214,14 +220,11 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     if state is None:
         state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
     x, y, u, rho = state.x, state.y, state.u, state.rho
-    rhs = op.factor_vec_to_blocks(op.apply_adjoint(shat_vec))
+    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec))
 
     for _ in range(cfg.admm_iters):
         zhat = dft_factor(y - u, axis=1)
-        xhat_vec = _solve_blocks(op, rhs,
-                                 op.factor_vec_to_blocks(factor_to_vec(zhat)),
-                                 rho)
-        x = idft_factor(vec_to_factor(xhat_vec, *dims), axis=1)
+        x = idft_factor(_solve_blocks(op, rhs + rho * zhat, rho), axis=1)
         y_prev = y
         y = soft_threshold(x + u, cfg.lam / rho)
         u = u + x - y
@@ -249,13 +252,16 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     return y.copy(), state
 
 
+def _spectral_residual(op, shat_vec, x_factor):
+    """``W dft(x_factor) - shat`` as ``(C, I_n, Lambda)`` spectra."""
+    xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
+    return op.apply_arrays(xhat) - _signal_arrays(op, shat_vec)
+
+
 def data_term_gradient(op, shat_vec, x_factor):
     """Gradient of the data term ``0.5 ||W xhat - shat||^2`` with respect
     to the spatial factor stack ``x_factor`` of shape ``(M, I_n, R)``."""
-    xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
-    resid = op.apply_arrays(xhat) - vec_to_signal(
-        shat_vec, op.num_channels, op.mode_length, op.lam)
-    ghat = op.adjoint_arrays(resid)
+    ghat = op.adjoint_arrays(_spectral_residual(op, shat_vec, x_factor))
     return idft_factor(ghat, axis=1)
 
 
@@ -271,30 +277,10 @@ def _as_channel_stack(signal, num_channels):
     return np.moveaxis(signal, -1, 0), signal.shape[:-1]
 
 
-def _from_channel_stack(stack, num_channels):
-    if num_channels == 1:
-        return stack[0]
-    return np.moveaxis(stack, 0, -1)
-
-
-def _forward_stack(dictionary, factors):
-    """Forward model from per-mode factor stacks, in (C, *spatial) form."""
-    m_count = factors[0].shape[0]
-    acts = [KruskalTensor([f[m] for f in factors]) for m in range(m_count)]
-    out = forward_model(dictionary, acts)
-    return _as_channel_stack(out, dictionary.num_channels)[0]
-
-
-def _objective(dictionary, factors, s_stack, cfg, mask_stack=None):
-    resid = _forward_stack(dictionary, factors) - s_stack
-    if mask_stack is not None:
-        resid = resid * mask_stack
-    data = 0.5 * float(np.sum(resid * resid))
+def _reg_term(factors, cfg):
     if cfg.reg == "l1":
-        reg = cfg.lam * float(sum(np.sum(np.abs(f)) for f in factors))
-    else:
-        reg = 0.5 * cfg.alpha * float(sum(np.sum(f * f) for f in factors))
-    return data + reg, data, reg
+        return cfg.lam * float(sum(np.sum(np.abs(f)) for f in factors))
+    return 0.5 * cfg.alpha * float(sum(np.sum(f * f) for f in factors))
 
 
 def _init_factors(shape, m_count, rank, seed, signal_norm):
@@ -351,6 +337,47 @@ def _finish(factors):
             for m in range(m_count)]
 
 
+def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
+           check_l2):
+    """Run the alternating sweep of a fit, updating `factors` in place.
+
+    ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
+    inner iterations and a list of warnings; ``data_term(op, x)`` scores a
+    stack on the same operator.  `check_l2` flags a rising objective."""
+    report = SolveReport()
+    prev_obj = None
+    for sweep in range(cfg.outer_iters):
+        inner = 0
+        for n in range(len(shape)):
+            op = SpectralOperator(dictionary, shape, factors, n)
+            if prev_obj is None:  # score the start on the first operator
+                prev_obj = obj = (data_term(op, factors[n])
+                                  + _reg_term(factors, cfg))
+            factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
+            inner += iters
+            report.warnings.extend(warnings)
+            last_obj = obj
+            data, reg = data_term(op, factors[n]), _reg_term(factors, cfg)
+            obj = data + reg
+            report.mode_objectives.append(obj)
+            if check_l2 and obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):
+                report.warnings.append(
+                    f"l2 objective increased at mode {n}: "
+                    f"{last_obj:.6e} -> {obj:.6e}")
+        if not np.isfinite(obj):
+            raise ValueError(f"objective became non-finite: {obj}")
+        report.objectives.append(obj)
+        report.data_terms.append(data)
+        report.reg_terms.append(reg)
+        report.inner_iters.append(inner)
+        report.sweeps += 1
+        if abs(prev_obj - obj) <= cfg.tol_outer * max(abs(prev_obj), _TINY):
+            report.converged = True
+            break
+        prev_obj = obj
+    return report
+
+
 def lrd_fit(signal, dictionary, cfg, init=None):
     """Decompose `signal` into filters convolved with rank-R activations.
 
@@ -377,42 +404,29 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     t0 = time.perf_counter()
     s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg, init)
     shat_vecs = _spectral_signal_vecs(s_stack, len(shape))
-    report = SolveReport()
-    admm_states = [None] * len(shape)
-    m_count = dictionary.num_filters
 
-    prev_obj = _objective(dictionary, factors, s_stack, cfg)[0]
-    last_mode_obj = prev_obj
-    for _ in range(cfg.outer_iters):
-        inner = 0
-        for n in range(len(shape)):
-            op = SpectralOperator(dictionary, shape, factors, n)
-            if cfg.reg == "l2":
-                xhat = solve_mode_l2(op, shat_vecs[n], cfg.alpha)
-                factors[n] = idft_factor(
-                    vec_to_factor(xhat, m_count, shape[n], cfg.rank), axis=1)
-                inner += 1
-            else:
-                y, state = solve_mode_admm(op, shat_vecs[n], cfg,
-                                           admm_states[n])
-                factors[n] = y
-                admm_states[n] = state
-                inner += state.iterations
-            obj = _objective(dictionary, factors, s_stack, cfg)[0]
-            report.mode_objectives.append(obj)
-            if cfg.reg == "l2" and obj > last_mode_obj + 1e-9 * max(
-                    1.0, abs(last_mode_obj)):
-                report.warnings.append(
-                    f"l2 objective increased at mode {n}: "
-                    f"{last_mode_obj:.6e} -> {obj:.6e}")
-            last_mode_obj = obj
-        obj, data, reg = _objective(dictionary, factors, s_stack, cfg)
-        report._record_sweep(obj, data, reg, inner)
-        if abs(prev_obj - obj) <= cfg.tol_outer * max(abs(prev_obj), _TINY):
-            report.converged = True
-            break
-        prev_obj = obj
+    def data_term(op, x):
+        r = _spectral_residual(op, shat_vecs[op.mode], x)
+        return 0.5 * float(np.sum(r.real ** 2 + r.imag ** 2))
 
+    if cfg.reg == "l2":
+        def solve_mode(op, x, sweep):
+            rhs = op.adjoint_arrays(_signal_arrays(op, shat_vecs[op.mode]))
+            xhat = _solve_blocks(op, rhs, cfg.alpha)
+            return idft_factor(xhat, axis=1), 1, []
+    else:
+        # each mode warm-starts from its own AdmmState, not from x
+        states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
+                  for f in factors]
+
+        def solve_mode(op, x, sweep):
+            done = states[op.mode].iterations
+            y, state = solve_mode_admm(op, shat_vecs[op.mode], cfg,
+                                       states[op.mode])
+            return y, state.iterations - done, []
+
+    report = _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
+                    check_l2=cfg.reg == "l2")
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
@@ -437,11 +451,12 @@ def _masked_adjoint(op, mask_stack, y_stack):
     return (np.fft.ifft(ghat, axis=1) * np.sqrt(op.mode_length)).real
 
 
-def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
+def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
+                          callback=None):
     """CG solve of the masked normal equations for one mode.
 
     Returns the factor stack and the scipy convergence flag (0 means the
-    relative tolerance was met)."""
+    relative tolerance was met); `callback` runs after each iteration."""
     dims = x0.shape
 
     def matvec(v):
@@ -454,7 +469,8 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
         (x0.size, x0.size), matvec=matvec, dtype=float)
     sol, info = scipy.sparse.linalg.cg(lin, rhs, x0=x0.ravel(),
                                        rtol=cfg.cg_tol, atol=0.0,
-                                       maxiter=cfg.cg_max_iters)
+                                       maxiter=cfg.cg_max_iters,
+                                       callback=callback)
     return sol.reshape(dims), info
 
 
@@ -503,27 +519,21 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
     mask_stack = _as_channel_stack(mask.astype(float),
                                    dictionary.num_channels)[0]
     s_obs = s_full * mask_stack
-    report = SolveReport()
 
-    prev_obj = _objective(dictionary, factors, s_obs, cfg, mask_stack)[0]
-    for sweep in range(cfg.outer_iters):
-        for n in range(len(shape)):
-            op = SpectralOperator(dictionary, shape, factors, n)
-            factors[n], info = _solve_mode_masked_cg(
-                op, mask_stack, s_obs, cfg.alpha, factors[n], cfg)
-            if info != 0:
-                report.warnings.append(
-                    f"cg budget exhausted at sweep {sweep} mode {n} "
-                    f"(info={info})")
-            obj = _objective(dictionary, factors, s_obs, cfg, mask_stack)[0]
-            report.mode_objectives.append(obj)
-        obj, data, reg = _objective(dictionary, factors, s_obs, cfg,
-                                    mask_stack)
-        report._record_sweep(obj, data, reg, len(shape))
-        if abs(prev_obj - obj) <= cfg.tol_outer * max(abs(prev_obj), _TINY):
-            report.converged = True
-            break
-        prev_obj = obj
+    def data_term(op, x):
+        r = _masked_apply(op, mask_stack, x) - s_obs
+        return 0.5 * float(np.sum(r * r))
+
+    def solve_mode(op, x, sweep):
+        iters = []
+        x, info = _solve_mode_masked_cg(op, mask_stack, s_obs, cfg.alpha, x,
+                                        cfg, callback=iters.append)
+        warnings = [f"cg budget exhausted at sweep {sweep} mode {op.mode} "
+                    f"(info={info})"] if info != 0 else []
+        return x, len(iters), warnings
+
+    report = _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
+                    check_l2=False)
 
     activations = _finish(factors)
     completed = forward_model(dictionary, activations)

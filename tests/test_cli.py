@@ -1,9 +1,11 @@
 import numpy as np
 
+from lrdec import cli
 from lrdec.cli import main
 from lrdec.convmodel import forward_model
 from lrdec.io import (read_dictionary, read_image, read_mask, read_tensor,
                       write_dictionary, write_image, write_tensor)
+from lrdec.solver import lrd_fit
 from lrdec.synth import make_filters, smooth_low_rank
 from lrdec.tensor import KruskalTensor
 
@@ -112,6 +114,27 @@ class TestReconstruct:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_fit_warnings_go_to_stderr(self, tmp_path, capsys, monkeypatch):
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        args = ("reconstruct", "--signal", src / "signal.lrt",
+                "--filters", src / "dictionary.lrd", "--alpha", "1e-3,1e-2",
+                "--max-outer", "3")
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+
+        def warning_fit(*fit_args):
+            activations, report = lrd_fit(*fit_args)
+            report.warnings.append(f"point {fit_args[2].alpha:g}")
+            return activations, report
+
+        monkeypatch.setattr(cli, "lrd_fit", warning_fit)
+        assert run_cli(*args) == 0
+        warned = capsys.readouterr()
+        assert warned.out == plain.out
+        assert warned.err == "warning: point 0.001\nwarning: point 0.01\n"
 
     def test_missing_signal_file_is_runtime_error(self, tmp_path):
         src = synth_dir(tmp_path, "src")

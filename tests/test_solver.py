@@ -7,6 +7,7 @@ from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, soft_threshold, solve_mode_admm,
                           solve_mode_l2, solve_mode_quadratic,
                           _masked_adjoint, _masked_apply)
+from lrdec.synth import make_problem
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
@@ -444,3 +445,69 @@ class TestMaskedPath:
                            cg_tol=1e-8, cg_max_iters=200, seed=9)
         _, completed, _ = lrd_fit_masked(signal, mask, d, cfg)
         assert psnr(signal, completed, 1.0) >= 30.0
+
+
+def reference_objective(d, acts, signal, cfg, mask=None):
+    """Spatial objective of a fit: 0.5 ||mask (forward - s)||^2 + reg."""
+    resid = forward_model(d, acts) - signal
+    if mask is not None:
+        resid = resid * mask
+    factors = [f for a in acts for f in a.factors]
+    if cfg.reg == "l1":
+        reg = cfg.lam * sum(np.sum(np.abs(f)) for f in factors)
+    else:
+        reg = 0.5 * cfg.alpha * sum(np.sum(f * f) for f in factors)
+    return 0.5 * np.sum(resid * resid) + reg
+
+
+class TestSolveReport:
+    @pytest.mark.parametrize("shape,support,reg,channels", [
+        ((8, 7), (3, 3), "l2", 1),
+        ((8, 7), (3, 3), "l1", 1),
+        ((6, 5, 4), (2, 2, 2), "l2", 1),
+        ((6, 5, 4), (2, 2, 2), "l1", 1),
+        ((8, 7), (3, 3), "l1", 3),
+    ])
+    def test_objective_matches_spatial_reference(self, shape, support, reg,
+                                                 channels):
+        d, _, signal = make_problem(shape, support, m_count=2, rank=2,
+                                    seed=70, channels=channels)
+        cfg = SolverConfig(reg=reg, lam=0.05, alpha=1e-3, rank=2,
+                           outer_iters=4, admm_iters=20, seed=11)
+        acts, report = lrd_fit(signal, d, cfg)
+        ref = reference_objective(d, acts, signal, cfg)
+        assert abs(report.objectives[-1] - ref) <= 1e-10 * abs(ref)
+        assert report.objectives[-1] == report.mode_objectives[-1]
+
+    @pytest.mark.parametrize("shape,support,channels", [
+        ((8, 7), (3, 3), 1), ((6, 5, 4), (2, 2, 2), 1), ((8, 7), (3, 3), 2)])
+    def test_masked_objective_matches_spatial_reference(self, shape, support,
+                                                        channels):
+        d, _, signal = make_problem(shape, support, m_count=2, rank=2,
+                                    seed=71, channels=channels)
+        mask = RNG(72).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=3,
+                           cg_max_iters=30, seed=12)
+        acts, _, report = lrd_fit_masked(signal, mask, d, cfg)
+        ref = reference_objective(d, acts, np.where(mask, signal, 0.0), cfg,
+                                  mask)
+        assert abs(report.objectives[-1] - ref) <= 1e-10 * abs(ref)
+
+    def test_admm_inner_iters_count_each_visit(self):
+        d, _, signal = make_problem((6, 5, 4), (2, 2, 2), m_count=2, rank=2,
+                                    seed=73)
+        cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=4,
+                           admm_iters=3, tol_primal=1e-300, tol_dual=1e-300,
+                           tol_outer=1e-300, seed=13)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.inner_iters == [3 * 3] * 4
+
+    def test_masked_inner_iters_count_cg_iterations(self):
+        d, _, signal = make_problem((8, 7), (3, 3), m_count=2, rank=2,
+                                    seed=74)
+        mask = RNG(75).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=3,
+                           seed=14)
+        _, _, report = lrd_fit_masked(signal, mask, d, cfg)
+        assert len(report.inner_iters) == report.sweeps
+        assert all(count > signal.ndim for count in report.inner_iters)
