@@ -11,7 +11,9 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 * an ADMM loop for the l1 penalty, whose quadratic step reuses the ridge
   block solve through a proximal term: its ADMM iterations;
 * a conjugate-gradient solve for masked signals, where the spatial mask
-  breaks the per-frequency decoupling: its CG iterations.
+  breaks the per-frequency decoupling, preconditioned by the unmasked
+  per-frequency blocks with the mask taken as its observed fraction: its
+  CG iterations.
 
 All quadratic solves happen in the unitary DFT domain where the normal
 equations split into one small Hermitian system per mode-n frequency;
@@ -145,13 +147,20 @@ def soft_threshold(v, gamma):
     return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
 
 
+def _per_frequency(apply_blocks, xhat):
+    """Apply `apply_blocks` to a spectral factor stack ``(M, I_n, R)`` laid
+    out as one ``(M*R, 1)`` column per mode-n frequency."""
+    m_count, length, rank = xhat.shape
+    rows = xhat.transpose(1, 0, 2).reshape(length, m_count * rank, 1)
+    out = apply_blocks(rows)
+    return out.reshape(length, m_count, rank).transpose(1, 0, 2)
+
+
 def _solve_blocks(op, rhs, rho):
     """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency, with `rhs`
     and `x` spectral factor stacks ``(M, I_n, R)``."""
-    m_count, length, rank = rhs.shape
-    rows = rhs.transpose(1, 0, 2).reshape(length, m_count * rank)
-    x = np.linalg.solve(op.normal_blocks(rho), rows[..., None])[..., 0]
-    return x.reshape(length, m_count, rank).transpose(1, 0, 2)
+    blocks = op.normal_blocks(rho)
+    return _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs)
 
 
 def _signal_arrays(op, shat_vec):
@@ -441,35 +450,66 @@ def _masked_apply(op, mask_stack, x_factor):
     return out * mask_stack
 
 
+def _real_idft_factor(xhat):
+    """Real part of the unitary inverse DFT of ``(M, I_n, R)`` spectra;
+    conjugate symmetry holds up to roundoff for real inputs."""
+    return (np.fft.ifft(xhat, axis=1) * np.sqrt(xhat.shape[1])).real
+
+
 def _masked_adjoint(op, mask_stack, y_stack):
     """Adjoint of :func:`_masked_apply` on real signal stacks."""
     y = y_stack * mask_stack
     rows = np.stack([unfold(dft_nd(y[c]), op.mode)
                      for c in range(op.num_channels)])
-    ghat = op.adjoint_arrays(rows)
-    # conjugate symmetry holds up to roundoff for real inputs
-    return (np.fft.ifft(ghat, axis=1) * np.sqrt(op.mode_length)).real
+    return _real_idft_factor(op.adjoint_arrays(rows))
+
+
+def _masked_normal(op, mask_stack, alpha, x):
+    """Masked normal map ``(W^H P W + alpha I) x`` of a factor stack, with
+    ``P`` the spatial mask."""
+    return (_masked_adjoint(op, mask_stack, _masked_apply(op, mask_stack, x))
+            + alpha * x)
+
+
+def _masked_cg_residual(op, mask_stack, s_obs, alpha, x):
+    """Relative residual ``||b - A x|| / ||b||`` of the masked normal
+    equations ``A x = b`` solved by :func:`_solve_mode_masked_cg`."""
+    rhs = _masked_adjoint(op, mask_stack, s_obs)
+    resid = rhs - _masked_normal(op, mask_stack, alpha, x)
+    return float(np.linalg.norm(resid) / np.linalg.norm(rhs))
 
 
 def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
                           callback=None):
-    """CG solve of the masked normal equations for one mode.
+    """Preconditioned CG solve of the masked normal equations for one mode.
 
+    The preconditioner replaces the mask by ``p I``, with ``p`` the observed
+    fraction, and applies ``(p W^H W + alpha I)^-1`` exactly per mode-n
+    frequency; with nothing masked it is the inverse of the system.
     Returns the factor stack and the scipy convergence flag (0 means the
     relative tolerance was met); `callback` runs after each iteration."""
     dims = x0.shape
+    p = float(mask_stack.mean())
+    # p G + alpha I = p (G + (alpha / p) I)
+    inv = np.linalg.inv(op.normal_blocks(alpha / p)) / p
 
     def matvec(v):
-        x = v.reshape(dims)
-        out = _masked_adjoint(op, mask_stack, _masked_apply(op, mask_stack, x))
-        return (out + alpha * x).ravel()
+        return _masked_normal(op, mask_stack, alpha, v.reshape(dims)).ravel()
+
+    def precondition(v):
+        xhat = dft_factor(v.reshape(dims), axis=1)
+        return _real_idft_factor(
+            _per_frequency(lambda rows: inv @ rows, xhat)).ravel()
 
     rhs = _masked_adjoint(op, mask_stack, s_obs).ravel()
-    lin = scipy.sparse.linalg.LinearOperator(
-        (x0.size, x0.size), matvec=matvec, dtype=float)
+    shape = (x0.size, x0.size)
+    lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
+                                             dtype=float)
+    pre = scipy.sparse.linalg.LinearOperator(shape, matvec=precondition,
+                                             dtype=float)
     sol, info = scipy.sparse.linalg.cg(lin, rhs, x0=x0.ravel(),
                                        rtol=cfg.cg_tol, atol=0.0,
-                                       maxiter=cfg.cg_max_iters,
+                                       maxiter=cfg.cg_max_iters, M=pre,
                                        callback=callback)
     return sol.reshape(dims), info
 
@@ -528,8 +568,16 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
         iters = []
         x, info = _solve_mode_masked_cg(op, mask_stack, s_obs, cfg.alpha, x,
                                         cfg, callback=iters.append)
-        warnings = [f"cg budget exhausted at sweep {sweep} mode {op.mode} "
-                    f"(info={info})"] if info != 0 else []
+        warnings = []
+        if info != 0:
+            rel = _masked_cg_residual(op, mask_stack, s_obs, cfg.alpha, x)
+            # scipy stops on its running residual, which can drift from
+            # the true one
+            cmp = ">" if rel > cfg.cg_tol else "<="
+            warnings.append(
+                f"cg budget exhausted at sweep {sweep} mode {op.mode}: "
+                f"{len(iters)} iterations, relative residual {rel:.3e} "
+                f"{cmp} cg_tol {cfg.cg_tol:.1e}")
         return x, len(iters), warnings
 
     report = _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,

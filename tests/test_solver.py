@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, soft_threshold, solve_mode_admm,
                           solve_mode_l2, solve_mode_quadratic,
-                          _masked_adjoint, _masked_apply)
-from lrdec.synth import make_problem
+                          _masked_adjoint, _masked_apply,
+                          _solve_mode_masked_cg)
+from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
@@ -511,3 +515,100 @@ class TestSolveReport:
         _, _, report = lrd_fit_masked(signal, mask, d, cfg)
         assert len(report.inner_iters) == report.sweeps
         assert all(count > signal.ndim for count in report.inner_iters)
+
+
+def masked_dense_solve(d, shape, factors, mode, mask_stack, s_obs, alpha):
+    """Dense solution of the masked normal equations on the spectral factor
+    vector: ``T = blockdiag_c(P_c F) W``, one mask ``P_c`` per channel."""
+    w = materialize_w(d.filters, shape, factors, mode)
+    size = int(np.prod(shape))
+    length = shape[mode]
+    f_cols = []
+    for j in range(size):
+        spec_rows = np.zeros((length, size // length), dtype=complex)
+        spec_rows[j % length, j // length] = 1.0
+        spec = fold_by_enumeration(spec_rows, mode, shape)
+        f_cols.append((np.fft.ifftn(spec) * np.sqrt(size)).reshape(-1, order="F"))
+    f_mat = np.stack(f_cols, axis=1)
+    t_mat = block_diag(*[np.diag(m.reshape(-1, order="F")) @ f_mat
+                         for m in mask_stack]) @ w
+    svec = np.concatenate([s.reshape(-1, order="F") for s in s_obs])
+    return np.linalg.solve(t_mat.conj().T @ t_mat + alpha * np.eye(w.shape[1]),
+                           t_mat.conj().T @ svec)
+
+
+class TestPreconditionedCg:
+    @pytest.mark.parametrize("channels,m_count,rank,mode", [
+        (2, 2, 2, 0),   # a different mask per channel
+        (1, 3, 2, 1),   # over-complete: M*R = 6 > C*Lambda = 4
+    ])
+    def test_matches_dense_solve(self, channels, m_count, rank, mode):
+        shape = (4, 3)
+        alpha = 1e-3
+        d = unit_norm_dictionary((2, 2), m_count, seed=80, channels=channels)
+        factors = factor_stacks(shape, m_count, rank, seed=81)
+        rng = RNG(82)
+        mask_stack = (rng.uniform(size=(channels,) + shape) > 0.4).astype(float)
+        assert channels == 1 or not np.array_equal(mask_stack[0], mask_stack[1])
+        s_obs = rng.standard_normal((channels,) + shape) * mask_stack
+        dense = masked_dense_solve(d, shape, factors, mode, mask_stack, s_obs,
+                                   alpha)
+
+        op = SpectralOperator(d, shape, factors, mode)
+        cfg = SolverConfig(reg="l2", alpha=alpha, cg_tol=1e-12,
+                           cg_max_iters=400)
+        x0 = np.zeros((m_count, shape[mode], rank))
+        sol, info = _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0,
+                                          cfg)
+        assert info == 0
+        xhat = factor_to_vec(dft_factor(sol, axis=1))
+        assert np.linalg.norm(xhat - dense) / max(
+            1.0, np.linalg.norm(dense)) < 1e-8
+
+    @pytest.mark.parametrize("shape,support,channels", [
+        ((8, 7), (3, 3), 1), ((6, 5, 4), (2, 2, 2), 1), ((8, 7), (3, 3), 2)])
+    def test_exact_when_nothing_is_masked(self, shape, support, channels):
+        # p = 1 makes the preconditioner the inverse of the system
+        d, _, signal = make_problem(shape, support, m_count=2, rank=2,
+                                    seed=76, channels=channels)
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=4,
+                           seed=15)
+        _, _, report = lrd_fit_masked(signal, np.ones(signal.shape, bool), d,
+                                      cfg)
+        assert report.inner_iters == [len(shape)] * report.sweeps
+
+    def test_default_budget_suffices(self):
+        truth = smooth_low_rank((64, 64), 3, seed=77)
+        mask = RNG(78).permutation(truth.size).reshape(truth.shape) \
+            >= truth.size // 2
+        d = make_filters((5, 5), 8, seed=7, style="smooth")
+        cfg = SolverConfig(reg="l2", rank=3, outer_iters=8, seed=16)
+        assert (cfg.alpha, cfg.cg_max_iters) == (1e-4, 500)
+        _, _, report = lrd_fit_masked(truth, mask, d, cfg)
+        assert not [w for w in report.warnings
+                    if w.startswith("cg budget exhausted")]
+
+    def test_budget_warning_reports_residual(self):
+        d, _, signal = make_problem((8, 7), (3, 3), m_count=2, rank=2,
+                                    seed=79)
+        mask = RNG(80).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=3,
+                           cg_tol=1e-14, cg_max_iters=2, seed=17)
+        _, _, report = lrd_fit_masked(signal, mask, d, cfg)
+        pattern = re.compile(
+            r"cg budget exhausted at sweep (\d+) mode (\d+): (\d+) "
+            r"iterations, relative residual (\S+) > cg_tol (\S+)$")
+        per_sweep = [0] * report.sweeps
+        visits = []
+        for warning in report.warnings:
+            match = pattern.match(warning)
+            assert match, warning
+            sweep, mode, iters = (int(g) for g in match.groups()[:3])
+            residual, tol = (float(g) for g in match.groups()[3:])
+            assert residual > cfg.cg_tol and tol == cfg.cg_tol
+            assert iters == cfg.cg_max_iters
+            per_sweep[sweep] += iters
+            visits.append((sweep, mode))
+        assert visits == [(s, n) for s in range(report.sweeps)
+                          for n in range(signal.ndim)]
+        assert per_sweep == report.inner_iters
