@@ -17,7 +17,7 @@ from .solver import (AdmmState, SolveReport, SolverConfig, lrd_fit,
                      lrd_fit_masked, soft_threshold, solve_mode_admm,
                      solve_mode_l2, solve_mode_quadratic)
 from .synth import make_activations, make_filters, make_problem, smooth_low_rank
-from .tensor import (KruskalTensor, build_q, fold, khatri_rao, kronecker,
+from .tensor import (KruskalTensor, build_q, fold, khatri_rao,
                      kruskal_reconstruct, unfold)
 from .transform import (ImaginaryResidueError, dft_factor, dft_nd,
                         idft_factor, idft_nd)
@@ -47,7 +47,6 @@ __all__ = [
     "idft_factor",
     "idft_nd",
     "khatri_rao",
-    "kronecker",
     "kruskal_reconstruct",
     "lrd_fit",
     "lrd_fit_masked",

@@ -9,6 +9,14 @@ the filter spectra act diagonally and the remaining factors act through a
 Khatri-Rao matrix, which also decouples the normal equations into one small
 Hermitian block per mode-n frequency.
 
+Filter spectra are constant over a fit: :func:`filter_spectra` makes the
+``M*C`` zero-padded filter FFTs once, and both :func:`forward_model` and
+:class:`SpectralOperator` read them from there.  Filters and factors are
+real, so the Gram block at frequency ``I_n - i`` is the conjugate of the
+one at ``i``; :meth:`SpectralOperator.gram_blocks` keeps only frequencies
+``0..I_n//2`` (the half spectrum), built one frequency at a time as
+``W_i^H W_i`` from that frequency's ``(C*Lambda, M*R)`` operator block.
+
 Vector layouts
 --------------
 Factor-side vectors stack ``vec(Xhat_m)`` over filters ``m`` (column-major
@@ -19,12 +27,13 @@ unfolding, giving length ``C * I_n * Lambda``.
 
 import numpy as np
 
-from .tensor import build_q, co_size, kruskal_reconstruct, unfold, KruskalTensor
+from .tensor import build_q, co_size, kruskal_reconstruct, KruskalTensor
 from .transform import dft_factor, dft_nd, idft_nd
 
 __all__ = [
     "Dictionary",
     "circular_convolve",
+    "filter_spectra",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -131,6 +140,23 @@ def circular_convolve(filt, activation):
     return idft_nd(spec)
 
 
+def filter_spectra(dictionary, shape):
+    """Unnormalized FFTs of the filters zero-padded to `shape`.
+
+    Returns the ``(M, C, *shape)`` complex stack; these are constant over a
+    fit, so a fit makes them once.
+    """
+    shape = tuple(int(s) for s in shape)
+    dictionary.check_signal_shape(shape)
+    out = np.empty((dictionary.num_filters, dictionary.num_channels) + shape,
+                   dtype=complex)
+    for m in range(dictionary.num_filters):
+        for c in range(dictionary.num_channels):
+            out[m, c] = np.fft.fftn(pad_to_shape(dictionary.filter(m, c),
+                                                 shape))
+    return out
+
+
 def _activation_factors(activations):
     """Normalize a list of activations to per-filter factor lists."""
     out = []
@@ -173,14 +199,13 @@ def forward_model(dictionary, activations):
             raise ValueError(f"activation {m} rank mismatch")
     dictionary.check_signal_shape(shape)
 
-    root = np.sqrt(float(np.prod(shape)))
+    spectra = filter_spectra(dictionary, shape)
     khat = [dft_nd(kruskal_reconstruct(fs)) for fs in factors]
     out = []
     for c in range(dictionary.num_channels):
         acc = np.zeros(shape, dtype=complex)
         for m in range(dictionary.num_filters):
-            dspec = np.fft.fftn(pad_to_shape(dictionary.filter(m, c), shape))
-            acc += dspec * khat[m]
+            acc += spectra[m, c] * khat[m]
         out.append(idft_nd(acc))
     if dictionary.num_channels == 1:
         return out[0]
@@ -237,9 +262,12 @@ class SpectralOperator:
         Per mode, the stacked real factors ``(M, I_k, R)``.  The entry at
         `mode` only fixes the dimensions; its values are not used.
     mode : int
+    spectra : ndarray, optional
+        The dictionary's :func:`filter_spectra` at `signal_shape`; made
+        here when omitted.
     """
 
-    def __init__(self, dictionary, signal_shape, factors, mode):
+    def __init__(self, dictionary, signal_shape, factors, mode, spectra=None):
         shape = tuple(int(s) for s in signal_shape)
         n_modes = len(shape)
         if not 0 <= mode < n_modes:
@@ -255,6 +283,12 @@ class SpectralOperator:
             if f.shape != (m_count, shape[k], rank):
                 raise ValueError(f"factor block {k} has shape {f.shape}, "
                                  f"expected {(m_count, shape[k], rank)}")
+        if spectra is None:
+            spectra = filter_spectra(dictionary, shape)
+        expected = (m_count, dictionary.num_channels) + shape
+        if spectra.shape != expected:
+            raise ValueError(f"filter spectra of shape {spectra.shape}, "
+                             f"expected {expected}")
 
         self.mode = mode
         self.signal_shape = shape
@@ -264,14 +298,12 @@ class SpectralOperator:
         self.mode_length = shape[mode]
         self.lam = co_size(shape, mode)
 
-        # (M, C, I_n, Lambda): unfolded raw filter spectra
-        dhat = np.empty((m_count, self.num_channels, self.mode_length, self.lam),
-                        dtype=complex)
-        for m in range(m_count):
-            for c in range(self.num_channels):
-                spec = np.fft.fftn(pad_to_shape(dictionary.filter(m, c), shape))
-                dhat[m, c] = unfold(spec, mode)
-        self._dhat = dhat
+        # (M, C, I_n, Lambda): the filter spectra unfolded along `mode`;
+        # the other modes in descending order make a C-order reshape run
+        # the earliest of them fastest, as in `unfold`
+        rest = [2 + k for k in reversed(range(n_modes)) if k != mode]
+        self._dhat = spectra.transpose([0, 1, 2 + mode] + rest).reshape(
+            m_count, self.num_channels, self.mode_length, self.lam)
 
         # (M, Lambda, R): Khatri-Rao chain of the unitary factor spectra
         fhat = [dft_factor(f, axis=1) for f in factors]
@@ -328,41 +360,42 @@ class SpectralOperator:
         return factor_to_vec(self.adjoint_arrays(y))
 
     def gram_blocks(self):
-        """Per-frequency Gram blocks of the operator.
+        """Half-spectrum Gram blocks of the operator.
 
         The normal matrix ``W^H W`` is block-diagonal over the mode-n
-        frequency index: entry ``((m, r), (m', r'))`` of block ``i`` is
-        ``sum_{c,l} conj(dhat_m[c,i,l] qhat_m[l,r]) dhat_m'[c,i,l]
-        qhat_m'[l,r']``.  Returns the ``(I_n, M*R, M*R)`` Hermitian PSD
-        stack, cached.
+        frequency index, and block ``I_n - i`` is the conjugate of block
+        ``i``.  Block ``i`` is ``W_i^H W_i`` with ``W_i`` the
+        ``(C*Lambda, M*R)`` operator block of frequency ``i``: entry
+        ``((c, l), (m, r))`` is ``dhat_m[c,i,l] qhat_m[l,r]``.  Returns the
+        ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
+        ``0..I_n//2``, cached; :meth:`normal_blocks` gives the full one.
         """
         if self._gram is not None:
             return self._gram
-        m_count, rank = self.num_filters, self.rank
-        size = m_count * rank
-        gram = np.zeros((self.mode_length, size, size), dtype=complex)
-        for m in range(m_count):
-            for mp in range(m, m_count):
-                cross = np.einsum("cil,cil->il",
-                                  self._dhat[m].conj(), self._dhat[mp])
-                pair = self._qhat[m].conj()[:, :, None] * self._qhat[mp][:, None, :]
-                blk = np.tensordot(cross, pair, axes=(1, 0))  # (I_n, R, R)
-                gram[:, m * rank:(m + 1) * rank, mp * rank:(mp + 1) * rank] = blk
-                if mp > m:
-                    gram[:, mp * rank:(mp + 1) * rank, m * rank:(m + 1) * rank] = \
-                        blk.conj().transpose(0, 2, 1)
+        size = self.num_filters * self.rank
+        # (Lambda, M, R) so that W_i comes out (C, Lambda, M, R)
+        qhat = self._qhat.transpose(1, 0, 2)
+        gram = np.empty((self.mode_length // 2 + 1, size, size),
+                        dtype=complex)
+        for i in range(len(gram)):
+            dhat = self._dhat[:, :, i].transpose(1, 2, 0)   # (C, Lambda, M)
+            w = (dhat[..., None] * qhat).reshape(-1, size)
+            gram[i] = w.conj().T @ w
         self._gram = gram
         return gram
 
     def normal_blocks(self, regularizer):
         """Regularized normal-equation blocks ``W^H W + reg I``.
 
-        Returns the ``(I_n, M*R, M*R)`` stack of Hermitian positive-definite
-        systems; ``regularizer`` must be positive.
+        Returns the full ``(I_n, M*R, M*R)`` stack of Hermitian
+        positive-definite systems, mirrored from :meth:`gram_blocks`;
+        ``regularizer`` must be positive.
         """
         if not regularizer > 0:
             raise ValueError(f"regularizer must be positive, got {regularizer}")
-        blocks = self.gram_blocks().copy()
+        half = self.gram_blocks()
+        mirrored = half[1:self.mode_length - len(half) + 1][::-1]
+        blocks = np.concatenate([half, mirrored.conj()])
         idx = np.arange(blocks.shape[1])
         blocks[:, idx, idx] += regularizer
         return blocks

@@ -18,6 +18,12 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 All quadratic solves happen in the unitary DFT domain where the normal
 equations split into one small Hermitian system per mode-n frequency;
 by Parseval the unmasked data term is the norm of the spectral residual.
+The factors are real, so only frequencies ``0..I_n//2`` are solved, on the
+operator's half-spectrum Gram blocks: the self-conjugate ones (0, and
+``I_n/2`` for even ``I_n``) are kept real and the rest are mirrored by
+conjugation, which keeps the inverse transform real however ill-conditioned
+the blocks are.  The filter spectra are made once per fit and shared by
+every operator the sweep builds.
 """
 
 import time
@@ -26,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .convmodel import (SpectralOperator, factor_to_vec, forward_model,
-                        signal_to_vec, vec_to_factor, vec_to_signal)
+from .convmodel import (SpectralOperator, factor_to_vec, filter_spectra,
+                        forward_model, signal_to_vec, vec_to_factor,
+                        vec_to_signal)
 from .tensor import KruskalTensor, fold, unfold
 from .transform import dft_factor, dft_nd, idft_factor, idft_nd_complex
 
@@ -148,18 +155,31 @@ def soft_threshold(v, gamma):
 
 
 def _per_frequency(apply_blocks, xhat):
-    """Apply `apply_blocks` to a spectral factor stack ``(M, I_n, R)`` laid
-    out as one ``(M*R, 1)`` column per mode-n frequency."""
+    """Apply `apply_blocks` to the half spectrum of a real factor's
+    spectral stack ``(M, I_n, R)``.
+
+    Frequencies ``0..I_n//2`` are laid out as one ``(M*R, 1)`` column each;
+    in the result the self-conjugate ones are made real and frequency
+    ``I_n - i`` is the conjugate of frequency ``i``."""
     m_count, length, rank = xhat.shape
-    rows = xhat.transpose(1, 0, 2).reshape(length, m_count * rank, 1)
-    out = apply_blocks(rows)
-    return out.reshape(length, m_count, rank).transpose(1, 0, 2)
+    half = length // 2 + 1
+    rows = xhat[:, :half].transpose(1, 0, 2).reshape(half, m_count * rank, 1)
+    cols = apply_blocks(rows).reshape(half, m_count, rank).transpose(1, 0, 2)
+    out = np.empty(xhat.shape, dtype=complex)
+    out[:, :half] = cols
+    out[:, 0] = cols[:, 0].real
+    if length % 2 == 0:
+        out[:, half - 1] = cols[:, half - 1].real
+    out[:, half:] = cols[:, 1:length - half + 1][:, ::-1].conj()
+    return out
 
 
 def _solve_blocks(op, rhs, rho):
-    """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency, with `rhs`
-    and `x` spectral factor stacks ``(M, I_n, R)``."""
-    blocks = op.normal_blocks(rho)
+    """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency on the half
+    spectrum, with `rhs` and `x` spectral stacks ``(M, I_n, R)`` of real
+    factors."""
+    gram = op.gram_blocks()
+    blocks = gram + rho * np.eye(gram.shape[1])
     return _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs)
 
 
@@ -186,6 +206,9 @@ def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
     -------
     ndarray
         Spectral factor vector of length ``op.factor_size``.
+
+    The spectra may be arbitrary complex vectors, so unlike the fits this
+    solves every frequency on the full :meth:`SpectralOperator.normal_blocks`.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -193,7 +216,10 @@ def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
     if zhat_vec is not None:
         rhs = rhs + rho * vec_to_factor(zhat_vec, op.num_filters,
                                         op.mode_length, op.rank)
-    return factor_to_vec(_solve_blocks(op, rhs, rho))
+    m_count, length, rank = rhs.shape
+    rows = rhs.transpose(1, 0, 2).reshape(length, m_count * rank, 1)
+    x = np.linalg.solve(op.normal_blocks(rho), rows)
+    return factor_to_vec(x.reshape(length, m_count, rank).transpose(1, 0, 2))
 
 
 def solve_mode_l2(op, shat_vec, alpha):
@@ -354,11 +380,12 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
     inner iterations and a list of warnings; ``data_term(op, x)`` scores a
     stack on the same operator.  `check_l2` flags a rising objective."""
     report = SolveReport()
+    spectra = filter_spectra(dictionary, shape)
     prev_obj = None
     for sweep in range(cfg.outer_iters):
         inner = 0
         for n in range(len(shape)):
-            op = SpectralOperator(dictionary, shape, factors, n)
+            op = SpectralOperator(dictionary, shape, factors, n, spectra)
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(op, factors[n])
                                   + _reg_term(factors, cfg))
@@ -373,6 +400,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
                 report.warnings.append(
                     f"l2 objective increased at mode {n}: "
                     f"{last_obj:.6e} -> {obj:.6e}")
+            del op  # free its unfolded spectra before the next build
         if not np.isfinite(obj):
             raise ValueError(f"objective became non-finite: {obj}")
         report.objectives.append(obj)
@@ -490,8 +518,9 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
     relative tolerance was met); `callback` runs after each iteration."""
     dims = x0.shape
     p = float(mask_stack.mean())
-    # p G + alpha I = p (G + (alpha / p) I)
-    inv = np.linalg.inv(op.normal_blocks(alpha / p)) / p
+    # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
+    gram = op.gram_blocks()
+    inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
 
     def matvec(v):
         return _masked_normal(op, mask_stack, alpha, v.reshape(dims)).ravel()

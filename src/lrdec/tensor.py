@@ -15,7 +15,6 @@ __all__ = [
     "unfold",
     "fold",
     "khatri_rao",
-    "kronecker",
     "build_q",
     "kruskal_reconstruct",
     "KruskalTensor",
@@ -109,11 +108,6 @@ def khatri_rao(a, b):
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
     return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
-
-
-def kronecker(a, b):
-    """Kronecker product of two matrices (``numpy.kron``)."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def build_q(factors, mode):

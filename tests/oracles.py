@@ -119,6 +119,49 @@ def materialize_w(filters, shape, factors, mode):
     return np.vstack(blocks)
 
 
+def gram_blocks_by_pairs(filters, shape, factors, mode):
+    """Per-frequency Gram blocks of the per-mode operator, filter pair by
+    filter pair.
+
+    Entry ``((m, r), (m', r'))`` of block ``i`` is
+    ``sum_{c,l} conj(dhat_m[c,i,l] qhat_m[l,r]) dhat_m'[c,i,l] qhat_m'[l,r']``,
+    with ``dhat`` the unfolded filter spectra and ``qhat`` the Khatri-Rao
+    chain, both rebuilt here from the oracles above.  Arguments are as in
+    :func:`materialize_w`.  Returns the full ``(I_n, M*R, M*R)`` stack.
+    """
+    filters = np.asarray(filters, dtype=float)
+    shape = tuple(shape)
+    n_modes = len(shape)
+    m_count, c_count = filters.shape[:2]
+    rank = np.asarray(factors[0]).shape[2]
+    fhat = [np.fft.fft(np.asarray(f), axis=1) / np.sqrt(np.asarray(f).shape[1])
+            for f in factors]
+    dhat, qhat = [], []
+    for m in range(m_count):
+        dhat.append(np.stack([
+            unfold_by_enumeration(np.fft.fftn(pad_origin(filters[m, c], shape)),
+                                  mode) for c in range(c_count)]))
+        q = np.ones((1, rank), dtype=complex) if n_modes == 1 else None
+        for k in reversed(range(n_modes)):
+            if k != mode:
+                q = fhat[k][m] if q is None else \
+                    khatri_rao_by_columns(q, fhat[k][m])
+        qhat.append(q)
+
+    size = m_count * rank
+    gram = np.zeros((shape[mode], size, size), dtype=complex)
+    for m in range(m_count):
+        for mp in range(m, m_count):
+            cross = np.einsum("cil,cil->il", dhat[m].conj(), dhat[mp])
+            pair = qhat[m].conj()[:, :, None] * qhat[mp][:, None, :]
+            blk = np.tensordot(cross, pair, axes=(1, 0))  # (I_n, R, R)
+            gram[:, m * rank:(m + 1) * rank, mp * rank:(mp + 1) * rank] = blk
+            if mp > m:
+                gram[:, mp * rank:(mp + 1) * rank, m * rank:(m + 1) * rank] = \
+                    blk.conj().transpose(0, 2, 1)
+    return gram
+
+
 def fold_by_enumeration(m, mode, shape):
     """Inverse of :func:`unfold_by_enumeration` via the same index map."""
     m = np.asarray(m)

@@ -17,8 +17,8 @@ from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, solve_mode_admm, solve_mode_l2,
                           solve_mode_quadratic, _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
-from lrdec.tensor import (build_q, fold, khatri_rao, kronecker,
-                          kruskal_reconstruct, unfold)
+from lrdec.tensor import (build_q, fold, khatri_rao, kruskal_reconstruct,
+                          unfold)
 from lrdec.transform import dft_factor, dft_nd
 
 from oracles import (fold_by_enumeration, ista_l1, khatri_rao_by_columns,
@@ -76,7 +76,7 @@ def test_criterion_01_algebra_suite():
             q = build_q(factors, n)
             assert _rel_ok(unfold(full, n), factors[n] @ q.T, 1e-12)
             lhs = vec_colmajor(unfold(full, n))
-            rhs = kronecker(q, np.eye(shape[n])) @ vec_colmajor(factors[n])
+            rhs = np.kron(q, np.eye(shape[n])) @ vec_colmajor(factors[n])
             assert _rel_ok(lhs, rhs, 1e-12)
 
     rng = RNG(300)
@@ -84,7 +84,7 @@ def test_criterion_01_algebra_suite():
     assert np.array_equal(khatri_rao(a, b), khatri_rao_by_columns(a, b))
     c, d = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
     x = rng.standard_normal((2, 3))
-    assert _rel_ok(kronecker(c, d) @ vec_colmajor(x),
+    assert _rel_ok(np.kron(c, d) @ vec_colmajor(x),
                    vec_colmajor(d @ x @ c.T), 1e-12)
     _report(1, "algebra suite", t0, 10.0)
 

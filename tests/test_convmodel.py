@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lrdec.convmodel
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                             factor_to_vec, forward_model, pad_to_shape,
-                             signal_to_vec, vec_to_factor, vec_to_signal)
+                             factor_to_vec, filter_spectra, forward_model,
+                             pad_to_shape, signal_to_vec, vec_to_factor,
+                             vec_to_signal)
+from lrdec.solver import SolverConfig, lrd_fit
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
-from oracles import (circular_convolve_by_sums, kruskal_by_outer_sums,
-                     materialize_w, vec_colmajor)
+from oracles import (circular_convolve_by_sums, gram_blocks_by_pairs,
+                     kruskal_by_outer_sums, materialize_w, vec_colmajor)
 
 RNG = np.random.default_rng
 
@@ -291,3 +294,69 @@ class TestNormalBlocks:
         op, _, _, _ = tiny_operator()
         with pytest.raises(ValueError):
             op.normal_blocks(0.0)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("shape,m_count,rank,channels,mode", [
+        ((5, 3), 2, 2, 1, 0),      # odd I_n
+        ((6, 3), 3, 2, 1, 0),      # even I_n
+        ((3, 4, 2), 2, 2, 1, 1),   # even I_n of a middle mode
+        ((4, 5), 2, 3, 2, 1),      # C = 2, odd I_n
+        ((4, 4), 2, 2, 2, 0),      # C = 2, even I_n
+        ((7,), 2, 2, 1, 0),        # single mode, odd I_n
+        ((6,), 3, 2, 1, 0),        # single mode, even I_n
+    ])
+    def test_gram_blocks_match_pair_oracle(self, shape, m_count, rank,
+                                           channels, mode):
+        op, _, d, factors = tiny_operator(shape, m_count, rank, seed=40,
+                                          channels=channels, mode=mode)
+        oracle = gram_blocks_by_pairs(d.filters, shape, factors, mode)
+        half = op.gram_blocks()
+        assert half.shape == (shape[mode] // 2 + 1, m_count * rank,
+                              m_count * rank)
+        assert np.max(np.abs(half - oracle[:len(half)])) <= 1e-12 * max(
+            1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("length", [5, 6])
+    def test_normal_blocks_mirror_the_half(self, length):
+        op, _, _, _ = tiny_operator((length, 3), 2, 2, seed=41)
+        half = op.gram_blocks() + 0.25 * np.eye(4)
+        full = op.normal_blocks(0.25)
+        assert full.shape[0] == length
+        assert np.array_equal(full[:len(half)], half)
+        for i in range(1, (length + 1) // 2):  # not the self-conjugate ones
+            assert np.array_equal(full[length - i], full[i].conj())
+
+    def test_filter_spectra_layout(self):
+        d = random_dictionary((2, 3), 3, seed=42, channels=2)
+        spectra = filter_spectra(d, (4, 5))
+        assert spectra.shape == (3, 2, 4, 5)
+        for m in range(3):
+            for c in range(2):
+                assert np.array_equal(
+                    spectra[m, c], np.fft.fftn(pad_to_shape(d.filter(m, c),
+                                                            (4, 5))))
+
+    def test_operator_rejects_mismatched_spectra(self):
+        d = random_dictionary((2, 2), 2, seed=43)
+        factors = factor_stacks((4, 3), 2, 1, seed=44)
+        with pytest.raises(ValueError):
+            SpectralOperator(d, (4, 3), factors, 0,
+                             filter_spectra(d, (4, 4)))
+
+    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    def test_fit_makes_filter_spectra_once(self, monkeypatch, reg):
+        calls = []
+        original = lrdec.convmodel.pad_to_shape
+
+        def counted(filt, shape):
+            calls.append(shape)
+            return original(filt, shape)
+
+        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
+        d = random_dictionary((2, 2, 2), 3, seed=45, channels=2)
+        signal = RNG(46).standard_normal((5, 4, 3, 2))
+        cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.sweeps == 3
+        assert len(calls) == d.num_filters * d.num_channels

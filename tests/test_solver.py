@@ -354,6 +354,21 @@ class TestLrdFit:
         with pytest.raises(ValueError):
             lrd_fit(np.zeros((4, 4)), d, cfg)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-8])
+    def test_over_complete_bank_at_tiny_alpha(self, seed, alpha):
+        # M*R = 32 > C*Lambda = 16 leaves every frequency block singular up
+        # to alpha; solving frequencies i and I - i separately let them
+        # drift apart and the inverse transform came out complex
+        d, _, signal = make_problem((16, 16), (5, 5), m_count=8, rank=4,
+                                    seed=seed)
+        cfg = SolverConfig(reg="l2", alpha=alpha, rank=4)
+        acts, report = lrd_fit(signal, d, cfg)
+        assert not [w for w in report.warnings
+                    if w.startswith("l2 objective increased")]
+        recon = forward_model(d, acts)
+        assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
+
 
 class TestMaskedPath:
     def test_masked_chain_adjoint_identity(self):

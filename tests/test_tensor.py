@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrdec.tensor import (KruskalTensor, build_q, co_size, fold, khatri_rao,
-                          kronecker, kruskal_reconstruct, unfold)
+                          kruskal_reconstruct, unfold)
 
 from oracles import (khatri_rao_by_columns, kruskal_by_outer_sums,
                      unfold_by_enumeration, vec_colmajor)
@@ -92,25 +92,12 @@ class TestKhatriRao:
 
 
 class TestKronecker:
-    def test_right_identity_one(self):
-        a = RNG(6).standard_normal((3, 4))
-        assert np.array_equal(kronecker(a, np.eye(1)), a)
-
-    def test_block_pattern(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kronecker(a, np.eye(2))
-        expected = np.array([[1, 0, 2, 0],
-                             [0, 1, 0, 2],
-                             [3, 0, 4, 0],
-                             [0, 3, 0, 4]], dtype=float)
-        assert np.array_equal(out, expected)
-
     def test_vec_identity(self):
         rng = RNG(7)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((3, 2))
         x = rng.standard_normal((2, 3))  # (A kron B) vec(X) == vec(B X A^T)
-        lhs = kronecker(a, b) @ vec_colmajor(x)
+        lhs = np.kron(a, b) @ vec_colmajor(x)
         rhs = vec_colmajor(b @ x @ a.T)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -181,7 +168,7 @@ class TestBuildQ:
         full = kruskal_reconstruct(factors)
         for n in range(len(shape)):
             lhs = vec_colmajor(unfold(full, n))
-            op = kronecker(build_q(factors, n), np.eye(shape[n]))
+            op = np.kron(build_q(factors, n), np.eye(shape[n]))
             rhs = op @ vec_colmajor(factors[n])
             scale = max(1.0, np.max(np.abs(lhs)))
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
