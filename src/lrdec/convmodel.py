@@ -14,8 +14,34 @@ Filter spectra are constant over a fit: :func:`filter_spectra` makes the
 :class:`SpectralOperator` read them from there.  Filters and factors are
 real, so the Gram block at frequency ``I_n - i`` is the conjugate of the
 one at ``i``; :meth:`SpectralOperator.gram_blocks` keeps only frequencies
-``0..I_n//2`` (the half spectrum), built one frequency at a time as
-``W_i^H W_i`` from that frequency's ``(C*Lambda, M*R)`` operator block.
+``0..I_n//2`` (the half spectrum).
+
+Gram blocks in the lag domain
+-----------------------------
+Block ``i`` contracts over the ``Lambda`` frequencies of the other modes,
+but by Parseval and the convolution theorem it equals a sum over the lags
+of the small filter support::
+
+    G_i[(m,r),(m',r')] = sum_delta K_mm'[delta, i]
+                         * prod_{k != n} R^k_(m,r),(m',r')[delta_k]
+
+with ``delta = u - v`` a lag of the other modes and
+
+* ``p_{m,c,i}[u]``: filter ``(m, c)`` transformed along mode ``n`` only
+  (unnormalized DFT), at frequency ``i`` and other-mode position ``u``;
+* ``K_mm'[delta, i] = sum_c sum_{u - v = delta} conj(p_{m,c,i}[u])
+  p_{m',c,i}[v]``, a fit-constant filter cross-correlation made by
+  :func:`filter_correlations`, with ``|delta_k| < L_k``;
+* ``R^k[delta] = sum_s f_k[m][s, r] f_k[m'][(s + delta) mod I_k, r']``, the
+  circular lag correlation of the real mode-``k`` factor columns, made per
+  operator from ``(M*R)**2`` numbers per lag.
+
+``R^k`` has period ``I_k``, so when ``2 L_k - 1 > I_k`` the lags are folded
+modulo ``I_k`` and the aliased terms of ``K`` summed.  Mode ``k`` then
+keeps ``J_k = min(2 L_k - 1, I_k)`` lags, stored in DFT order: lag index
+``q`` stands for ``delta_k = q`` when ``q < L_k`` and for ``q - J_k``
+(negative, or an alias modulo ``I_k``) otherwise.  The contraction length
+``J = prod_{k != n} J_k`` is never longer than ``Lambda``.
 
 Vector layouts
 --------------
@@ -34,6 +60,7 @@ __all__ = [
     "Dictionary",
     "circular_convolve",
     "filter_spectra",
+    "filter_correlations",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -157,6 +184,62 @@ def filter_spectra(dictionary, shape):
     return out
 
 
+def _lags(support, length):
+    """The folded lags ``delta mod length`` of a length-`support`
+    correlation, in DFT order (see the module docstring)."""
+    count = min(2 * support - 1, length)
+    q = np.arange(count)
+    return np.where(q < support, q, q - count) % length
+
+
+def filter_correlations(dictionary, shape, mode):
+    """Lag-domain filter cross-correlations ``K`` of one mode's Gram blocks.
+
+    Returns the ``(M, M, J, I_n//2 + 1)`` complex stack with
+    ``[m, m', q, i]`` the folded ``K_mm'[delta, i]`` of the module
+    docstring, ``q`` running over the lags of the other modes in ascending
+    mode order (C order, one :func:`_lags` set per mode).  Constant over a
+    fit, so a fit makes it once per mode.
+    """
+    shape = tuple(int(s) for s in shape)
+    dictionary.check_signal_shape(shape)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for shape {shape}")
+    counts = [len(_lags(dictionary.support[k], shape[k]))
+              for k in range(len(shape)) if k != mode]
+    axes = tuple(range(2, 2 + len(counts)))
+    # p[m, c, u..., i]: real filters transformed along `mode`, where the
+    # half spectrum 0..I_n//2 is exactly what rfft returns
+    p = np.moveaxis(np.fft.rfft(dictionary.filters, n=shape[mode],
+                                axis=2 + mode), 2 + mode, -1)
+    # circular cross-correlation on J_k points folds the lags mod J_k:
+    # exact for J_k = 2 L_k - 1, the fold mod I_k for J_k = I_k
+    spec = np.fft.fftn(p, s=counts, axes=axes)
+    cross = np.einsum("ac...,bc...->ab...", spec.conj(), spec)
+    corr = np.fft.fftn(cross, axes=axes) / np.prod(counts)
+    m_count = dictionary.num_filters
+    return np.ascontiguousarray(
+        corr.reshape(m_count, m_count, -1, corr.shape[-1]))
+
+
+def _factor_lag_correlations(f, lags):
+    """``R[m, m', r, r', q] = sum_s f[m, s, r] f[m', (s + lags[q]) % I, r']``
+    of a real factor stack `f` of shape ``(M, I, R)``."""
+    m_count, length, rank = f.shape
+    shifted = f[:, (np.arange(length) + lags[:, None]) % length]  # (M,J,I,R)
+    rows = f.transpose(0, 2, 1).reshape(m_count * rank, length)
+    cols = shifted.transpose(2, 0, 3, 1).reshape(length, -1)
+    corr = (rows @ cols).reshape(m_count, rank, m_count, rank, len(lags))
+    return corr.transpose(0, 2, 1, 3, 4)
+
+
+def _check_spectra(spectra, dictionary, shape):
+    expected = (dictionary.num_filters, dictionary.num_channels) + shape
+    if spectra.shape != expected:
+        raise ValueError(f"filter spectra of shape {spectra.shape}, "
+                         f"expected {expected}")
+
+
 def _activation_factors(activations):
     """Normalize a list of activations to per-filter factor lists."""
     out = []
@@ -168,7 +251,7 @@ def _activation_factors(activations):
     return out
 
 
-def forward_model(dictionary, activations):
+def forward_model(dictionary, activations, spectra=None):
     """Synthesize the signal ``sum_m d_m (*) K_m``.
 
     Parameters
@@ -180,6 +263,9 @@ def forward_model(dictionary, activations):
     activations : sequence
         M activation tensors, each a :class:`KruskalTensor` or a factor
         list, all with the signal shape and a common rank.
+    spectra : ndarray, optional
+        The dictionary's :func:`filter_spectra` at the signal shape; made
+        here when omitted.
 
     Returns
     -------
@@ -199,7 +285,9 @@ def forward_model(dictionary, activations):
             raise ValueError(f"activation {m} rank mismatch")
     dictionary.check_signal_shape(shape)
 
-    spectra = filter_spectra(dictionary, shape)
+    if spectra is None:
+        spectra = filter_spectra(dictionary, shape)
+    _check_spectra(spectra, dictionary, shape)
     khat = [dft_nd(kruskal_reconstruct(fs)) for fs in factors]
     out = []
     for c in range(dictionary.num_channels):
@@ -265,9 +353,13 @@ class SpectralOperator:
     spectra : ndarray, optional
         The dictionary's :func:`filter_spectra` at `signal_shape`; made
         here when omitted.
+    correlations : ndarray, optional
+        The dictionary's :func:`filter_correlations` at `signal_shape` and
+        `mode`; made here when omitted.
     """
 
-    def __init__(self, dictionary, signal_shape, factors, mode, spectra=None):
+    def __init__(self, dictionary, signal_shape, factors, mode, spectra=None,
+                 correlations=None):
         shape = tuple(int(s) for s in signal_shape)
         n_modes = len(shape)
         if not 0 <= mode < n_modes:
@@ -285,10 +377,17 @@ class SpectralOperator:
                                  f"expected {(m_count, shape[k], rank)}")
         if spectra is None:
             spectra = filter_spectra(dictionary, shape)
-        expected = (m_count, dictionary.num_channels) + shape
-        if spectra.shape != expected:
-            raise ValueError(f"filter spectra of shape {spectra.shape}, "
-                             f"expected {expected}")
+        _check_spectra(spectra, dictionary, shape)
+        self._lags = [(k, _lags(dictionary.support[k], shape[k]))
+                      for k in range(n_modes) if k != mode]
+        if correlations is None:
+            correlations = filter_correlations(dictionary, shape, mode)
+        expected = (m_count, m_count,
+                    int(np.prod([len(q) for _, q in self._lags])),
+                    shape[mode] // 2 + 1)
+        if correlations.shape != expected:
+            raise ValueError(f"filter correlations of shape "
+                             f"{correlations.shape}, expected {expected}")
 
         self.mode = mode
         self.signal_shape = shape
@@ -316,6 +415,11 @@ class SpectralOperator:
             else:
                 qhat[m] = build_q([fhat[k][m] for k in range(n_modes)], mode)
         self._qhat = qhat
+        self._factors = factors
+        # (M*M, J, 2 * (I_n//2 + 1)): K with the real and imaginary parts
+        # interleaved, the layout the real Gram contraction reads; a view
+        self._corr = np.ascontiguousarray(correlations).reshape(
+            m_count * m_count, expected[2], expected[3]).view(float)
         self._gram = None
 
     @property
@@ -364,25 +468,36 @@ class SpectralOperator:
 
         The normal matrix ``W^H W`` is block-diagonal over the mode-n
         frequency index, and block ``I_n - i`` is the conjugate of block
-        ``i``.  Block ``i`` is ``W_i^H W_i`` with ``W_i`` the
-        ``(C*Lambda, M*R)`` operator block of frequency ``i``: entry
-        ``((c, l), (m, r))`` is ``dhat_m[c,i,l] qhat_m[l,r]``.  Returns the
+        ``i``.  Block ``i`` is built in the lag domain of the module
+        docstring, ``G_i = sum_q K[q, i] * prod_{k != n} R^k[delta_k(q)]``
+        entrywise in ``((m, r), (m', r'))``: ``K`` is this mode's
+        :func:`filter_correlations` (lag ``delta = u - v``, folded modulo
+        ``I_k`` where ``2 L_k - 1 > I_k``) and ``R^k[delta]`` pairs
+        column ``r`` of factor ``f_k[m]`` at ``s`` with column ``r'`` of
+        ``f_k[m']`` at ``(s + delta) mod I_k``.  The contraction runs over
+        ``J = prod_{k != n} min(2 L_k - 1, I_k)`` lags instead of the
+        ``Lambda`` other-mode frequencies.  Returns the
         ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
         ``0..I_n//2``, cached; :meth:`normal_blocks` gives the full one.
         """
         if self._gram is not None:
             return self._gram
-        size = self.num_filters * self.rank
-        # (Lambda, M, R) so that W_i comes out (C, Lambda, M, R)
-        qhat = self._qhat.transpose(1, 0, 2)
-        gram = np.empty((self.mode_length // 2 + 1, size, size),
-                        dtype=complex)
-        for i in range(len(gram)):
-            dhat = self._dhat[:, :, i].transpose(1, 2, 0)   # (C, Lambda, M)
-            w = (dhat[..., None] * qhat).reshape(-1, size)
-            gram[i] = w.conj().T @ w
-        self._gram = gram
-        return gram
+        m_count, rank = self.num_filters, self.rank
+        # T[m, m', r, r', q] = prod_k R^k[m, m', r, r', q_k], with q running
+        # over the lag sets in C order like the lag axis of K
+        lagged = np.ones((m_count, m_count, rank, rank, 1))
+        for k, lags in self._lags:
+            corr = _factor_lag_correlations(self._factors[k], lags)
+            lagged = (lagged[..., None] * corr[..., None, :]).reshape(
+                m_count, m_count, rank, rank, -1)
+        # per filter pair, (R*R, J) @ (J, 2H) with K's real and imaginary
+        # parts interleaved gives the complex (R*R, H) block entries
+        pairs = lagged.reshape(m_count * m_count, rank * rank, -1) @ self._corr
+        half = pairs.shape[-1] // 2
+        gram = pairs.view(complex).reshape(m_count, m_count, rank, rank, half)
+        size = m_count * rank
+        self._gram = gram.transpose(4, 0, 2, 1, 3).reshape(half, size, size)
+        return self._gram
 
     def normal_blocks(self, regularizer):
         """Regularized normal-equation blocks ``W^H W + reg I``.

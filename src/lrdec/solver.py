@@ -22,8 +22,9 @@ The factors are real, so only frequencies ``0..I_n//2`` are solved, on the
 operator's half-spectrum Gram blocks: the self-conjugate ones (0, and
 ``I_n/2`` for even ``I_n``) are kept real and the rest are mirrored by
 conjugation, which keeps the inverse transform real however ill-conditioned
-the blocks are.  The filter spectra are made once per fit and shared by
-every operator the sweep builds.
+the blocks are.  The filter spectra and each mode's lag-domain filter
+correlations (which the Gram blocks contract with the factors) are made
+once per fit and shared by every operator the sweep builds.
 """
 
 import time
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .convmodel import (SpectralOperator, factor_to_vec, filter_spectra,
-                        forward_model, signal_to_vec, vec_to_factor,
-                        vec_to_signal)
+from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
+                        filter_spectra, forward_model, signal_to_vec,
+                        vec_to_factor, vec_to_signal)
 from .tensor import KruskalTensor, fold, unfold
 from .transform import dft_factor, dft_nd, idft_factor, idft_nd_complex
 
@@ -83,14 +84,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.reg not in ("l1", "l2"):
             raise ValueError(f"reg must be 'l1' or 'l2', got {self.reg!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("lam", "alpha"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{value}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.rho_init > 0:
-            raise ValueError(f"rho_init must be positive, got {self.rho_init}")
+        if not (np.isfinite(self.rho_init) and self.rho_init > 0):
+            raise ValueError(f"rho_init must be finite and positive, got "
+                             f"{self.rho_init}")
         for name in ("tol_primal", "tol_dual", "tol_outer", "cg_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -378,14 +381,18 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
 
     ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
     inner iterations and a list of warnings; ``data_term(op, x)`` scores a
-    stack on the same operator.  `check_l2` flags a rising objective."""
+    stack on the same operator.  `check_l2` flags a rising objective.
+    Returns the report and the filter spectra the fit made."""
     report = SolveReport()
     spectra = filter_spectra(dictionary, shape)
+    correlations = [filter_correlations(dictionary, shape, n)
+                    for n in range(len(shape))]
     prev_obj = None
     for sweep in range(cfg.outer_iters):
         inner = 0
         for n in range(len(shape)):
-            op = SpectralOperator(dictionary, shape, factors, n, spectra)
+            op = SpectralOperator(dictionary, shape, factors, n, spectra,
+                                  correlations[n])
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(op, factors[n])
                                   + _reg_term(factors, cfg))
@@ -412,7 +419,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
             report.converged = True
             break
         prev_obj = obj
-    return report
+    return report, spectra
 
 
 def lrd_fit(signal, dictionary, cfg, init=None):
@@ -462,8 +469,8 @@ def lrd_fit(signal, dictionary, cfg, init=None):
                                        states[op.mode])
             return y, state.iterations - done, []
 
-    report = _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
-                    check_l2=cfg.reg == "l2")
+    report, _ = _sweep(dictionary, shape, factors, cfg, solve_mode,
+                       data_term, check_l2=cfg.reg == "l2")
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
@@ -609,10 +616,10 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                 f"{cmp} cg_tol {cfg.cg_tol:.1e}")
         return x, len(iters), warnings
 
-    report = _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
-                    check_l2=False)
+    report, spectra = _sweep(dictionary, shape, factors, cfg, solve_mode,
+                             data_term, check_l2=False)
 
     activations = _finish(factors)
-    completed = forward_model(dictionary, activations)
+    completed = forward_model(dictionary, activations, spectra)
     report.seconds = time.perf_counter() - t0
     return activations, completed, report

@@ -136,6 +136,17 @@ class TestReconstruct:
         assert warned.out == plain.out
         assert warned.err == "warning: point 0.001\nwarning: point 0.01\n"
 
+    def test_non_finite_alpha_is_runtime_error(self, tmp_path, capsys):
+        src = synth_dir(tmp_path, "src")
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd",
+                       "--reg", "l2", "--alpha", "nan")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha must be finite")
+
     def test_missing_signal_file_is_runtime_error(self, tmp_path):
         src = synth_dir(tmp_path, "src")
         code = run_cli("reconstruct", "--signal", tmp_path / "nope.lrt",

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 
 import lrdec.convmodel
+import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                             factor_to_vec, filter_spectra, forward_model,
-                             pad_to_shape, signal_to_vec, vec_to_factor,
-                             vec_to_signal)
-from lrdec.solver import SolverConfig, lrd_fit
+                             factor_to_vec, filter_correlations,
+                             filter_spectra, forward_model, pad_to_shape,
+                             signal_to_vec, vec_to_factor, vec_to_signal)
+from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
@@ -297,19 +298,33 @@ class TestNormalBlocks:
 
 
 class TestHalfSpectrum:
-    @pytest.mark.parametrize("shape,m_count,rank,channels,mode", [
-        ((5, 3), 2, 2, 1, 0),      # odd I_n
-        ((6, 3), 3, 2, 1, 0),      # even I_n
-        ((3, 4, 2), 2, 2, 1, 1),   # even I_n of a middle mode
-        ((4, 5), 2, 3, 2, 1),      # C = 2, odd I_n
-        ((4, 4), 2, 2, 2, 0),      # C = 2, even I_n
-        ((7,), 2, 2, 1, 0),        # single mode, odd I_n
-        ((6,), 3, 2, 1, 0),        # single mode, even I_n
+    @pytest.mark.parametrize("shape,m_count,rank,channels,mode,support", [
+        # odd I_n
+        pytest.param((5, 3), 2, 2, 1, 0, None, id="shape0-2-2-1-0"),
+        # even I_n
+        pytest.param((6, 3), 3, 2, 1, 0, None, id="shape1-3-2-1-0"),
+        # even I_n of a middle mode
+        pytest.param((3, 4, 2), 2, 2, 1, 1, None, id="shape2-2-2-1-1"),
+        # C = 2, odd I_n
+        pytest.param((4, 5), 2, 3, 2, 1, None, id="shape3-2-3-2-1"),
+        # C = 2, even I_n
+        pytest.param((4, 4), 2, 2, 2, 0, None, id="shape4-2-2-2-0"),
+        # single mode, odd I_n
+        pytest.param((7,), 2, 2, 1, 0, None, id="shape5-2-2-1-0"),
+        # single mode, even I_n
+        pytest.param((6,), 3, 2, 1, 0, None, id="shape6-3-2-1-0"),
+        # lags folded mod I_k where 2 L_k - 1 > I_k on the other mode
+        pytest.param((7, 6), 2, 2, 1, 0, (6, 5), id="fold-7x6"),
+        # full support on the folded mode, C = 2, even I_n
+        pytest.param((12, 10), 2, 2, 2, 1, (12, 3), id="fold-12x10-c2"),
+        # a middle mode with one folded (mode 2) and one exact (mode 0) lag set
+        pytest.param((9, 8, 5), 2, 3, 1, 1, (4, 6, 4), id="fold-9x8x5"),
     ])
     def test_gram_blocks_match_pair_oracle(self, shape, m_count, rank,
-                                           channels, mode):
+                                           channels, mode, support):
         op, _, d, factors = tiny_operator(shape, m_count, rank, seed=40,
-                                          channels=channels, mode=mode)
+                                          channels=channels, support=support,
+                                          mode=mode)
         oracle = gram_blocks_by_pairs(d.filters, shape, factors, mode)
         half = op.gram_blocks()
         assert half.shape == (shape[mode] // 2 + 1, m_count * rank,
@@ -344,7 +359,7 @@ class TestHalfSpectrum:
             SpectralOperator(d, (4, 3), factors, 0,
                              filter_spectra(d, (4, 4)))
 
-    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fit_makes_filter_spectra_once(self, monkeypatch, reg):
         calls = []
         original = lrdec.convmodel.pad_to_shape
@@ -356,7 +371,44 @@ class TestHalfSpectrum:
         monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
         d = random_dictionary((2, 2, 2), 3, seed=45, channels=2)
         signal = RNG(46).standard_normal((5, 4, 3, 2))
-        cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
-        _, report = lrd_fit(signal, d, cfg)
+        if reg == "masked":
+            cfg = SolverConfig(reg="l2", rank=2, outer_iters=3)
+            mask = RNG(47).random(signal.shape) < 0.7
+            _, _, report = lrd_fit_masked(signal, mask, d, cfg)
+        else:
+            cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
+            _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
         assert len(calls) == d.num_filters * d.num_channels
+
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_fit_makes_filter_correlations_once_per_mode(self, monkeypatch,
+                                                         reg):
+        modes = []
+        original = lrdec.convmodel.filter_correlations
+
+        def counted(dictionary, shape, mode):
+            modes.append(mode)
+            return original(dictionary, shape, mode)
+
+        # the operator makes its own when the fit passes none
+        monkeypatch.setattr(lrdec.convmodel, "filter_correlations", counted)
+        monkeypatch.setattr(lrdec.solver, "filter_correlations", counted)
+        d = random_dictionary((2, 2, 2), 2, seed=48)
+        signal = RNG(49).standard_normal((5, 4, 3))
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", rank=2,
+                           outer_iters=3, admm_iters=5)
+        if reg == "masked":
+            mask = RNG(50).random(signal.shape) < 0.7
+            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+        else:
+            report = lrd_fit(signal, d, cfg)[-1]
+        assert report.sweeps == 3
+        assert modes == [0, 1, 2]
+
+    def test_operator_rejects_mismatched_correlations(self):
+        d = random_dictionary((2, 2), 2, seed=51)
+        factors = factor_stacks((4, 3), 2, 1, seed=52)
+        with pytest.raises(ValueError):
+            SpectralOperator(d, (4, 3), factors, 0, None,
+                             filter_correlations(d, (4, 3), 1))

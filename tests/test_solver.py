@@ -54,6 +54,14 @@ def tiny_problem(shape=(4, 3), m_count=1, rank=1, seed=0, mode=0):
     return d, factors, signal, op, shat
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", ["alpha", "lam", "rho_init"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SolverConfig(**{name: value})
+
+
 class TestSoftThreshold:
     def test_zero_gamma_identity(self):
         v = RNG(0).standard_normal(10)
