@@ -10,11 +10,11 @@ Khatri-Rao matrix, which also decouples the normal equations into one small
 Hermitian block per mode-n frequency.
 
 Filter spectra are constant over a fit: :func:`filter_spectra` makes the
-``M*C`` zero-padded filter FFTs once, and both :func:`forward_model` and
-:class:`SpectralOperator` read them from there.  Filters and factors are
-real, so the Gram block at frequency ``I_n - i`` is the conjugate of the
-one at ``i``; :meth:`SpectralOperator.gram_blocks` keeps only frequencies
-``0..I_n//2`` (the half spectrum).
+``M*C`` zero-padded filter FFTs once, and :func:`unfold_spectra` unfolds
+them once per mode.  Filters and factors are real, so along mode ``n``
+every spectrum is conjugate-symmetric and the fits work on frequencies
+``0..I_n//2`` (the half spectrum) only: the operator acts on however many
+leading frequency rows it is given, and builds the half of its Gram blocks.
 
 Gram blocks in the lag domain
 -----------------------------
@@ -53,7 +53,7 @@ unfolding, giving length ``C * I_n * Lambda``.
 
 import numpy as np
 
-from .tensor import build_q, co_size, kruskal_reconstruct, KruskalTensor
+from .tensor import co_size, kruskal_reconstruct, KruskalTensor
 from .transform import dft_factor, dft_nd, idft_nd
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "circular_convolve",
     "filter_spectra",
     "filter_correlations",
+    "unfold_spectra",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -175,13 +176,22 @@ def filter_spectra(dictionary, shape):
     """
     shape = tuple(int(s) for s in shape)
     dictionary.check_signal_shape(shape)
-    out = np.empty((dictionary.num_filters, dictionary.num_channels) + shape,
-                   dtype=complex)
-    for m in range(dictionary.num_filters):
-        for c in range(dictionary.num_channels):
-            out[m, c] = np.fft.fftn(pad_to_shape(dictionary.filter(m, c),
-                                                 shape))
-    return out
+    return np.array([[np.fft.fftn(pad_to_shape(f, shape)) for f in bank]
+                     for bank in dictionary.filters], dtype=complex)
+
+
+def unfold_spectra(spectra, mode, half=True):
+    """The ``(M, C, rows, Lambda)`` mode-`mode` unfolding of
+    :func:`filter_spectra`, on frequencies ``0..I_n//2`` or, with
+    ``half=False``, all ``I_n``."""
+    shape = spectra.shape[2:]
+    rows = shape[mode] // 2 + 1 if half else shape[mode]
+    lead = spectra[(slice(None),) * (2 + mode) + (slice(0, rows),)]
+    # the other modes in descending order make a C-order reshape run the
+    # earliest of them fastest, as in `unfold`
+    rest = [2 + k for k in reversed(range(len(shape))) if k != mode]
+    return lead.transpose([0, 1, 2 + mode] + rest).reshape(
+        spectra.shape[:2] + (rows, -1))
 
 
 def _lags(support, length):
@@ -288,16 +298,10 @@ def forward_model(dictionary, activations, spectra=None):
     if spectra is None:
         spectra = filter_spectra(dictionary, shape)
     _check_spectra(spectra, dictionary, shape)
-    khat = [dft_nd(kruskal_reconstruct(fs)) for fs in factors]
-    out = []
-    for c in range(dictionary.num_channels):
-        acc = np.zeros(shape, dtype=complex)
-        for m in range(dictionary.num_filters):
-            acc += spectra[m, c] * khat[m]
-        out.append(idft_nd(acc))
-    if dictionary.num_channels == 1:
-        return out[0]
-    return np.stack(out, axis=-1)
+    khat = np.stack([dft_nd(kruskal_reconstruct(fs)) for fs in factors])
+    out = np.stack([idft_nd(np.sum(spectra[:, c] * khat, axis=0))
+                    for c in range(dictionary.num_channels)], axis=-1)
+    return out[..., 0] if dictionary.num_channels == 1 else out
 
 
 def factor_to_vec(x):
@@ -351,15 +355,18 @@ class SpectralOperator:
         `mode` only fixes the dimensions; its values are not used.
     mode : int
     spectra : ndarray, optional
-        The dictionary's :func:`filter_spectra` at `signal_shape`; made
-        here when omitted.
+        The dictionary's :func:`filter_spectra` at `signal_shape`, read
+        only without `unfolded`; made here when both are omitted.
     correlations : ndarray, optional
         The dictionary's :func:`filter_correlations` at `signal_shape` and
         `mode`; made here when omitted.
+    unfolded : ndarray, optional
+        :func:`unfold_spectra` at `mode`, not copied; the operator acts on
+        at most its rows.  Made with all ``I_n`` rows when omitted.
     """
 
     def __init__(self, dictionary, signal_shape, factors, mode, spectra=None,
-                 correlations=None):
+                 correlations=None, unfolded=None):
         shape = tuple(int(s) for s in signal_shape)
         n_modes = len(shape)
         if not 0 <= mode < n_modes:
@@ -375,9 +382,6 @@ class SpectralOperator:
             if f.shape != (m_count, shape[k], rank):
                 raise ValueError(f"factor block {k} has shape {f.shape}, "
                                  f"expected {(m_count, shape[k], rank)}")
-        if spectra is None:
-            spectra = filter_spectra(dictionary, shape)
-        _check_spectra(spectra, dictionary, shape)
         self._lags = [(k, _lags(dictionary.support[k], shape[k]))
                       for k in range(n_modes) if k != mode]
         if correlations is None:
@@ -397,23 +401,26 @@ class SpectralOperator:
         self.mode_length = shape[mode]
         self.lam = co_size(shape, mode)
 
-        # (M, C, I_n, Lambda): the filter spectra unfolded along `mode`;
-        # the other modes in descending order make a C-order reshape run
-        # the earliest of them fastest, as in `unfold`
-        rest = [2 + k for k in reversed(range(n_modes)) if k != mode]
-        self._dhat = spectra.transpose([0, 1, 2 + mode] + rest).reshape(
-            m_count, self.num_channels, self.mode_length, self.lam)
+        if unfolded is None:
+            if spectra is None:
+                spectra = filter_spectra(dictionary, shape)
+            _check_spectra(spectra, dictionary, shape)
+            unfolded = unfold_spectra(spectra, mode, half=False)
+        rows = unfolded.shape[2]
+        if (unfolded.shape != (m_count, self.num_channels, rows, self.lam)
+                or not shape[mode] // 2 < rows <= shape[mode]):
+            raise ValueError(f"unfolded filter spectra of shape "
+                             f"{unfolded.shape} do not fit mode {mode}")
+        self._dhat = unfolded  # (M, C, rows, Lambda), not copied
 
-        # (M, Lambda, R): Khatri-Rao chain of the unitary factor spectra
-        fhat = [dft_factor(f, axis=1) for f in factors]
-        qhat = np.empty((m_count, self.lam, rank), dtype=complex)
-        for m in range(m_count):
-            if n_modes == 1:
-                # single-mode degenerate case: the chain is empty and the
-                # solve couples all ranks at each frequency directly
-                qhat[m] = np.ones((1, rank), dtype=complex)
-            else:
-                qhat[m] = build_q([fhat[k][m] for k in range(n_modes)], mode)
+        # (M, R, Lambda): Khatri-Rao chain of the other modes' unitary factor
+        # spectra, in `build_q` order; all ones for a single mode
+        qhat = np.ones((m_count, rank, 1), dtype=complex)
+        for k in reversed(range(n_modes)):
+            if k != mode:
+                fhat = dft_factor(factors[k], axis=1).transpose(0, 2, 1)
+                qhat = (qhat[..., None] * fhat[:, :, None]).reshape(
+                    m_count, rank, -1)
         self._qhat = qhat
         self._factors = factors
         # (M*M, J, 2 * (I_n//2 + 1)): K with the real and imaginary parts
@@ -431,25 +438,26 @@ class SpectralOperator:
         return self.num_channels * self.mode_length * self.lam
 
     def apply_arrays(self, xhat):
-        """Map spectral factors ``(M, I_n, R)`` to output spectra
-        ``(C, I_n, Lambda)``."""
+        """Map spectral factors ``(M, rows, R)`` to output spectra
+        ``(C, rows, Lambda)`` on the leading `rows` mode-n frequencies."""
         xhat = np.asarray(xhat)
-        out = np.zeros((self.num_channels, self.mode_length, self.lam),
-                       dtype=complex)
-        for m in range(self.num_filters):
-            rows = xhat[m] @ self._qhat[m].T          # (I_n, Lambda)
-            out += self._dhat[m] * rows[None]
-        return out
+        dhat = self._dhat[:, :, :xhat.shape[1]]
+        terms = (xhat @ self._qhat)[:, None]          # (M, 1, rows, Lambda)
+        # in place with one channel, so that a call makes one large array
+        terms = np.multiply(terms, dhat,
+                            out=terms if self.num_channels == 1 else None)
+        return terms.sum(axis=0)
 
     def adjoint_arrays(self, yhat):
-        """Adjoint of :meth:`apply_arrays` under the complex inner product."""
+        """Adjoint of :meth:`apply_arrays` under the complex inner product,
+        on the same leading frequency rows."""
         yhat = np.asarray(yhat)
-        out = np.empty((self.num_filters, self.mode_length, self.rank),
-                       dtype=complex)
-        for m in range(self.num_filters):
-            g = np.einsum("cil,cil->il", self._dhat[m].conj(), yhat)
-            out[m] = g @ self._qhat[m].conj()
-        return out
+        dhat = self._dhat[:, :, :yhat.shape[1]]
+        # conj(D^H y) @ Q = conj(D^H y @ conj(Q)), no conjugated filter copy
+        corr = dhat[:, 0] * yhat[0].conj()
+        for c in range(1, self.num_channels):
+            corr += dhat[:, c] * yhat[c].conj()
+        return (corr @ self._qhat.transpose(0, 2, 1)).conj()
 
     def apply(self, xhat_vec):
         """Vector form of :meth:`apply_arrays`."""
@@ -468,17 +476,11 @@ class SpectralOperator:
 
         The normal matrix ``W^H W`` is block-diagonal over the mode-n
         frequency index, and block ``I_n - i`` is the conjugate of block
-        ``i``.  Block ``i`` is built in the lag domain of the module
-        docstring, ``G_i = sum_q K[q, i] * prod_{k != n} R^k[delta_k(q)]``
-        entrywise in ``((m, r), (m', r'))``: ``K`` is this mode's
-        :func:`filter_correlations` (lag ``delta = u - v``, folded modulo
-        ``I_k`` where ``2 L_k - 1 > I_k``) and ``R^k[delta]`` pairs
-        column ``r`` of factor ``f_k[m]`` at ``s`` with column ``r'`` of
-        ``f_k[m']`` at ``(s + delta) mod I_k``.  The contraction runs over
-        ``J = prod_{k != n} min(2 L_k - 1, I_k)`` lags instead of the
-        ``Lambda`` other-mode frequencies.  Returns the
-        ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
-        ``0..I_n//2``, cached; :meth:`normal_blocks` gives the full one.
+        ``i``.  Each block is built in the lag domain of the module
+        docstring, over ``J`` lags instead of ``Lambda`` frequencies.
+        Returns the ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of
+        frequencies ``0..I_n//2``, cached; :meth:`normal_blocks` gives the
+        full one.
         """
         if self._gram is not None:
             return self._gram

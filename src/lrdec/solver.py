@@ -16,15 +16,14 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
   CG iterations.
 
 All quadratic solves happen in the unitary DFT domain where the normal
-equations split into one small Hermitian system per mode-n frequency;
-by Parseval the unmasked data term is the norm of the spectral residual.
-The factors are real, so only frequencies ``0..I_n//2`` are solved, on the
-operator's half-spectrum Gram blocks: the self-conjugate ones (0, and
-``I_n/2`` for even ``I_n``) are kept real and the rest are mirrored by
-conjugation, which keeps the inverse transform real however ill-conditioned
-the blocks are.  The filter spectra and each mode's lag-domain filter
-correlations (which the Gram blocks contract with the factors) are made
-once per fit and shared by every operator the sweep builds.
+equations split into one small Hermitian system per mode-n frequency.
+Signal and factors are real, so a fit carries only frequencies
+``0..I_n//2`` of every spectrum along mode ``n``: real-input transforms in
+and out (the inverse stays real however ill-conditioned the blocks are),
+half-spectrum Gram blocks in between, and by Parseval an unmasked data term
+weighted 1 on the self-conjugate rows (0, and ``I_n/2`` for even ``I_n``)
+and 2 on the rest.  The filter spectra, their unfolding per mode and each
+mode's lag-domain filter correlations are made once per fit.
 """
 
 import time
@@ -34,10 +33,11 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
-                        filter_spectra, forward_model, signal_to_vec,
+                        filter_spectra, forward_model, unfold_spectra,
                         vec_to_factor, vec_to_signal)
-from .tensor import KruskalTensor, fold, unfold
-from .transform import dft_factor, dft_nd, idft_factor, idft_nd_complex
+from .tensor import KruskalTensor
+from .transform import (dft_factor, idft_factor, irdft_factor,
+                        irdft_unfolded, rdft_factor, rdft_unfolded)
 
 __all__ = [
     "SolverConfig",
@@ -131,13 +131,16 @@ class SolveReport:
 
     ``objectives`` etc. carry one entry per completed outer sweep;
     ``mode_objectives`` is the finer trace with one entry per mode solve.
-    ``inner_iters`` sums a sweep's inner work over its mode visits: 1 per
-    ridge solve, else the ADMM or CG iterations run.
+    ``relative_residuals`` is the sweep's ``||W x - s|| / ||s||``, over the
+    observed entries for a masked fit.  ``inner_iters`` sums a sweep's
+    inner work over its mode visits: 1 per ridge solve, else the ADMM or
+    CG iterations run.
     """
 
     objectives: list = field(default_factory=list)
     data_terms: list = field(default_factory=list)
     reg_terms: list = field(default_factory=list)
+    relative_residuals: list = field(default_factory=list)
     mode_objectives: list = field(default_factory=list)
     inner_iters: list = field(default_factory=list)
     sweeps: int = 0
@@ -158,37 +161,26 @@ def soft_threshold(v, gamma):
 
 
 def _per_frequency(apply_blocks, xhat):
-    """Apply `apply_blocks` to the half spectrum of a real factor's
-    spectral stack ``(M, I_n, R)``.
-
-    Frequencies ``0..I_n//2`` are laid out as one ``(M*R, 1)`` column each;
-    in the result the self-conjugate ones are made real and frequency
-    ``I_n - i`` is the conjugate of frequency ``i``."""
-    m_count, length, rank = xhat.shape
-    half = length // 2 + 1
-    rows = xhat[:, :half].transpose(1, 0, 2).reshape(half, m_count * rank, 1)
-    cols = apply_blocks(rows).reshape(half, m_count, rank).transpose(1, 0, 2)
-    out = np.empty(xhat.shape, dtype=complex)
-    out[:, :half] = cols
-    out[:, 0] = cols[:, 0].real
-    if length % 2 == 0:
-        out[:, half - 1] = cols[:, half - 1].real
-    out[:, half:] = cols[:, 1:length - half + 1][:, ::-1].conj()
-    return out
+    """Apply `apply_blocks` to a spectral stack ``(M, rows, R)`` laid out
+    as one ``(M*R, 1)`` column per frequency."""
+    m_count, rows, rank = xhat.shape
+    cols = xhat.transpose(1, 0, 2).reshape(rows, m_count * rank, 1)
+    return apply_blocks(cols).reshape(rows, m_count, rank).transpose(1, 0, 2)
 
 
 def _solve_blocks(op, rhs, rho):
     """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency on the half
-    spectrum, with `rhs` and `x` spectral stacks ``(M, I_n, R)`` of real
-    factors."""
+    spectrum, with `rhs` and `x` spectral stacks ``(M, I_n//2 + 1, R)``."""
     gram = op.gram_blocks()
     blocks = gram + rho * np.eye(gram.shape[1])
     return _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs)
 
 
-def _signal_arrays(op, shat_vec):
-    """View a spectral signal vector as ``(C, I_n, Lambda)`` unfoldings."""
-    return vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
+def _signal_arrays(op, shat):
+    """A spectral signal vector or unfolding rows as ``(C, rows, Lambda)``."""
+    if np.ndim(shat) == 3:
+        return shat
+    return vec_to_signal(shat, op.num_channels, op.mode_length, op.lam)
 
 
 def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
@@ -219,10 +211,9 @@ def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
     if zhat_vec is not None:
         rhs = rhs + rho * vec_to_factor(zhat_vec, op.num_filters,
                                         op.mode_length, op.rank)
-    m_count, length, rank = rhs.shape
-    rows = rhs.transpose(1, 0, 2).reshape(length, m_count * rank, 1)
-    x = np.linalg.solve(op.normal_blocks(rho), rows)
-    return factor_to_vec(x.reshape(length, m_count, rank).transpose(1, 0, 2))
+    blocks = op.normal_blocks(rho)
+    return factor_to_vec(
+        _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs))
 
 
 def solve_mode_l2(op, shat_vec, alpha):
@@ -242,7 +233,8 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     ----------
     op : SpectralOperator
     shat_vec : ndarray
-        Spectral signal vector.
+        Spectral signal vector, or its ``(C, rows, Lambda)`` unfolding rows
+        from at least the half spectrum, the only rows read.
     cfg : SolverConfig
         Uses ``lam``, ``rho_init``, ``rho_adaptive``, ``admm_iters``,
         ``tol_primal`` and ``tol_dual``.
@@ -258,11 +250,13 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     if state is None:
         state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
     x, y, u, rho = state.x, state.y, state.u, state.rho
-    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec))
+    length = op.mode_length
+    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec)[:, :length // 2 + 1])
 
     for _ in range(cfg.admm_iters):
-        zhat = dft_factor(y - u, axis=1)
-        x = idft_factor(_solve_blocks(op, rhs + rho * zhat, rho), axis=1)
+        zhat = rdft_factor(y - u, axis=1)
+        x = irdft_factor(_solve_blocks(op, rhs + rho * zhat, rho), length,
+                         axis=1)
         y_prev = y
         y = soft_threshold(x + u, cfg.lam / rho)
         u = u + x - y
@@ -290,17 +284,12 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     return y.copy(), state
 
 
-def _spectral_residual(op, shat_vec, x_factor):
-    """``W dft(x_factor) - shat`` as ``(C, I_n, Lambda)`` spectra."""
-    xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
-    return op.apply_arrays(xhat) - _signal_arrays(op, shat_vec)
-
-
 def data_term_gradient(op, shat_vec, x_factor):
     """Gradient of the data term ``0.5 ||W xhat - shat||^2`` with respect
     to the spatial factor stack ``x_factor`` of shape ``(M, I_n, R)``."""
-    ghat = op.adjoint_arrays(_spectral_residual(op, shat_vec, x_factor))
-    return idft_factor(ghat, axis=1)
+    xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
+    resid = op.apply_arrays(xhat) - _signal_arrays(op, shat_vec)
+    return idft_factor(op.adjoint_arrays(resid), axis=1)
 
 
 def _as_channel_stack(signal, num_channels):
@@ -346,12 +335,6 @@ def _factors_from_init(init, shape, m_count, rank):
     return stacks
 
 
-def _spectral_signal_vecs(s_stack, n_modes):
-    shat = np.stack([dft_nd(c) for c in s_stack])
-    return [signal_to_vec(np.stack([unfold(c, n) for c in shat]))
-            for n in range(n_modes)]
-
-
 def _prepare_fit(signal, dictionary, cfg, init):
     if cfg.num_filters is not None and cfg.num_filters != dictionary.num_filters:
         raise ValueError(f"config expects {cfg.num_filters} filters, "
@@ -376,23 +359,26 @@ def _finish(factors):
 
 
 def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
-           check_l2):
+           check_l2, signal_norm):
     """Run the alternating sweep of a fit, updating `factors` in place.
 
     ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
     inner iterations and a list of warnings; ``data_term(op, x)`` scores a
-    stack on the same operator.  `check_l2` flags a rising objective.
+    stack on the same operator, ``0.5 ||W x - s||^2`` with
+    ``||s|| = signal_norm``.  `check_l2` flags a rising objective.
     Returns the report and the filter spectra the fit made."""
     report = SolveReport()
     spectra = filter_spectra(dictionary, shape)
-    correlations = [filter_correlations(dictionary, shape, n)
-                    for n in range(len(shape))]
+    modes = range(len(shape))
+    correlations = [filter_correlations(dictionary, shape, n) for n in modes]
+    unfolded = [unfold_spectra(spectra, n) for n in modes]
     prev_obj = None
     for sweep in range(cfg.outer_iters):
         inner = 0
-        for n in range(len(shape)):
-            op = SpectralOperator(dictionary, shape, factors, n, spectra,
-                                  correlations[n])
+        for n in modes:
+            op = SpectralOperator(dictionary, shape, factors, n,
+                                  correlations=correlations[n],
+                                  unfolded=unfolded[n])
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(op, factors[n])
                                   + _reg_term(factors, cfg))
@@ -407,12 +393,13 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
                 report.warnings.append(
                     f"l2 objective increased at mode {n}: "
                     f"{last_obj:.6e} -> {obj:.6e}")
-            del op  # free its unfolded spectra before the next build
         if not np.isfinite(obj):
             raise ValueError(f"objective became non-finite: {obj}")
         report.objectives.append(obj)
         report.data_terms.append(data)
         report.reg_terms.append(reg)
+        report.relative_residuals.append(
+            float(np.sqrt(2.0 * data)) / max(signal_norm, _TINY))
         report.inner_iters.append(inner)
         report.sweeps += 1
         if abs(prev_obj - obj) <= cfg.tol_outer * max(abs(prev_obj), _TINY):
@@ -447,17 +434,22 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     """
     t0 = time.perf_counter()
     s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg, init)
-    shat_vecs = _spectral_signal_vecs(s_stack, len(shape))
+    # per mode, the (C, I_n//2 + 1, Lambda) half spectrum of the signal
+    shat = [rdft_unfolded(s_stack, n) for n in range(len(shape))]
 
     def data_term(op, x):
-        r = _spectral_residual(op, shat_vecs[op.mode], x)
-        return 0.5 * float(np.sum(r.real ** 2 + r.imag ** 2))
+        r = op.apply_arrays(rdft_factor(x, axis=1)) - shat[op.mode]
+        per_row = np.sum(r.real ** 2 + r.imag ** 2, axis=(0, 2))
+        # Parseval: all rows but the self-conjugate 0 and I_n/2 stand for
+        # a conjugate pair
+        own = per_row[0] + (per_row[-1] if op.mode_length % 2 == 0 else 0.0)
+        return float(per_row.sum() - 0.5 * own)
 
     if cfg.reg == "l2":
         def solve_mode(op, x, sweep):
-            rhs = op.adjoint_arrays(_signal_arrays(op, shat_vecs[op.mode]))
+            rhs = op.adjoint_arrays(shat[op.mode])
             xhat = _solve_blocks(op, rhs, cfg.alpha)
-            return idft_factor(xhat, axis=1), 1, []
+            return irdft_factor(xhat, op.mode_length, axis=1), 1, []
     else:
         # each mode warm-starts from its own AdmmState, not from x
         states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
@@ -465,38 +457,36 @@ def lrd_fit(signal, dictionary, cfg, init=None):
 
         def solve_mode(op, x, sweep):
             done = states[op.mode].iterations
-            y, state = solve_mode_admm(op, shat_vecs[op.mode], cfg,
+            y, state = solve_mode_admm(op, shat[op.mode], cfg,
                                        states[op.mode])
-            return y, state.iterations - done, []
+            iters = state.iterations - done
+            primal, dual = state.primal_residuals[-1], state.dual_residuals[-1]
+            warnings = []
+            if primal > cfg.tol_primal or dual > cfg.tol_dual:
+                warnings.append(
+                    f"admm budget exhausted at sweep {sweep} mode {op.mode}: "
+                    f"{iters} iterations, relative primal {primal:.3e} "
+                    f"(tol_primal {cfg.tol_primal:.1e}), dual {dual:.3e} "
+                    f"(tol_dual {cfg.tol_dual:.1e})")
+            return y, iters, warnings
 
     report, _ = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                       data_term, check_l2=cfg.reg == "l2")
+                       data_term, check_l2=cfg.reg == "l2",
+                       signal_norm=float(np.linalg.norm(s_stack)))
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
 
 def _masked_apply(op, mask_stack, x_factor):
     """Spatial masked forward map of one mode's real factor stack."""
-    xhat = dft_factor(x_factor, axis=1)
-    yhat = op.apply_arrays(xhat)
-    out = np.empty_like(mask_stack, dtype=float)
-    for c in range(op.num_channels):
-        out[c] = idft_nd_complex(fold(yhat[c], op.mode, op.signal_shape)).real
-    return out * mask_stack
-
-
-def _real_idft_factor(xhat):
-    """Real part of the unitary inverse DFT of ``(M, I_n, R)`` spectra;
-    conjugate symmetry holds up to roundoff for real inputs."""
-    return (np.fft.ifft(xhat, axis=1) * np.sqrt(xhat.shape[1])).real
+    yhat = op.apply_arrays(rdft_factor(x_factor, axis=1))
+    return irdft_unfolded(yhat, op.mode, op.signal_shape) * mask_stack
 
 
 def _masked_adjoint(op, mask_stack, y_stack):
     """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    y = y_stack * mask_stack
-    rows = np.stack([unfold(dft_nd(y[c]), op.mode)
-                     for c in range(op.num_channels)])
-    return _real_idft_factor(op.adjoint_arrays(rows))
+    rows = rdft_unfolded(y_stack * mask_stack, op.mode)
+    return irdft_factor(op.adjoint_arrays(rows), op.mode_length, axis=1)
 
 
 def _masked_normal(op, mask_stack, alpha, x):
@@ -504,14 +494,6 @@ def _masked_normal(op, mask_stack, alpha, x):
     ``P`` the spatial mask."""
     return (_masked_adjoint(op, mask_stack, _masked_apply(op, mask_stack, x))
             + alpha * x)
-
-
-def _masked_cg_residual(op, mask_stack, s_obs, alpha, x):
-    """Relative residual ``||b - A x|| / ||b||`` of the masked normal
-    equations ``A x = b`` solved by :func:`_solve_mode_masked_cg`."""
-    rhs = _masked_adjoint(op, mask_stack, s_obs)
-    resid = rhs - _masked_normal(op, mask_stack, alpha, x)
-    return float(np.linalg.norm(resid) / np.linalg.norm(rhs))
 
 
 def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
@@ -533,9 +515,9 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
         return _masked_normal(op, mask_stack, alpha, v.reshape(dims)).ravel()
 
     def precondition(v):
-        xhat = dft_factor(v.reshape(dims), axis=1)
-        return _real_idft_factor(
-            _per_frequency(lambda rows: inv @ rows, xhat)).ravel()
+        xhat = rdft_factor(v.reshape(dims), axis=1)
+        return irdft_factor(_per_frequency(lambda rows: inv @ rows, xhat),
+                            dims[1], axis=1).ravel()
 
     rhs = _masked_adjoint(op, mask_stack, s_obs).ravel()
     shape = (x0.size, x0.size)
@@ -606,9 +588,12 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                                         cfg, callback=iters.append)
         warnings = []
         if info != 0:
-            rel = _masked_cg_residual(op, mask_stack, s_obs, cfg.alpha, x)
             # scipy stops on its running residual, which can drift from
             # the true one
+            rhs = _masked_adjoint(op, mask_stack, s_obs)
+            rel = float(np.linalg.norm(
+                rhs - _masked_normal(op, mask_stack, cfg.alpha, x))
+                / np.linalg.norm(rhs))
             cmp = ">" if rel > cfg.cg_tol else "<="
             warnings.append(
                 f"cg budget exhausted at sweep {sweep} mode {op.mode}: "
@@ -617,7 +602,8 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
         return x, len(iters), warnings
 
     report, spectra = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                             data_term, check_l2=False)
+                             data_term, check_l2=False,
+                             signal_norm=float(np.linalg.norm(s_obs)))
 
     activations = _finish(factors)
     completed = forward_model(dictionary, activations, spectra)

@@ -4,6 +4,10 @@ All transforms are scaled by ``1/sqrt(I)`` per mode in both directions, so
 forward and inverse are unitary: norms and inner products are preserved.
 A rank-R factored tensor is separable, so its full N-D transform equals the
 factored tensor rebuilt from the 1-D transforms of its factor columns.
+
+The fits carry only frequencies ``0..I//2`` (the half spectrum) of real
+data along a mode, the rest being their conjugates; the ``rdft_*`` and
+``irdft_*`` functions are those real-input transforms.
 """
 
 import numpy as np
@@ -15,6 +19,10 @@ __all__ = [
     "idft_nd_complex",
     "dft_factor",
     "idft_factor",
+    "rdft_factor",
+    "irdft_factor",
+    "rdft_unfolded",
+    "irdft_unfolded",
 ]
 
 
@@ -40,35 +48,20 @@ def dft_nd(t):
     Returns a complex tensor of the same shape with
     ``norm(dft_nd(t)) == norm(t)``.
     """
-    t = np.asarray(t)
-    return np.fft.fftn(t) / np.sqrt(t.size)
+    return np.fft.fftn(t, norm="ortho")
 
 
 def idft_nd_complex(s):
     """Unitary inverse DFT, keeping the full complex result."""
-    s = np.asarray(s)
-    return np.fft.ifftn(s) * np.sqrt(s.size)
+    return np.fft.ifftn(s, norm="ortho")
 
 
 def idft_nd(s, residue_tol=1e-9):
-    """Unitary inverse DFT of a spectrum with real origin.
+    """Unitary inverse DFT of the spectrum of a real tensor, returned real.
 
-    Parameters
-    ----------
-    s : ndarray, complex
-        Spectrum expected to be conjugate-symmetric (DFT of a real tensor).
-    residue_tol : float
-        Largest tolerated ratio ``max|imag| / max|real|`` of the inverse.
-
-    Returns
-    -------
-    ndarray, real
-
-    Raises
-    ------
-    ImaginaryResidueError
-        If the imaginary residue exceeds the tolerance, which signals a
-        conjugate-symmetry violation upstream.
+    Raises :class:`ImaginaryResidueError` when ``max|imag| / max|real|`` of
+    the inverse exceeds `residue_tol`: the spectrum was not
+    conjugate-symmetric.
     """
     return _strip_imag(idft_nd_complex(s), residue_tol, "idft_nd")
 
@@ -80,8 +73,7 @@ def dft_factor(x, axis=0):
     single ``(I_n, R)`` factor, with ``axis=1`` a stacked ``(M, I_n, R)``
     batch transforms all factors at once.
     """
-    x = np.asarray(x)
-    return np.fft.fft(x, axis=axis) / np.sqrt(x.shape[axis])
+    return np.fft.fft(x, axis=axis, norm="ortho")
 
 
 def idft_factor(xhat, axis=0, residue_tol=1e-9):
@@ -90,6 +82,41 @@ def idft_factor(xhat, axis=0, residue_tol=1e-9):
     Raises :class:`ImaginaryResidueError` when the input is not the
     spectrum of a real factor within `residue_tol`.
     """
-    xhat = np.asarray(xhat)
-    z = np.fft.ifft(xhat, axis=axis) * np.sqrt(xhat.shape[axis])
+    z = np.fft.ifft(xhat, axis=axis, norm="ortho")
     return _strip_imag(z, residue_tol, "idft_factor")
+
+
+def rdft_factor(x, axis=0):
+    """Frequencies ``0..I//2`` of :func:`dft_factor` of a real factor."""
+    return np.fft.rfft(x, axis=axis, norm="ortho")
+
+
+def irdft_factor(xhat, length, axis=0):
+    """Inverse of :func:`rdft_factor`, dropping the imaginary parts of the
+    self-conjugate frequencies (0, and ``length/2`` for even `length`)."""
+    return np.fft.irfft(xhat, n=length, axis=axis, norm="ortho")
+
+
+def _mode_first(ndim, mode):
+    # `mode`, then the others descending (so a C-order reshape runs the
+    # earliest fastest, as `unfold` does); `mode` is the last, halved axis
+    order = [0, 1 + mode] + [k for k in range(ndim, 0, -1) if k != 1 + mode]
+    return order, tuple(range(2, ndim + 1)) + (1,)
+
+
+def rdft_unfolded(t, mode):
+    """Frequencies ``0..I_n//2`` of :func:`dft_nd` of each real tensor of a
+    ``(C, I_0, ..., I_{N-1})`` stack, as the ``(C, I_n//2 + 1, Lambda)``
+    leading rows of their mode-`mode` unfoldings."""
+    order, axes = _mode_first(t.ndim - 1, mode)
+    spec = np.fft.rfftn(t.transpose(order), axes=axes, norm="ortho")
+    return spec.reshape(spec.shape[:2] + (-1,))
+
+
+def irdft_unfolded(rows, mode, shape):
+    """Inverse of :func:`rdft_unfolded`: the real ``(C, *shape)`` stack."""
+    order, axes = _mode_first(len(shape), mode)
+    rest = [shape[k - 1] for k in order[2:]]
+    spec = rows.reshape(rows.shape[:2] + tuple(rest))
+    out = np.fft.irfftn(spec, s=rest + [shape[mode]], axes=axes, norm="ortho")
+    return out.transpose(np.argsort(order))

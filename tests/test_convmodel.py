@@ -7,7 +7,8 @@ import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
                              factor_to_vec, filter_correlations,
                              filter_spectra, forward_model, pad_to_shape,
-                             signal_to_vec, vec_to_factor, vec_to_signal)
+                             signal_to_vec, unfold_spectra, vec_to_factor,
+                             vec_to_signal)
 from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
@@ -297,29 +298,33 @@ class TestNormalBlocks:
             op.normal_blocks(0.0)
 
 
+HALF_SPECTRUM_CASES = [
+    # odd I_n
+    pytest.param((5, 3), 2, 2, 1, 0, None, id="shape0-2-2-1-0"),
+    # even I_n
+    pytest.param((6, 3), 3, 2, 1, 0, None, id="shape1-3-2-1-0"),
+    # even I_n of a middle mode
+    pytest.param((3, 4, 2), 2, 2, 1, 1, None, id="shape2-2-2-1-1"),
+    # C = 2, odd I_n
+    pytest.param((4, 5), 2, 3, 2, 1, None, id="shape3-2-3-2-1"),
+    # C = 2, even I_n
+    pytest.param((4, 4), 2, 2, 2, 0, None, id="shape4-2-2-2-0"),
+    # single mode, odd I_n
+    pytest.param((7,), 2, 2, 1, 0, None, id="shape5-2-2-1-0"),
+    # single mode, even I_n
+    pytest.param((6,), 3, 2, 1, 0, None, id="shape6-3-2-1-0"),
+    # lags folded mod I_k where 2 L_k - 1 > I_k on the other mode
+    pytest.param((7, 6), 2, 2, 1, 0, (6, 5), id="fold-7x6"),
+    # full support on the folded mode, C = 2, even I_n
+    pytest.param((12, 10), 2, 2, 2, 1, (12, 3), id="fold-12x10-c2"),
+    # a middle mode with one folded (mode 2) and one exact (mode 0) lag set
+    pytest.param((9, 8, 5), 2, 3, 1, 1, (4, 6, 4), id="fold-9x8x5"),
+]
+
+
 class TestHalfSpectrum:
-    @pytest.mark.parametrize("shape,m_count,rank,channels,mode,support", [
-        # odd I_n
-        pytest.param((5, 3), 2, 2, 1, 0, None, id="shape0-2-2-1-0"),
-        # even I_n
-        pytest.param((6, 3), 3, 2, 1, 0, None, id="shape1-3-2-1-0"),
-        # even I_n of a middle mode
-        pytest.param((3, 4, 2), 2, 2, 1, 1, None, id="shape2-2-2-1-1"),
-        # C = 2, odd I_n
-        pytest.param((4, 5), 2, 3, 2, 1, None, id="shape3-2-3-2-1"),
-        # C = 2, even I_n
-        pytest.param((4, 4), 2, 2, 2, 0, None, id="shape4-2-2-2-0"),
-        # single mode, odd I_n
-        pytest.param((7,), 2, 2, 1, 0, None, id="shape5-2-2-1-0"),
-        # single mode, even I_n
-        pytest.param((6,), 3, 2, 1, 0, None, id="shape6-3-2-1-0"),
-        # lags folded mod I_k where 2 L_k - 1 > I_k on the other mode
-        pytest.param((7, 6), 2, 2, 1, 0, (6, 5), id="fold-7x6"),
-        # full support on the folded mode, C = 2, even I_n
-        pytest.param((12, 10), 2, 2, 2, 1, (12, 3), id="fold-12x10-c2"),
-        # a middle mode with one folded (mode 2) and one exact (mode 0) lag set
-        pytest.param((9, 8, 5), 2, 3, 1, 1, (4, 6, 4), id="fold-9x8x5"),
-    ])
+    @pytest.mark.parametrize("shape,m_count,rank,channels,mode,support",
+                             HALF_SPECTRUM_CASES)
     def test_gram_blocks_match_pair_oracle(self, shape, m_count, rank,
                                            channels, mode, support):
         op, _, d, factors = tiny_operator(shape, m_count, rank, seed=40,
@@ -331,6 +336,45 @@ class TestHalfSpectrum:
                               m_count * rank)
         assert np.max(np.abs(half - oracle[:len(half)])) <= 1e-12 * max(
             1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("shape,m_count,rank,channels,mode,support",
+                             HALF_SPECTRUM_CASES)
+    def test_apply_and_adjoint_on_the_half_rows(self, shape, m_count, rank,
+                                                channels, mode, support):
+        op, _, d, factors = tiny_operator(shape, m_count, rank, seed=53,
+                                          channels=channels, support=support,
+                                          mode=mode)
+        half = shape[mode] // 2 + 1
+        # an operator holding only the half unfolding, as the fits build it
+        unfolded = unfold_spectra(filter_spectra(d, shape), mode)
+        assert unfolded.shape == (m_count, channels, half, op.lam)
+        half_op = SpectralOperator(d, shape, factors, mode, unfolded=unfolded)
+        rng = RNG(54)
+        x = rng.standard_normal((m_count, shape[mode], rank)) + \
+            1j * rng.standard_normal((m_count, shape[mode], rank))
+        y = rng.standard_normal((channels, shape[mode], op.lam)) + \
+            1j * rng.standard_normal((channels, shape[mode], op.lam))
+        full_apply = vec_to_signal(op.apply(factor_to_vec(x)), channels,
+                                   shape[mode], op.lam)[:, :half]
+        full_adjoint = vec_to_factor(op.apply_adjoint(signal_to_vec(y)),
+                                     m_count, shape[mode], rank)[:, :half]
+        for o in (op, half_op):
+            for got, want in ((o.apply_arrays(x[:, :half]), full_apply),
+                              (o.adjoint_arrays(y[:, :half]), full_adjoint)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                    1.0, np.max(np.abs(want)))
+
+    def test_operator_rejects_mismatched_unfolding(self):
+        d = random_dictionary((2, 2), 2, seed=55)
+        factors = factor_stacks((5, 4), 2, 1, seed=56)
+        spectra = filter_spectra(d, (5, 4))
+        with pytest.raises(ValueError):
+            SpectralOperator(d, (5, 4), factors, 0,
+                             unfolded=unfold_spectra(spectra, 1))
+        with pytest.raises(ValueError):  # fewer rows than the half
+            SpectralOperator(d, (5, 4), factors, 0,
+                             unfolded=unfold_spectra(spectra, 0)[:, :, :2])
 
     @pytest.mark.parametrize("length", [5, 6])
     def test_normal_blocks_mirror_the_half(self, length):
@@ -405,6 +449,31 @@ class TestHalfSpectrum:
             report = lrd_fit(signal, d, cfg)[-1]
         assert report.sweeps == 3
         assert modes == [0, 1, 2]
+
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_fit_unfolds_filter_spectra_once_per_mode(self, monkeypatch,
+                                                       reg):
+        calls = []
+        original = lrdec.convmodel.unfold_spectra
+
+        def counted(spectra, mode, half=True):
+            calls.append((mode, half))
+            return original(spectra, mode, half)
+
+        # an operator unfolds the spectra itself when the fit passes none
+        monkeypatch.setattr(lrdec.convmodel, "unfold_spectra", counted)
+        monkeypatch.setattr(lrdec.solver, "unfold_spectra", counted)
+        d = random_dictionary((2, 2, 2), 2, seed=57, channels=2)
+        signal = RNG(58).standard_normal((5, 4, 3, 2))
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", rank=2,
+                           outer_iters=3, admm_iters=5)
+        if reg == "masked":
+            mask = RNG(59).random(signal.shape) < 0.7
+            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+        else:
+            report = lrd_fit(signal, d, cfg)[-1]
+        assert report.sweeps == 3
+        assert calls == [(0, True), (1, True), (2, True)]
 
     def test_operator_rejects_mismatched_correlations(self):
         d = random_dictionary((2, 2), 2, seed=51)

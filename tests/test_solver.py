@@ -9,7 +9,7 @@ from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, soft_threshold, solve_mode_admm,
                           solve_mode_l2, solve_mode_quadratic,
-                          _masked_adjoint, _masked_apply,
+                          _masked_adjoint, _masked_apply, _masked_normal,
                           _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
@@ -392,6 +392,32 @@ class TestMaskedPath:
         rhs = np.sum(x * _masked_adjoint(op, mask, y))
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("shape,mode,channels", [
+        ((5, 3), 0, 1),      # odd I_n
+        ((6, 3), 0, 1),      # even I_n
+        ((3, 4, 5), 1, 1),   # even I_n of a middle mode
+        ((4, 5), 1, 2),      # C = 2, odd I_n
+        ((4, 6), 1, 2),      # C = 2, even I_n
+        ((7,), 0, 1),        # single mode
+    ])
+    def test_masked_normal_matches_dense_oracle(self, shape, mode, channels):
+        alpha = 0.3
+        support = tuple(min(2, s - 1) if s > 1 else 1 for s in shape)
+        d = unit_norm_dictionary(support, 2, seed=90, channels=channels)
+        factors = factor_stacks(shape, 2, 2, seed=91)
+        rng = RNG(92)
+        mask = (rng.uniform(size=(channels,) + shape) > 0.4).astype(float)
+        a_mat = materialize_spatial_forward(d.filters, shape, factors, mode)
+        p_vec = np.concatenate([m.reshape(-1, order="F") for m in mask])
+        dense = a_mat.T @ (p_vec[:, None] * a_mat) + alpha * np.eye(
+            a_mat.shape[1])
+        op = SpectralOperator(d, shape, factors, mode)
+        x = rng.standard_normal((2, shape[mode], 2))
+        got = factor_to_vec(_masked_normal(op, mask, alpha, x))
+        want = dense @ factor_to_vec(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(
+            1.0, np.max(np.abs(want)))
+
     def test_cg_matches_materialized_dense_solve(self):
         shape = (4, 3)
         alpha = 1e-3
@@ -519,6 +545,72 @@ class TestSolveReport:
         ref = reference_objective(d, acts, np.where(mask, signal, 0.0), cfg,
                                   mask)
         assert abs(report.objectives[-1] - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("shape,support,reg,channels", [
+        ((8, 7), (3, 3), "l2", 1),
+        ((6, 5, 4), (2, 2, 2), "l2", 1),
+        ((6, 5, 4), (2, 2, 2), "l1", 1),
+        ((8, 7), (3, 3), "l1", 3),
+        ((8, 7), (3, 3), "masked", 1),
+        ((6, 5, 4), (2, 2, 2), "masked", 2),
+    ])
+    def test_relative_residual_matches_spatial_reference(self, shape, support,
+                                                         reg, channels):
+        d, _, signal = make_problem(shape, support, m_count=2, rank=2,
+                                    seed=75, channels=channels)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                           alpha=1e-3, rank=2, outer_iters=4, admm_iters=20,
+                           cg_max_iters=30, seed=18)
+        if reg == "masked":
+            mask = RNG(76).uniform(size=signal.shape) > 0.3
+            acts, _, report = lrd_fit_masked(signal, mask, d, cfg)
+            observed = np.where(mask, signal, 0.0)
+            resid = (forward_model(d, acts) - signal) * mask
+        else:
+            acts, report = lrd_fit(signal, d, cfg)
+            observed = signal
+            resid = forward_model(d, acts) - signal
+        assert len(report.relative_residuals) == report.sweeps
+        ref = np.linalg.norm(resid) / np.linalg.norm(observed)
+        assert abs(report.relative_residuals[-1] - ref) <= 1e-9 * ref
+        assert all(np.isclose(r, np.sqrt(2 * t) / np.linalg.norm(observed),
+                              rtol=1e-12, atol=0.0)
+                   for r, t in zip(report.relative_residuals,
+                                   report.data_terms))
+
+    def test_admm_budget_warning_reports_residuals(self):
+        d, _, signal = make_problem((6, 5, 4), (2, 2, 2), m_count=2, rank=2,
+                                    seed=77)
+        cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=3,
+                           admm_iters=2, tol_primal=1e-14, tol_dual=1e-14,
+                           tol_outer=1e-300, seed=19)
+        _, report = lrd_fit(signal, d, cfg)
+        pattern = re.compile(
+            r"admm budget exhausted at sweep (\d+) mode (\d+): (\d+) "
+            r"iterations, relative primal (\S+) \(tol_primal (\S+)\), "
+            r"dual (\S+) \(tol_dual (\S+)\)$")
+        visits = []
+        for warning in report.warnings:
+            match = pattern.match(warning)
+            assert match, warning
+            sweep, mode, iters = (int(g) for g in match.groups()[:3])
+            primal, tol_p, dual, tol_d = (float(g) for g in match.groups()[3:])
+            assert iters == cfg.admm_iters
+            assert (tol_p, tol_d) == (cfg.tol_primal, cfg.tol_dual)
+            assert primal > tol_p or dual > tol_d
+            visits.append((sweep, mode))
+        assert visits == [(s, n) for s in range(report.sweeps)
+                          for n in range(signal.ndim)]
+
+    def test_admm_within_budget_does_not_warn(self):
+        d, _, signal = make_problem((6, 5), (2, 2), m_count=2, rank=2,
+                                    seed=78)
+        cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=3,
+                           admm_iters=5000, tol_primal=1e-6, tol_dual=1e-6,
+                           seed=20)
+        _, report = lrd_fit(signal, d, cfg)
+        assert sum(report.inner_iters) < 5000 * 2 * report.sweeps
+        assert not report.warnings
 
     def test_admm_inner_iters_count_each_visit(self):
         d, _, signal = make_problem((6, 5, 4), (2, 2, 2), m_count=2, rank=2,
