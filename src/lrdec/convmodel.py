@@ -43,6 +43,25 @@ keeps ``J_k = min(2 L_k - 1, I_k)`` lags, stored in DFT order: lag index
 (negative, or an alias modulo ``I_k``) otherwise.  The contraction length
 ``J = prod_{k != n} J_k`` is never longer than ``Lambda``.
 
+Mode-n taps
+-----------
+The masked fits run the same map in the signal domain instead.  Channel
+``c`` of the model output, unfolded along mode ``n``, is::
+
+    Y_c = sum_{tau < L_n} S_tau X B_c[tau]
+
+with ``X`` the ``(I_n, M*R)`` mode-n factors, ``S_tau`` the cyclic shift
+down by ``tau`` rows and row ``(m, r)`` of ``B_c[tau]`` the filter slice
+``d_{m,c}[tau, .]`` at mode-n tap ``tau`` circularly convolved with
+``prod_{k != n} f_k[m][:, r]``: the output, seen through tap ``tau``, for a
+unit impulse at row 0 of factor column ``(m, r)``.  So the forward map is
+one gather and one real product ``[S_0 X ... S_{L_n-1} X] @ B``, and the
+adjoint ``Z B^T`` and ``L_n`` shifted row sums, with
+:meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
+the ``B_c[tau]``.  Its columns run over the channels and then the other
+modes in ascending order, the last fastest (not the order of ``unfold``).
+Unlike the spectral map's, its work grows with ``L_n``.
+
 Vector layouts
 --------------
 Factor-side vectors stack ``vec(Xhat_m)`` over filters ``m`` (column-major
@@ -96,6 +115,8 @@ class Dictionary:
                              f"shape {arr.shape}")
         if any(s < 1 for s in arr.shape[2:]):
             raise ValueError(f"empty filter support {arr.shape[2:]}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("filters contain non-finite values")
         self.filters = arr
 
     @property
@@ -261,7 +282,7 @@ def _activation_factors(activations):
     return out
 
 
-def forward_model(dictionary, activations, spectra=None):
+def forward_model(dictionary, activations):
     """Synthesize the signal ``sum_m d_m (*) K_m``.
 
     Parameters
@@ -273,9 +294,6 @@ def forward_model(dictionary, activations, spectra=None):
     activations : sequence
         M activation tensors, each a :class:`KruskalTensor` or a factor
         list, all with the signal shape and a common rank.
-    spectra : ndarray, optional
-        The dictionary's :func:`filter_spectra` at the signal shape; made
-        here when omitted.
 
     Returns
     -------
@@ -295,9 +313,7 @@ def forward_model(dictionary, activations, spectra=None):
             raise ValueError(f"activation {m} rank mismatch")
     dictionary.check_signal_shape(shape)
 
-    if spectra is None:
-        spectra = filter_spectra(dictionary, shape)
-    _check_spectra(spectra, dictionary, shape)
+    spectra = filter_spectra(dictionary, shape)
     khat = np.stack([dft_nd(kruskal_reconstruct(fs)) for fs in factors])
     out = np.stack([idft_nd(np.sum(spectra[:, c] * khat, axis=0))
                     for c in range(dictionary.num_channels)], axis=-1)
@@ -427,7 +443,9 @@ class SpectralOperator:
         # interleaved, the layout the real Gram contraction reads; a view
         self._corr = np.ascontiguousarray(correlations).reshape(
             m_count * m_count, expected[2], expected[3]).view(float)
+        self._filters = dictionary.filters
         self._gram = None
+        self._taps = None
 
     @property
     def factor_size(self):
@@ -500,6 +518,26 @@ class SpectralOperator:
         size = m_count * rank
         self._gram = gram.transpose(4, 0, 2, 1, 3).reshape(half, size, size)
         return self._gram
+
+    def conv_taps(self):
+        """The real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps ``B`` of
+        the module docstring, cached."""
+        if self._taps is not None:
+            return self._taps
+        d = self._filters
+        # t[m, r, c, tau, sigma..., i...]: contract the filter lags sigma_k
+        # of the other modes, the last first, with the shifted factor columns
+        # f_k[m][(i_k - sigma_k) mod I_k, r]
+        t = np.repeat(np.moveaxis(d, 2 + self.mode, 2)[:, None], self.rank, 1)
+        for done, (k, _) in enumerate(reversed(self._lags)):
+            f, support = self._factors[k], d.shape[2 + k]
+            rows = np.subtract.outer(np.arange(f.shape[1]), np.arange(support))
+            shifts = f[:, rows.T % f.shape[1]].transpose(0, 3, 1, 2)
+            pos = t.ndim - 1 - done  # sigma_k, with the done i axes after it
+            t = np.moveaxis(np.moveaxis(t, pos, -1) @ np.expand_dims(
+                shifts, tuple(range(2, t.ndim - 2))), -1, pos)
+        self._taps = np.moveaxis(t, 3, 0).reshape(-1, d.shape[1] * self.lam)
+        return self._taps
 
     def normal_blocks(self, regularizer):
         """Regularized normal-equation blocks ``W^H W + reg I``.

@@ -13,10 +13,15 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 * a conjugate-gradient solve for masked signals, where the spatial mask
   breaks the per-frequency decoupling, preconditioned by the unmasked
   per-frequency blocks with the mask taken as its observed fraction: its
-  CG iterations.
+  CG iterations.  Its matvec stays in the signal domain on the visit's
+  mode-n convolution taps (``SpectralOperator.conv_taps``): one gather and
+  two real matrix products, no FFT.  That work grows with the mode-n
+  filter support ``L_n``, so it beats the spectral map for small filters
+  only; on a 64x64 image (M=8, R=3) they break even near ``L_n = 20``.
 
-All quadratic solves happen in the unitary DFT domain where the normal
-equations split into one small Hermitian system per mode-n frequency.
+The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
+domain, where the normal equations split into one small Hermitian system
+per mode-n frequency.
 Signal and factors are real, so a fit carries only frequencies
 ``0..I_n//2`` of every spectrum along mode ``n``: real-input transforms in
 and out (the inverse stays real however ill-conditioned the blocks are),
@@ -33,11 +38,11 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
-                        filter_spectra, forward_model, unfold_spectra,
+                        filter_spectra, unfold_spectra,
                         vec_to_factor, vec_to_signal)
 from .tensor import KruskalTensor
 from .transform import (dft_factor, idft_factor, irdft_factor,
-                        irdft_unfolded, rdft_factor, rdft_unfolded)
+                        rdft_factor, rdft_unfolded)
 
 __all__ = [
     "SolverConfig",
@@ -366,7 +371,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
     inner iterations and a list of warnings; ``data_term(op, x)`` scores a
     stack on the same operator, ``0.5 ||W x - s||^2`` with
     ``||s|| = signal_norm``.  `check_l2` flags a rising objective.
-    Returns the report and the filter spectra the fit made."""
+    Returns the report and the operator of the last visit."""
     report = SolveReport()
     spectra = filter_spectra(dictionary, shape)
     modes = range(len(shape))
@@ -406,7 +411,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
             report.converged = True
             break
         prev_obj = obj
-    return report, spectra
+    return report, op
 
 
 def lrd_fit(signal, dictionary, cfg, init=None):
@@ -477,16 +482,43 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     return _finish(factors), report
 
 
+def _tap_maps(op):
+    """Forward and adjoint of the visit's unmasked model on its mode-n taps:
+    ``(I_n, M*R)`` factor rows to and from ``(I_n, C*Lambda)`` output rows."""
+    taps, length = op.conv_taps(), op.mode_length
+    tau = np.arange(taps.shape[0] // (op.num_filters * op.rank))
+    rows = np.arange(length)[:, None]
+    lagged = (rows - tau) % length
+    # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
+    leading = (rows + tau) % length * len(tau) + tau
+
+    def forward(x):
+        return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
+
+    def adjoint(z):
+        w = (z @ taps.T).reshape(length * len(tau), -1)
+        return np.take(w, leading, axis=0).sum(axis=1)
+
+    return forward, adjoint
+
+
+def _mode_rows(op, stack):
+    """A ``(C, *shape)`` stack as output rows, mode n first."""
+    return np.moveaxis(stack, 1 + op.mode, 0).reshape(op.mode_length, -1)
+
+
 def _masked_apply(op, mask_stack, x_factor):
     """Spatial masked forward map of one mode's real factor stack."""
-    yhat = op.apply_arrays(rdft_factor(x_factor, axis=1))
-    return irdft_unfolded(yhat, op.mode, op.signal_shape) * mask_stack
+    rows = _tap_maps(op)[0](x_factor.transpose(1, 0, 2))
+    rest = [s for k, s in enumerate(op.signal_shape) if k != op.mode]
+    rows = rows.reshape([op.mode_length, op.num_channels] + rest)
+    return np.moveaxis(rows, 0, 1 + op.mode) * mask_stack
 
 
 def _masked_adjoint(op, mask_stack, y_stack):
     """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    rows = rdft_unfolded(y_stack * mask_stack, op.mode)
-    return irdft_factor(op.adjoint_arrays(rows), op.mode_length, axis=1)
+    rows = _tap_maps(op)[1](_mode_rows(op, y_stack * mask_stack))
+    return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
 
 
 def _masked_normal(op, mask_stack, alpha, x):
@@ -505,40 +537,43 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
     frequency; with nothing masked it is the inverse of the system.
     Returns the factor stack and the scipy convergence flag (0 means the
     relative tolerance was met); `callback` runs after each iteration."""
-    dims = x0.shape
+    length, start = op.mode_length, x0.transpose(1, 0, 2)
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
     gram = op.gram_blocks()
     inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
+    forward, adjoint = _tap_maps(op)
+    mask_rows = _mode_rows(op, mask_stack)
 
     def matvec(v):
-        return _masked_normal(op, mask_stack, alpha, v.reshape(dims)).ravel()
+        x = v.reshape(length, -1)
+        return (adjoint(forward(x) * mask_rows) + alpha * x).ravel()
 
     def precondition(v):
-        xhat = rdft_factor(v.reshape(dims), axis=1)
-        return irdft_factor(_per_frequency(lambda rows: inv @ rows, xhat),
-                            dims[1], axis=1).ravel()
+        xhat = rdft_factor(v.reshape(length, -1, 1))
+        return irdft_factor(inv @ xhat, length).ravel()
 
-    rhs = _masked_adjoint(op, mask_stack, s_obs).ravel()
+    rhs = adjoint(_mode_rows(op, s_obs) * mask_rows).ravel()
     shape = (x0.size, x0.size)
     lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
                                              dtype=float)
     pre = scipy.sparse.linalg.LinearOperator(shape, matvec=precondition,
                                              dtype=float)
-    sol, info = scipy.sparse.linalg.cg(lin, rhs, x0=x0.ravel(),
+    sol, info = scipy.sparse.linalg.cg(lin, rhs, x0=start.ravel(),
                                        rtol=cfg.cg_tol, atol=0.0,
                                        maxiter=cfg.cg_max_iters, M=pre,
                                        callback=callback)
-    return sol.reshape(dims), info
+    return sol.reshape(start.shape).transpose(1, 0, 2), info
 
 
 def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
     """Fit the model to the observed entries only and complete the signal.
 
-    The mode subproblems keep the frequency-domain operator but compose it
-    with the inverse transform and the spatial mask, so each solve runs
-    matrix-free conjugate gradients on the normal equations instead of the
-    per-frequency closed form.  Requires ``cfg.reg == "l2"``.
+    The spatial mask couples the mode-n frequencies, so each mode solve runs
+    preconditioned conjugate gradients on the masked normal equations,
+    applied through the visit's mode-n convolution taps, instead of the
+    per-frequency closed form.  The completed signal is the last visit's
+    taps applied to the final factors.  Requires ``cfg.reg == "l2"``.
 
     Parameters
     ----------
@@ -601,11 +636,13 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                 f"{cmp} cg_tol {cfg.cg_tol:.1e}")
         return x, len(iters), warnings
 
-    report, spectra = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                             data_term, check_l2=False,
-                             signal_norm=float(np.linalg.norm(s_obs)))
+    report, op = _sweep(dictionary, shape, factors, cfg, solve_mode,
+                        data_term, check_l2=False,
+                        signal_norm=float(np.linalg.norm(s_obs)))
 
-    activations = _finish(factors)
-    completed = forward_model(dictionary, activations, spectra)
+    # unmasked, the last visit's map of its final factors is the model output
+    out = _masked_apply(op, 1.0, factors[-1])
+    completed = np.ascontiguousarray(
+        out[0] if dictionary.num_channels == 1 else np.moveaxis(out, 0, -1))
     report.seconds = time.perf_counter() - t0
-    return activations, completed, report
+    return _finish(factors), completed, report

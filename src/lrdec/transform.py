@@ -22,7 +22,6 @@ __all__ = [
     "rdft_factor",
     "irdft_factor",
     "rdft_unfolded",
-    "irdft_unfolded",
 ]
 
 
@@ -97,26 +96,13 @@ def irdft_factor(xhat, length, axis=0):
     return np.fft.irfft(xhat, n=length, axis=axis, norm="ortho")
 
 
-def _mode_first(ndim, mode):
-    # `mode`, then the others descending (so a C-order reshape runs the
-    # earliest fastest, as `unfold` does); `mode` is the last, halved axis
-    order = [0, 1 + mode] + [k for k in range(ndim, 0, -1) if k != 1 + mode]
-    return order, tuple(range(2, ndim + 1)) + (1,)
-
-
 def rdft_unfolded(t, mode):
     """Frequencies ``0..I_n//2`` of :func:`dft_nd` of each real tensor of a
     ``(C, I_0, ..., I_{N-1})`` stack, as the ``(C, I_n//2 + 1, Lambda)``
     leading rows of their mode-`mode` unfoldings."""
-    order, axes = _mode_first(t.ndim - 1, mode)
-    spec = np.fft.rfftn(t.transpose(order), axes=axes, norm="ortho")
+    # `mode`, then the others descending (so a C-order reshape runs the
+    # earliest fastest, as `unfold` does); `mode` is the last, halved axis
+    order = [1 + mode] + [k for k in range(t.ndim - 1, 0, -1) if k != 1 + mode]
+    spec = np.fft.rfftn(t.transpose([0] + order), norm="ortho",
+                        axes=tuple(range(2, t.ndim)) + (1,))
     return spec.reshape(spec.shape[:2] + (-1,))
-
-
-def irdft_unfolded(rows, mode, shape):
-    """Inverse of :func:`rdft_unfolded`: the real ``(C, *shape)`` stack."""
-    order, axes = _mode_first(len(shape), mode)
-    rest = [shape[k - 1] for k in order[2:]]
-    spec = rows.reshape(rows.shape[:2] + tuple(rest))
-    out = np.fft.irfftn(spec, s=rest + [shape[mode]], axes=axes, norm="ortho")
-    return out.transpose(np.argsort(order))

@@ -231,6 +231,21 @@ class TestInpaint:
                        "--out", tmp_path / "x")
         assert code == 1
 
+    def test_non_finite_filter_tap_is_runtime_error(self, tmp_path, capsys):
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        bank = src / "dictionary.lrd"
+        # the payload ends with the last filter's last tap, a little-endian
+        # float64
+        data = bank.read_bytes()
+        bank.write_bytes(data[:-8] + np.float64(np.nan).astype("<f8")
+                         .tobytes())
+        code = run_cli("inpaint", "--signal", src / "signal.lrt",
+                       "--filters", bank, "--missing", "0.3",
+                       "--max-outer", "2", "--rank", "2",
+                       "--out", tmp_path / "x")
+        assert code == 1
+        assert "filters contain non-finite values" in capsys.readouterr().err
+
     def test_fraction_out_of_range(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
         code = run_cli("inpaint", "--signal", src / "signal.lrt",

@@ -95,6 +95,13 @@ class TestDictionary:
         with pytest.raises(ValueError):
             d.check_signal_shape((3, 3))  # nowhere strictly smaller
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_taps(self, bad):
+        filters = random_dictionary((3, 3), 2, seed=7).filters.copy()
+        filters[1, 0, 2, 1] = bad
+        with pytest.raises(ValueError, match="filters contain non-finite"):
+            Dictionary(filters, channels=True)
+
 
 class TestForwardModel:
     def test_single_delta_filter(self):

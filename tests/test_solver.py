@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import lrdec.solver
+import lrdec.transform
+
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
@@ -381,28 +384,39 @@ class TestLrdFit:
 class TestMaskedPath:
     def test_masked_chain_adjoint_identity(self):
         shape = (4, 3)
-        d = unit_norm_dictionary((2, 2), 2, seed=50)
-        factors = factor_stacks(shape, 2, 2, seed=51)
-        op = SpectralOperator(d, shape, factors, 0)
-        rng = RNG(52)
-        mask = (rng.uniform(size=(1,) + shape) > 0.4).astype(float)
-        x = rng.standard_normal((2, 4, 2))
-        y = rng.standard_normal((1,) + shape)
-        lhs = np.sum(_masked_apply(op, mask, x) * y)
-        rhs = np.sum(x * _masked_adjoint(op, mask, y))
-        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+        # every mode, with one channel and two
+        for mode, channels in [(0, 1), (1, 1), (0, 2), (1, 2)]:
+            d = unit_norm_dictionary((2, 2), 2, seed=50, channels=channels)
+            factors = factor_stacks(shape, 2, 2, seed=51)
+            op = SpectralOperator(d, shape, factors, mode)
+            rng = RNG(52)
+            mask = (rng.uniform(size=(channels,) + shape) > 0.4).astype(float)
+            x = rng.standard_normal((2, shape[mode], 2))
+            y = rng.standard_normal((channels,) + shape)
+            lhs = np.sum(_masked_apply(op, mask, x) * y)
+            rhs = np.sum(x * _masked_adjoint(op, mask, y))
+            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
-    @pytest.mark.parametrize("shape,mode,channels", [
-        ((5, 3), 0, 1),      # odd I_n
-        ((6, 3), 0, 1),      # even I_n
-        ((3, 4, 5), 1, 1),   # even I_n of a middle mode
-        ((4, 5), 1, 2),      # C = 2, odd I_n
-        ((4, 6), 1, 2),      # C = 2, even I_n
-        ((7,), 0, 1),        # single mode
-    ])
-    def test_masked_normal_matches_dense_oracle(self, shape, mode, channels):
+    MASKED_NORMAL_CASES = [
+        ((5, 3), 0, 1, None),          # odd I_n
+        ((6, 3), 0, 1, None),          # even I_n
+        ((3, 4, 5), 1, 1, None),       # even I_n of a middle mode
+        ((4, 5), 1, 2, None),          # C = 2, odd I_n
+        ((4, 6), 1, 2, None),          # C = 2, even I_n
+        ((7,), 0, 1, None),            # single mode
+        ((5, 4), 0, 1, (5, 2)),        # support I_n: every shift wraps
+        ((3, 5, 4), 1, 2, (2, 3, 2)),  # C = 2, middle mode of three
+    ]
+
+    @pytest.mark.parametrize(
+        "shape,mode,channels,support", MASKED_NORMAL_CASES,
+        ids=[f"shape{i}-{mode}-{channels}"
+             for i, (_, mode, channels, _) in enumerate(MASKED_NORMAL_CASES)])
+    def test_masked_normal_matches_dense_oracle(self, shape, mode, channels,
+                                                support):
         alpha = 0.3
-        support = tuple(min(2, s - 1) if s > 1 else 1 for s in shape)
+        if support is None:
+            support = tuple(min(2, s - 1) if s > 1 else 1 for s in shape)
         d = unit_norm_dictionary(support, 2, seed=90, channels=channels)
         factors = factor_stacks(shape, 2, 2, seed=91)
         rng = RNG(92)
@@ -455,6 +469,50 @@ class TestMaskedPath:
         xhat = factor_to_vec(dft_factor(sol, axis=1))
         assert np.linalg.norm(xhat - dense) / max(
             1.0, np.linalg.norm(dense)) < 1e-8
+
+    def test_fit_runs_on_taps_built_once_per_visit(self, monkeypatch):
+        calls = {"spectral": 0, "rdft_unfolded": 0, "taps_built": 0}
+
+        def spectral(self, rows):
+            calls["spectral"] += 1
+
+        def unfolded(t, mode):
+            calls["rdft_unfolded"] += 1
+
+        original = SpectralOperator.conv_taps
+
+        def conv_taps(op):
+            calls["taps_built"] += op._taps is None
+            return original(op)
+
+        monkeypatch.setattr(SpectralOperator, "apply_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "adjoint_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
+        monkeypatch.setattr(lrdec.solver, "rdft_unfolded", unfolded)
+        monkeypatch.setattr(lrdec.transform, "rdft_unfolded", unfolded)
+        d = unit_norm_dictionary((2, 2, 2), 2, seed=63, channels=2)
+        signal = RNG(64).standard_normal((5, 4, 3, 2))
+        mask = RNG(65).random(signal.shape) < 0.7
+        cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
+        report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+        assert report.sweeps == 3
+        assert calls == {"spectral": 0, "rdft_unfolded": 0, "taps_built": 9}
+
+    @pytest.mark.parametrize("shape,support,channels", [
+        ((7, 6), (3, 2), 1), ((6, 5, 4), (2, 3, 2), 2)])
+    def test_completed_signal_is_the_model_output(self, shape, support,
+                                                  channels):
+        d = unit_norm_dictionary(support, 3, seed=66, channels=channels)
+        rng = RNG(67)
+        signal = rng.standard_normal(
+            shape + ((channels,) if channels > 1 else ()))
+        mask = rng.random(signal.shape) < 0.7
+        cfg = SolverConfig(reg="l2", rank=2, outer_iters=3)
+        acts, completed, _ = lrd_fit_masked(signal, mask, d, cfg)
+        want = forward_model(d, acts)
+        assert completed.shape == want.shape
+        assert np.max(np.abs(completed - want)) <= 1e-12 * np.max(
+            np.abs(want))
 
     def test_all_true_mask_matches_plain_fit(self):
         d, _, signal = synthesize((5, 4), (2, 2), 2, 2, seed=56)
