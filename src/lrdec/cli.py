@@ -27,7 +27,7 @@ from .synth import make_problem
 from .tensor import KruskalTensor
 
 CSV_HEADER = "reg,rank,psnr_db,cr,nnz,iters,seconds"
-_ACTIVATION_RE = re.compile(r"_m(\d+)_mode(\d+)\.lrt$")
+_ACTIVATION_RE = re.compile(r"(.*)_m(\d+)_mode(\d+)\.lrt$")
 
 
 def _fmt(x):
@@ -77,21 +77,37 @@ def _write_activations(out_dir, prefix, activations):
 
 
 def _load_activations(directory):
+    """Read one complete ``<prefix>_m<i>_mode<n>.lrt`` set: a single
+    prefix, filters ``0..M-1`` and modes ``0..N-1``, all of one shape."""
     directory = Path(directory)
     found = {}
     for path in sorted(directory.iterdir()):
-        match = _ACTIVATION_RE.search(path.name)
+        match = _ACTIVATION_RE.fullmatch(path.name)
         if match:
-            m, n = int(match.group(1)), int(match.group(2))
-            found.setdefault(m, {})[n] = read_tensor(path)
+            prefix, m, n = match.groups()
+            found.setdefault(prefix, {})[int(m), int(n)] = path
     if not found:
         raise FormatError(f"{directory}: no activation factor files "
                           f"(*_m<i>_mode<n>.lrt)")
-    acts = []
-    for m in sorted(found):
-        modes = found[m]
-        factors = [modes[n] for n in sorted(modes)]
-        acts.append(KruskalTensor(factors))
+    if len(found) > 1:
+        raise FormatError(f"{directory}: activation files of several sets "
+                          f"({', '.join(sorted(found))}); expected one")
+    (prefix, paths), = found.items()
+    m_count = 1 + max(m for m, _ in paths)
+    n_modes = 1 + max(n for _, n in paths)
+    for m in range(m_count):
+        for n in range(n_modes):
+            if (m, n) not in paths:
+                raise FormatError(f"{directory}: missing activation factor "
+                                  f"{prefix}_m{m}_mode{n}.lrt")
+    acts = [KruskalTensor([read_tensor(paths[m, n]) for n in range(n_modes)])
+            for m in range(m_count)]
+    shapes = [[f.shape for f in act.factors] for act in acts]
+    for m, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise FormatError(f"{directory}: factors of {prefix}_m{m} have "
+                              f"shapes {shape}, those of {prefix}_m0 "
+                              f"{shapes[0]}")
     return acts
 
 

@@ -9,12 +9,15 @@ the filter spectra act diagonally and the remaining factors act through a
 Khatri-Rao matrix, which also decouples the normal equations into one small
 Hermitian block per mode-n frequency.
 
-Filter spectra are constant over a fit: :func:`filter_spectra` makes the
-``M*C`` zero-padded filter FFTs once, and :func:`unfold_spectra` unfolds
-them once per mode.  Filters and factors are real, so along mode ``n``
-every spectrum is conjugate-symmetric and the fits work on frequencies
-``0..I_n//2`` (the half spectrum) only: the operator acts on however many
-leading frequency rows it is given, and builds the half of its Gram blocks.
+The operator has three forms, each made on first use and cached: the
+Gram blocks of its normal equations, the real mode-n convolution taps of
+the map, and the spectral map itself (filter spectra and the Khatri-Rao
+chain of factor spectra).  The fits use only the taps and the Gram
+blocks, so no fit makes filter spectra; the spectral map serves the
+vector API (:meth:`SpectralOperator.apply` and its adjoint).  Filters and
+factors are real, so along mode ``n`` every spectrum is
+conjugate-symmetric and the Gram blocks are built for frequencies
+``0..I_n//2`` (the half spectrum) only.
 
 Gram blocks in the lag domain
 -----------------------------
@@ -45,7 +48,7 @@ keeps ``J_k = min(2 L_k - 1, I_k)`` lags, stored in DFT order: lag index
 
 Mode-n taps
 -----------
-The masked fits run the same map in the signal domain instead.  Channel
+Every fit runs the same map in the signal domain instead.  Channel
 ``c`` of the model output, unfolded along mode ``n``, is::
 
     Y_c = sum_{tau < L_n} S_tau X B_c[tau]
@@ -72,7 +75,7 @@ unfolding, giving length ``C * I_n * Lambda``.
 
 import numpy as np
 
-from .tensor import co_size, kruskal_reconstruct, KruskalTensor
+from .tensor import co_size, kruskal_reconstruct, KruskalTensor, unfold
 from .transform import dft_factor, dft_nd, idft_nd
 
 __all__ = [
@@ -80,7 +83,6 @@ __all__ = [
     "circular_convolve",
     "filter_spectra",
     "filter_correlations",
-    "unfold_spectra",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -192,27 +194,13 @@ def circular_convolve(filt, activation):
 def filter_spectra(dictionary, shape):
     """Unnormalized FFTs of the filters zero-padded to `shape`.
 
-    Returns the ``(M, C, *shape)`` complex stack; these are constant over a
-    fit, so a fit makes them once.
+    Returns the ``(M, C, *shape)`` complex stack that :func:`forward_model`
+    and the spectral map of :class:`SpectralOperator` read; no fit makes it.
     """
     shape = tuple(int(s) for s in shape)
     dictionary.check_signal_shape(shape)
     return np.array([[np.fft.fftn(pad_to_shape(f, shape)) for f in bank]
                      for bank in dictionary.filters], dtype=complex)
-
-
-def unfold_spectra(spectra, mode, half=True):
-    """The ``(M, C, rows, Lambda)`` mode-`mode` unfolding of
-    :func:`filter_spectra`, on frequencies ``0..I_n//2`` or, with
-    ``half=False``, all ``I_n``."""
-    shape = spectra.shape[2:]
-    rows = shape[mode] // 2 + 1 if half else shape[mode]
-    lead = spectra[(slice(None),) * (2 + mode) + (slice(0, rows),)]
-    # the other modes in descending order make a C-order reshape run the
-    # earliest of them fastest, as in `unfold`
-    rest = [2 + k for k in reversed(range(len(shape))) if k != mode]
-    return lead.transpose([0, 1, 2 + mode] + rest).reshape(
-        spectra.shape[:2] + (rows, -1))
 
 
 def _lags(support, length):
@@ -262,13 +250,6 @@ def _factor_lag_correlations(f, lags):
     cols = shifted.transpose(2, 0, 3, 1).reshape(length, -1)
     corr = (rows @ cols).reshape(m_count, rank, m_count, rank, len(lags))
     return corr.transpose(0, 2, 1, 3, 4)
-
-
-def _check_spectra(spectra, dictionary, shape):
-    expected = (dictionary.num_filters, dictionary.num_channels) + shape
-    if spectra.shape != expected:
-        raise ValueError(f"filter spectra of shape {spectra.shape}, "
-                         f"expected {expected}")
 
 
 def _activation_factors(activations):
@@ -359,8 +340,10 @@ class SpectralOperator:
     Filter spectra are unnormalized FFTs of the zero-padded filters, so the
     map is exactly the unitary-DFT image of the spatial forward model.
 
-    Immutable after construction; reuse one instance for all solves of the
-    same mode while the other factors are fixed.
+    Construction only validates and stores; the Gram blocks, the mode-n
+    taps and the spectral map are each made on first use and cached.
+    Immutable otherwise; reuse one instance for all solves of the same mode
+    while the other factors are fixed.
 
     Parameters
     ----------
@@ -370,19 +353,13 @@ class SpectralOperator:
         Per mode, the stacked real factors ``(M, I_k, R)``.  The entry at
         `mode` only fixes the dimensions; its values are not used.
     mode : int
-    spectra : ndarray, optional
-        The dictionary's :func:`filter_spectra` at `signal_shape`, read
-        only without `unfolded`; made here when both are omitted.
     correlations : ndarray, optional
         The dictionary's :func:`filter_correlations` at `signal_shape` and
         `mode`; made here when omitted.
-    unfolded : ndarray, optional
-        :func:`unfold_spectra` at `mode`, not copied; the operator acts on
-        at most its rows.  Made with all ``I_n`` rows when omitted.
     """
 
-    def __init__(self, dictionary, signal_shape, factors, mode, spectra=None,
-                 correlations=None, unfolded=None):
+    def __init__(self, dictionary, signal_shape, factors, mode,
+                 correlations=None):
         shape = tuple(int(s) for s in signal_shape)
         n_modes = len(shape)
         if not 0 <= mode < n_modes:
@@ -416,36 +393,15 @@ class SpectralOperator:
         self.rank = rank
         self.mode_length = shape[mode]
         self.lam = co_size(shape, mode)
-
-        if unfolded is None:
-            if spectra is None:
-                spectra = filter_spectra(dictionary, shape)
-            _check_spectra(spectra, dictionary, shape)
-            unfolded = unfold_spectra(spectra, mode, half=False)
-        rows = unfolded.shape[2]
-        if (unfolded.shape != (m_count, self.num_channels, rows, self.lam)
-                or not shape[mode] // 2 < rows <= shape[mode]):
-            raise ValueError(f"unfolded filter spectra of shape "
-                             f"{unfolded.shape} do not fit mode {mode}")
-        self._dhat = unfolded  # (M, C, rows, Lambda), not copied
-
-        # (M, R, Lambda): Khatri-Rao chain of the other modes' unitary factor
-        # spectra, in `build_q` order; all ones for a single mode
-        qhat = np.ones((m_count, rank, 1), dtype=complex)
-        for k in reversed(range(n_modes)):
-            if k != mode:
-                fhat = dft_factor(factors[k], axis=1).transpose(0, 2, 1)
-                qhat = (qhat[..., None] * fhat[:, :, None]).reshape(
-                    m_count, rank, -1)
-        self._qhat = qhat
         self._factors = factors
         # (M*M, J, 2 * (I_n//2 + 1)): K with the real and imaginary parts
         # interleaved, the layout the real Gram contraction reads; a view
         self._corr = np.ascontiguousarray(correlations).reshape(
             m_count * m_count, expected[2], expected[3]).view(float)
-        self._filters = dictionary.filters
+        self._dictionary = dictionary
         self._gram = None
         self._taps = None
+        self._spectral = None
 
     @property
     def factor_size(self):
@@ -455,27 +411,38 @@ class SpectralOperator:
     def signal_size(self):
         return self.num_channels * self.mode_length * self.lam
 
+    def _spectral_map(self):
+        """The ``(M, C, I_n, Lambda)`` mode-n unfolding of the filter
+        spectra and the ``(M, R, Lambda)`` Khatri-Rao chain of the other
+        modes' unitary factor spectra, cached."""
+        if self._spectral is not None:
+            return self._spectral
+        mode = self.mode
+        dhat = np.array([[unfold(s, mode) for s in bank] for bank in
+                         filter_spectra(self._dictionary, self.signal_shape)])
+        # in `build_q` order; all ones for a single mode
+        qhat = np.ones((self.num_filters, self.rank, 1), dtype=complex)
+        for k in reversed(range(len(self.signal_shape))):
+            if k != mode:
+                fhat = dft_factor(self._factors[k], axis=1).transpose(0, 2, 1)
+                qhat = (qhat[..., None] * fhat[:, :, None]).reshape(
+                    self.num_filters, self.rank, -1)
+        self._spectral = dhat, qhat
+        return self._spectral
+
     def apply_arrays(self, xhat):
-        """Map spectral factors ``(M, rows, R)`` to output spectra
-        ``(C, rows, Lambda)`` on the leading `rows` mode-n frequencies."""
-        xhat = np.asarray(xhat)
-        dhat = self._dhat[:, :, :xhat.shape[1]]
-        terms = (xhat @ self._qhat)[:, None]          # (M, 1, rows, Lambda)
-        # in place with one channel, so that a call makes one large array
-        terms = np.multiply(terms, dhat,
-                            out=terms if self.num_channels == 1 else None)
-        return terms.sum(axis=0)
+        """Map spectral factors ``(M, I_n, R)`` to output spectra
+        ``(C, I_n, Lambda)``."""
+        dhat, qhat = self._spectral_map()
+        terms = (np.asarray(xhat) @ qhat)[:, None]    # (M, 1, I_n, Lambda)
+        return (terms * dhat).sum(axis=0)
 
     def adjoint_arrays(self, yhat):
-        """Adjoint of :meth:`apply_arrays` under the complex inner product,
-        on the same leading frequency rows."""
-        yhat = np.asarray(yhat)
-        dhat = self._dhat[:, :, :yhat.shape[1]]
+        """Adjoint of :meth:`apply_arrays` under the complex inner product."""
+        dhat, qhat = self._spectral_map()
         # conj(D^H y) @ Q = conj(D^H y @ conj(Q)), no conjugated filter copy
-        corr = dhat[:, 0] * yhat[0].conj()
-        for c in range(1, self.num_channels):
-            corr += dhat[:, c] * yhat[c].conj()
-        return (corr @ self._qhat.transpose(0, 2, 1)).conj()
+        corr = (dhat * np.asarray(yhat).conj()).sum(axis=1)
+        return (corr @ qhat.transpose(0, 2, 1)).conj()
 
     def apply(self, xhat_vec):
         """Vector form of :meth:`apply_arrays`."""
@@ -524,7 +491,7 @@ class SpectralOperator:
         the module docstring, cached."""
         if self._taps is not None:
             return self._taps
-        d = self._filters
+        d = self._dictionary.filters
         # t[m, r, c, tau, sigma..., i...]: contract the filter lags sigma_k
         # of the other modes, the last first, with the shifted factor columns
         # f_k[m][(i_k - sigma_k) mod I_k, r]

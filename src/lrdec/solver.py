@@ -13,22 +13,25 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 * a conjugate-gradient solve for masked signals, where the spatial mask
   breaks the per-frequency decoupling, preconditioned by the unmasked
   per-frequency blocks with the mask taken as its observed fraction: its
-  CG iterations.  Its matvec stays in the signal domain on the visit's
-  mode-n convolution taps (``SpectralOperator.conv_taps``): one gather and
-  two real matrix products, no FFT.  That work grows with the mode-n
-  filter support ``L_n``, so it beats the spectral map for small filters
-  only; on a 64x64 image (M=8, R=3) they break even near ``L_n = 20``.
+  CG iterations.
+
+Every fit applies the visit's map in the signal domain, on its mode-n
+convolution taps (``SpectralOperator.conv_taps``), with no FFT: the
+right-hand side ``W^H s`` is one real product with the taps and ``L_n``
+shifted row sums (the MTTKRP of CP-ALS); the objective
+``0.5 ||P W x - s||^2``, with ``P`` the mask or 1, is one gather and one
+real product; the CG matvec is both.  That work grows with the mode-n
+filter support ``L_n``, so it beats the spectral map for small filters
+only: for the masked matvec on a 64x64 image (M=8, R=3) they break even
+near ``L_n = 20``, and the l2 and l1 fits pay it once per visit too.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
-per mode-n frequency.
-Signal and factors are real, so a fit carries only frequencies
-``0..I_n//2`` of every spectrum along mode ``n``: real-input transforms in
+per mode-n frequency.  Signal and factors are real, so these solves carry
+only frequencies ``0..I_n//2`` along mode ``n``: real-input transforms in
 and out (the inverse stays real however ill-conditioned the blocks are),
-half-spectrum Gram blocks in between, and by Parseval an unmasked data term
-weighted 1 on the self-conjugate rows (0, and ``I_n/2`` for even ``I_n``)
-and 2 on the rest.  The filter spectra, their unfolding per mode and each
-mode's lag-domain filter correlations are made once per fit.
+half-spectrum Gram blocks in between.  Each mode's lag-domain filter
+correlations are made once per fit; no fit makes filter spectra.
 """
 
 import time
@@ -38,11 +41,9 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
-                        filter_spectra, unfold_spectra,
                         vec_to_factor, vec_to_signal)
 from .tensor import KruskalTensor
-from .transform import (dft_factor, idft_factor, irdft_factor,
-                        rdft_factor, rdft_unfolded)
+from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
 
 __all__ = [
     "SolverConfig",
@@ -181,11 +182,61 @@ def _solve_blocks(op, rhs, rho):
     return _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs)
 
 
-def _signal_arrays(op, shat):
-    """A spectral signal vector or unfolding rows as ``(C, rows, Lambda)``."""
-    if np.ndim(shat) == 3:
-        return shat
-    return vec_to_signal(shat, op.num_channels, op.mode_length, op.lam)
+def _tap_maps(op):
+    """Forward and adjoint of the visit's unmasked model on its mode-n taps:
+    ``(I_n, M*R)`` factor rows to and from ``(I_n, C*Lambda)`` output rows."""
+    taps, length = op.conv_taps(), op.mode_length
+    tau = np.arange(taps.shape[0] // (op.num_filters * op.rank))
+    rows = np.arange(length)[:, None]
+    lagged = (rows - tau) % length
+    # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
+    leading = (rows + tau) % length * len(tau) + tau
+
+    def forward(x):
+        return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
+
+    def adjoint(z):
+        w = (z @ taps.T).reshape(length * len(tau), -1)
+        return np.take(w, leading, axis=0).sum(axis=1)
+
+    return forward, adjoint
+
+
+def _mode_rows(op, stack):
+    """A ``(C, *shape)`` stack as output rows, mode n first."""
+    return np.moveaxis(stack, 1 + op.mode, 0).reshape(op.mode_length, -1)
+
+
+def _masked_apply(op, mask_stack, x_factor):
+    """Spatial masked forward map of one mode's real factor stack."""
+    rows = _tap_maps(op)[0](x_factor.transpose(1, 0, 2))
+    rest = [s for k, s in enumerate(op.signal_shape) if k != op.mode]
+    rows = rows.reshape([op.mode_length, op.num_channels] + rest)
+    return np.moveaxis(rows, 0, 1 + op.mode) * mask_stack
+
+
+def _masked_adjoint(op, mask_stack, y_stack):
+    """Adjoint of :func:`_masked_apply` on real signal stacks."""
+    rows = _tap_maps(op)[1](_mode_rows(op, y_stack * mask_stack))
+    return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
+
+
+def _signal_arrays(op, shat_vec):
+    """A spectral signal vector as ``(C, I_n, Lambda)`` unfolding rows."""
+    return vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
+
+
+def _half_rhs(op, s):
+    """``W^H s`` on the half spectrum, ``(M, I_n//2 + 1, R)``, from a
+    spectral signal vector or a real ``(C, *shape)`` signal stack, the
+    latter through the visit's mode-n taps."""
+    if np.ndim(s) == 1:
+        rhs = op.adjoint_arrays(_signal_arrays(op, s))
+        return rhs[:, :op.mode_length // 2 + 1]
+    if np.shape(s) != (op.num_channels,) + op.signal_shape:
+        raise ValueError(f"signal stack of shape {np.shape(s)}, expected "
+                         f"{(op.num_channels,) + op.signal_shape}")
+    return rdft_factor(_masked_adjoint(op, 1.0, s), axis=1)
 
 
 def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
@@ -238,8 +289,7 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     ----------
     op : SpectralOperator
     shat_vec : ndarray
-        Spectral signal vector, or its ``(C, rows, Lambda)`` unfolding rows
-        from at least the half spectrum, the only rows read.
+        Spectral signal vector, or the real ``(C, *shape)`` signal stack.
     cfg : SolverConfig
         Uses ``lam``, ``rho_init``, ``rho_adaptive``, ``admm_iters``,
         ``tol_primal`` and ``tol_dual``.
@@ -256,7 +306,7 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
         state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
     x, y, u, rho = state.x, state.y, state.u, state.rho
     length = op.mode_length
-    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec)[:, :length // 2 + 1])
+    rhs = _half_rhs(op, shat_vec)
 
     for _ in range(cfg.admm_iters):
         zhat = rdft_factor(y - u, axis=1)
@@ -363,27 +413,30 @@ def _finish(factors):
             for m in range(m_count)]
 
 
-def _sweep(dictionary, shape, factors, cfg, solve_mode, data_term,
-           check_l2, signal_norm):
+def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
+           check_l2):
     """Run the alternating sweep of a fit, updating `factors` in place.
 
     ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
-    inner iterations and a list of warnings; ``data_term(op, x)`` scores a
-    stack on the same operator, ``0.5 ||W x - s||^2`` with
-    ``||s|| = signal_norm``.  `check_l2` flags a rising objective.
+    inner iterations and a list of warnings.  Each stack is scored on the
+    visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask stack
+    (1.0 for an unmasked fit).  `check_l2` flags a rising objective.
     Returns the report and the operator of the last visit."""
     report = SolveReport()
-    spectra = filter_spectra(dictionary, shape)
     modes = range(len(shape))
     correlations = [filter_correlations(dictionary, shape, n) for n in modes]
-    unfolded = [unfold_spectra(spectra, n) for n in modes]
+    signal_norm = float(np.linalg.norm(s_obs))
+
+    def data_term(op, x):
+        r = _masked_apply(op, mask_stack, x) - s_obs
+        return 0.5 * float(np.sum(r * r))
+
     prev_obj = None
     for sweep in range(cfg.outer_iters):
         inner = 0
         for n in modes:
             op = SpectralOperator(dictionary, shape, factors, n,
-                                  correlations=correlations[n],
-                                  unfolded=unfolded[n])
+                                  correlations=correlations[n])
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(op, factors[n])
                                   + _reg_term(factors, cfg))
@@ -439,21 +492,10 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     """
     t0 = time.perf_counter()
     s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg, init)
-    # per mode, the (C, I_n//2 + 1, Lambda) half spectrum of the signal
-    shat = [rdft_unfolded(s_stack, n) for n in range(len(shape))]
-
-    def data_term(op, x):
-        r = op.apply_arrays(rdft_factor(x, axis=1)) - shat[op.mode]
-        per_row = np.sum(r.real ** 2 + r.imag ** 2, axis=(0, 2))
-        # Parseval: all rows but the self-conjugate 0 and I_n/2 stand for
-        # a conjugate pair
-        own = per_row[0] + (per_row[-1] if op.mode_length % 2 == 0 else 0.0)
-        return float(per_row.sum() - 0.5 * own)
 
     if cfg.reg == "l2":
         def solve_mode(op, x, sweep):
-            rhs = op.adjoint_arrays(shat[op.mode])
-            xhat = _solve_blocks(op, rhs, cfg.alpha)
+            xhat = _solve_blocks(op, _half_rhs(op, s_stack), cfg.alpha)
             return irdft_factor(xhat, op.mode_length, axis=1), 1, []
     else:
         # each mode warm-starts from its own AdmmState, not from x
@@ -462,8 +504,7 @@ def lrd_fit(signal, dictionary, cfg, init=None):
 
         def solve_mode(op, x, sweep):
             done = states[op.mode].iterations
-            y, state = solve_mode_admm(op, shat[op.mode], cfg,
-                                       states[op.mode])
+            y, state = solve_mode_admm(op, s_stack, cfg, states[op.mode])
             iters = state.iterations - done
             primal, dual = state.primal_residuals[-1], state.dual_residuals[-1]
             warnings = []
@@ -475,50 +516,10 @@ def lrd_fit(signal, dictionary, cfg, init=None):
                     f"(tol_dual {cfg.tol_dual:.1e})")
             return y, iters, warnings
 
-    report, _ = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                       data_term, check_l2=cfg.reg == "l2",
-                       signal_norm=float(np.linalg.norm(s_stack)))
+    report, _ = _sweep(dictionary, shape, factors, cfg, solve_mode, 1.0,
+                       s_stack, check_l2=cfg.reg == "l2")
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
-
-
-def _tap_maps(op):
-    """Forward and adjoint of the visit's unmasked model on its mode-n taps:
-    ``(I_n, M*R)`` factor rows to and from ``(I_n, C*Lambda)`` output rows."""
-    taps, length = op.conv_taps(), op.mode_length
-    tau = np.arange(taps.shape[0] // (op.num_filters * op.rank))
-    rows = np.arange(length)[:, None]
-    lagged = (rows - tau) % length
-    # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
-    leading = (rows + tau) % length * len(tau) + tau
-
-    def forward(x):
-        return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
-
-    def adjoint(z):
-        w = (z @ taps.T).reshape(length * len(tau), -1)
-        return np.take(w, leading, axis=0).sum(axis=1)
-
-    return forward, adjoint
-
-
-def _mode_rows(op, stack):
-    """A ``(C, *shape)`` stack as output rows, mode n first."""
-    return np.moveaxis(stack, 1 + op.mode, 0).reshape(op.mode_length, -1)
-
-
-def _masked_apply(op, mask_stack, x_factor):
-    """Spatial masked forward map of one mode's real factor stack."""
-    rows = _tap_maps(op)[0](x_factor.transpose(1, 0, 2))
-    rest = [s for k, s in enumerate(op.signal_shape) if k != op.mode]
-    rows = rows.reshape([op.mode_length, op.num_channels] + rest)
-    return np.moveaxis(rows, 0, 1 + op.mode) * mask_stack
-
-
-def _masked_adjoint(op, mask_stack, y_stack):
-    """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    rows = _tap_maps(op)[1](_mode_rows(op, y_stack * mask_stack))
-    return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
 
 
 def _masked_normal(op, mask_stack, alpha, x):
@@ -613,10 +614,6 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                                    dictionary.num_channels)[0]
     s_obs = s_full * mask_stack
 
-    def data_term(op, x):
-        r = _masked_apply(op, mask_stack, x) - s_obs
-        return 0.5 * float(np.sum(r * r))
-
     def solve_mode(op, x, sweep):
         iters = []
         x, info = _solve_mode_masked_cg(op, mask_stack, s_obs, cfg.alpha, x,
@@ -637,8 +634,7 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
         return x, len(iters), warnings
 
     report, op = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                        data_term, check_l2=False,
-                        signal_norm=float(np.linalg.norm(s_obs)))
+                        mask_stack, s_obs, check_l2=False)
 
     # unmasked, the last visit's map of its final factors is the model output
     out = _masked_apply(op, 1.0, factors[-1])

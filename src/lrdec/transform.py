@@ -5,9 +5,10 @@ forward and inverse are unitary: norms and inner products are preserved.
 A rank-R factored tensor is separable, so its full N-D transform equals the
 factored tensor rebuilt from the 1-D transforms of its factor columns.
 
-The fits carry only frequencies ``0..I//2`` (the half spectrum) of real
-data along a mode, the rest being their conjugates; the ``rdft_*`` and
-``irdft_*`` functions are those real-input transforms.
+The fits' block solves carry only frequencies ``0..I//2`` (the half
+spectrum) of a real factor along its mode, the rest being their
+conjugates; :func:`rdft_factor` and :func:`irdft_factor` are those
+real-input transforms.  No fit transforms the signal.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ __all__ = [
     "idft_factor",
     "rdft_factor",
     "irdft_factor",
-    "rdft_unfolded",
 ]
 
 
@@ -95,14 +95,3 @@ def irdft_factor(xhat, length, axis=0):
     self-conjugate frequencies (0, and ``length/2`` for even `length`)."""
     return np.fft.irfft(xhat, n=length, axis=axis, norm="ortho")
 
-
-def rdft_unfolded(t, mode):
-    """Frequencies ``0..I_n//2`` of :func:`dft_nd` of each real tensor of a
-    ``(C, I_0, ..., I_{N-1})`` stack, as the ``(C, I_n//2 + 1, Lambda)``
-    leading rows of their mode-`mode` unfoldings."""
-    # `mode`, then the others descending (so a C-order reshape runs the
-    # earliest fastest, as `unfold` does); `mode` is the last, halved axis
-    order = [1 + mode] + [k for k in range(t.ndim - 1, 0, -1) if k != 1 + mode]
-    spec = np.fft.rfftn(t.transpose([0] + order), norm="ortho",
-                        axes=tuple(range(2, t.ndim)) + (1,))
-    return spec.reshape(spec.shape[:2] + (-1,))

@@ -282,6 +282,30 @@ class TestMetrics:
         assert len(fields) == 4
         assert int(fields[3]) == 2 * (6 + 6) * 2  # M * sum(I_n) * R
 
+    def test_activation_gap_is_runtime_error(self, tmp_path, capsys):
+        src = synth_dir(tmp_path, "src")
+        (src / "activation_m0_mode1.lrt").unlink()
+        capsys.readouterr()
+        assert run_cli("metrics", "--ref", src / "signal.lrt",
+                       "--est", src / "signal.lrt",
+                       "--activations", src) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "activation_m0_mode1.lrt" in captured.err
+
+    def test_two_activation_sets_are_runtime_error(self, tmp_path, capsys):
+        src = synth_dir(tmp_path, "src")
+        for path in sorted(src.glob("activation_*.lrt")):
+            (src / path.name.replace("activation", "point1")).write_bytes(
+                path.read_bytes())
+        capsys.readouterr()
+        assert run_cli("metrics", "--ref", src / "signal.lrt",
+                       "--est", src / "signal.lrt",
+                       "--activations", src) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "activation, point1" in captured.err
+
     def test_shape_mismatch_is_runtime_error(self, tmp_path):
         a = tmp_path / "a.lrt"
         b = tmp_path / "b.lrt"

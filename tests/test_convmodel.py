@@ -7,9 +7,8 @@ import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
                              factor_to_vec, filter_correlations,
                              filter_spectra, forward_model, pad_to_shape,
-                             signal_to_vec, unfold_spectra, vec_to_factor,
-                             vec_to_signal)
-from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked
+                             signal_to_vec, vec_to_factor, vec_to_signal)
+from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _half_rhs
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
@@ -346,42 +345,20 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("shape,m_count,rank,channels,mode,support",
                              HALF_SPECTRUM_CASES)
-    def test_apply_and_adjoint_on_the_half_rows(self, shape, m_count, rank,
-                                                channels, mode, support):
+    def test_taps_rhs_matches_spectral_adjoint(self, shape, m_count, rank,
+                                               channels, mode, support):
         op, _, d, factors = tiny_operator(shape, m_count, rank, seed=53,
                                           channels=channels, support=support,
                                           mode=mode)
         half = shape[mode] // 2 + 1
-        # an operator holding only the half unfolding, as the fits build it
-        unfolded = unfold_spectra(filter_spectra(d, shape), mode)
-        assert unfolded.shape == (m_count, channels, half, op.lam)
-        half_op = SpectralOperator(d, shape, factors, mode, unfolded=unfolded)
-        rng = RNG(54)
-        x = rng.standard_normal((m_count, shape[mode], rank)) + \
-            1j * rng.standard_normal((m_count, shape[mode], rank))
-        y = rng.standard_normal((channels, shape[mode], op.lam)) + \
-            1j * rng.standard_normal((channels, shape[mode], op.lam))
-        full_apply = vec_to_signal(op.apply(factor_to_vec(x)), channels,
-                                   shape[mode], op.lam)[:, :half]
-        full_adjoint = vec_to_factor(op.apply_adjoint(signal_to_vec(y)),
-                                     m_count, shape[mode], rank)[:, :half]
-        for o in (op, half_op):
-            for got, want in ((o.apply_arrays(x[:, :half]), full_apply),
-                              (o.adjoint_arrays(y[:, :half]), full_adjoint)):
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12 * max(
-                    1.0, np.max(np.abs(want)))
-
-    def test_operator_rejects_mismatched_unfolding(self):
-        d = random_dictionary((2, 2), 2, seed=55)
-        factors = factor_stacks((5, 4), 2, 1, seed=56)
-        spectra = filter_spectra(d, (5, 4))
-        with pytest.raises(ValueError):
-            SpectralOperator(d, (5, 4), factors, 0,
-                             unfolded=unfold_spectra(spectra, 1))
-        with pytest.raises(ValueError):  # fewer rows than the half
-            SpectralOperator(d, (5, 4), factors, 0,
-                             unfolded=unfold_spectra(spectra, 0)[:, :, :2])
+        signal = RNG(54).standard_normal((channels,) + shape)
+        shat = np.stack([unfold(dft_nd(s), mode) for s in signal])
+        want = op.adjoint_arrays(shat)[:, :half]
+        # the right-hand side the fits build on the taps, from the signal
+        got = _half_rhs(op, signal)
+        assert got.shape == (m_count, half, rank)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(
+            1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("length", [5, 6])
     def test_normal_blocks_mirror_the_half(self, length):
@@ -403,22 +380,26 @@ class TestHalfSpectrum:
                     spectra[m, c], np.fft.fftn(pad_to_shape(d.filter(m, c),
                                                             (4, 5))))
 
-    def test_operator_rejects_mismatched_spectra(self):
-        d = random_dictionary((2, 2), 2, seed=43)
-        factors = factor_stacks((4, 3), 2, 1, seed=44)
-        with pytest.raises(ValueError):
-            SpectralOperator(d, (4, 3), factors, 0,
-                             filter_spectra(d, (4, 4)))
-
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
-    def test_fit_makes_filter_spectra_once(self, monkeypatch, reg):
-        calls = []
-        original = lrdec.convmodel.pad_to_shape
+    def test_fit_makes_no_filter_spectra(self, monkeypatch, reg):
+        calls = {"spectral": 0, "pad_to_shape": 0, "taps_built": 0}
+
+        def spectral(self, rows):
+            calls["spectral"] += 1
 
         def counted(filt, shape):
-            calls.append(shape)
-            return original(filt, shape)
+            calls["pad_to_shape"] += 1
 
+        original = SpectralOperator.conv_taps
+
+        def conv_taps(op):
+            calls["taps_built"] += op._taps is None
+            return original(op)
+
+        # every fit runs on the mode-n taps, built once per visit
+        monkeypatch.setattr(SpectralOperator, "apply_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "adjoint_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
         monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
         d = random_dictionary((2, 2, 2), 3, seed=45, channels=2)
         signal = RNG(46).standard_normal((5, 4, 3, 2))
@@ -430,7 +411,7 @@ class TestHalfSpectrum:
             cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
             _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
-        assert len(calls) == d.num_filters * d.num_channels
+        assert calls == {"spectral": 0, "pad_to_shape": 0, "taps_built": 9}
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fit_makes_filter_correlations_once_per_mode(self, monkeypatch,
@@ -457,34 +438,9 @@ class TestHalfSpectrum:
         assert report.sweeps == 3
         assert modes == [0, 1, 2]
 
-    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
-    def test_fit_unfolds_filter_spectra_once_per_mode(self, monkeypatch,
-                                                       reg):
-        calls = []
-        original = lrdec.convmodel.unfold_spectra
-
-        def counted(spectra, mode, half=True):
-            calls.append((mode, half))
-            return original(spectra, mode, half)
-
-        # an operator unfolds the spectra itself when the fit passes none
-        monkeypatch.setattr(lrdec.convmodel, "unfold_spectra", counted)
-        monkeypatch.setattr(lrdec.solver, "unfold_spectra", counted)
-        d = random_dictionary((2, 2, 2), 2, seed=57, channels=2)
-        signal = RNG(58).standard_normal((5, 4, 3, 2))
-        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", rank=2,
-                           outer_iters=3, admm_iters=5)
-        if reg == "masked":
-            mask = RNG(59).random(signal.shape) < 0.7
-            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
-        else:
-            report = lrd_fit(signal, d, cfg)[-1]
-        assert report.sweeps == 3
-        assert calls == [(0, True), (1, True), (2, True)]
-
     def test_operator_rejects_mismatched_correlations(self):
         d = random_dictionary((2, 2), 2, seed=51)
         factors = factor_stacks((4, 3), 2, 1, seed=52)
         with pytest.raises(ValueError):
-            SpectralOperator(d, (4, 3), factors, 0, None,
-                             filter_correlations(d, (4, 3), 1))
+            SpectralOperator(d, (4, 3), factors, 0,
+                             correlations=filter_correlations(d, (4, 3), 1))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-import lrdec.solver
-import lrdec.transform
+import lrdec.convmodel
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec)
@@ -225,6 +224,26 @@ class TestSolveModeAdmm:
         y2, state2 = solve_mode_admm(op, shat, cfg, state)
         assert state2.iterations - state.iterations <= state.iterations
         assert np.max(np.abs(y1 - y2)) < 1e-8 * max(1.0, np.max(np.abs(y1)))
+
+
+    @pytest.mark.parametrize("shape,channels,mode", [
+        ((5, 4), 1, 0), ((4, 5, 3), 2, 1)])
+    def test_signal_stack_matches_spectral_vector(self, shape, channels,
+                                                  mode):
+        d = unit_norm_dictionary((2,) * len(shape), 2, seed=18,
+                                 channels=channels)
+        factors = factor_stacks(shape, 2, 2, seed=19)
+        stack = RNG(20).standard_normal((channels,) + shape)
+        shat = signal_to_vec(np.stack([unfold(dft_nd(c), mode)
+                                       for c in stack]))
+        op = SpectralOperator(d, shape, factors, mode)
+        cfg = SolverConfig(reg="l1", lam=0.05, admm_iters=40)
+        y_vec, _ = solve_mode_admm(op, shat, cfg)
+        y_stack, _ = solve_mode_admm(op, stack, cfg)
+        assert np.max(np.abs(y_stack - y_vec)) <= 1e-10 * max(
+            1.0, np.max(np.abs(y_vec)))
+        with pytest.raises(ValueError):  # a signal without its channel axis
+            solve_mode_admm(op, stack[0], cfg)
 
 
 class TestDataTermGradient:
@@ -471,13 +490,13 @@ class TestMaskedPath:
             1.0, np.linalg.norm(dense)) < 1e-8
 
     def test_fit_runs_on_taps_built_once_per_visit(self, monkeypatch):
-        calls = {"spectral": 0, "rdft_unfolded": 0, "taps_built": 0}
+        calls = {"spectral": 0, "pad_to_shape": 0, "taps_built": 0}
 
         def spectral(self, rows):
             calls["spectral"] += 1
 
-        def unfolded(t, mode):
-            calls["rdft_unfolded"] += 1
+        def pad_to_shape(filt, shape):
+            calls["pad_to_shape"] += 1
 
         original = SpectralOperator.conv_taps
 
@@ -488,15 +507,14 @@ class TestMaskedPath:
         monkeypatch.setattr(SpectralOperator, "apply_arrays", spectral)
         monkeypatch.setattr(SpectralOperator, "adjoint_arrays", spectral)
         monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
-        monkeypatch.setattr(lrdec.solver, "rdft_unfolded", unfolded)
-        monkeypatch.setattr(lrdec.transform, "rdft_unfolded", unfolded)
+        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", pad_to_shape)
         d = unit_norm_dictionary((2, 2, 2), 2, seed=63, channels=2)
         signal = RNG(64).standard_normal((5, 4, 3, 2))
         mask = RNG(65).random(signal.shape) < 0.7
         cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
         report = lrd_fit_masked(signal, mask, d, cfg)[-1]
         assert report.sweeps == 3
-        assert calls == {"spectral": 0, "rdft_unfolded": 0, "taps_built": 9}
+        assert calls == {"spectral": 0, "pad_to_shape": 0, "taps_built": 9}
 
     @pytest.mark.parametrize("shape,support,channels", [
         ((7, 6), (3, 2), 1), ((6, 5, 4), (2, 3, 2), 2)])
