@@ -8,8 +8,11 @@ mode solvers on it and scores the objective on that same operator.  The
 solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 
 * a closed-form ridge solve (squared-norm penalty on the factors): 1;
-* an ADMM loop for the l1 penalty, whose quadratic step reuses the ridge
-  block solve through a proximal term: its ADMM iterations;
+* an ADMM loop for the l1 penalty, whose quadratic step is the ridge
+  block solve with a proximal term ``rho``; one eigendecomposition of the
+  visit's half Gram stack serves every ``rho`` the adaptive loop visits,
+  so each step is two batched matrix-vector products and a divide: its
+  ADMM iterations;
 * a conjugate-gradient solve for masked signals, where the spatial mask
   breaks the per-frequency decoupling, preconditioned by the unmasked
   per-frequency blocks with the mask taken as its observed fraction: its
@@ -174,14 +177,6 @@ def _per_frequency(apply_blocks, xhat):
     return apply_blocks(cols).reshape(rows, m_count, rank).transpose(1, 0, 2)
 
 
-def _solve_blocks(op, rhs, rho):
-    """Solve ``(W^H W + rho I) x = rhs`` per mode-n frequency on the half
-    spectrum, with `rhs` and `x` spectral stacks ``(M, I_n//2 + 1, R)``."""
-    gram = op.gram_blocks()
-    blocks = gram + rho * np.eye(gram.shape[1])
-    return _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs)
-
-
 def _tap_maps(op):
     """Forward and adjoint of the visit's unmasked model on its mode-n taps:
     ``(I_n, M*R)`` factor rows to and from ``(I_n, C*Lambda)`` output rows."""
@@ -306,12 +301,23 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
         state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
     x, y, u, rho = state.x, state.y, state.u, state.rho
     length = op.mode_length
-    rhs = _half_rhs(op, shat_vec)
+    # one eigendecomposition G = V diag(w) V^H serves every rho:
+    # (G + rho I)^-1 = V diag(1 / (w + rho)) V^H; the blocks are PSD by
+    # construction, so a negative w is roundoff
+    w, v = np.linalg.eigh(op.gram_blocks())
+    w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
+    rows = len(w)
+
+    def eigen_cols(stack):
+        return vh @ stack.transpose(1, 0, 2).reshape(rows, -1, 1)
+
+    proj = eigen_cols(_half_rhs(op, shat_vec))
 
     for _ in range(cfg.admm_iters):
         zhat = rdft_factor(y - u, axis=1)
-        x = irdft_factor(_solve_blocks(op, rhs + rho * zhat, rho), length,
-                         axis=1)
+        coef = (proj + rho * eigen_cols(zhat)) / (w + rho)
+        xhat = (v @ coef).reshape(rows, op.num_filters, -1).transpose(1, 0, 2)
+        x = irdft_factor(xhat, length, axis=1)
         y_prev = y
         y = soft_threshold(x + u, cfg.lam / rho)
         u = u + x - y
@@ -495,7 +501,18 @@ def lrd_fit(signal, dictionary, cfg, init=None):
 
     if cfg.reg == "l2":
         def solve_mode(op, x, sweep):
-            xhat = _solve_blocks(op, _half_rhs(op, s_stack), cfg.alpha)
+            # one LU of the half Gram stack per visit
+            gram = op.gram_blocks()
+            blocks = gram + cfg.alpha * np.eye(gram.shape[1])
+            rhs = _half_rhs(op, s_stack)
+            try:
+                xhat = _per_frequency(
+                    lambda rows: np.linalg.solve(blocks, rows), rhs)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    f"ridge blocks are singular at sweep {sweep} mode "
+                    f"{op.mode} with alpha={cfg.alpha:g}: a positive alpha "
+                    f"is needed") from None
             return irdft_factor(xhat, op.mode_length, axis=1), 1, []
     else:
         # each mode warm-starts from its own AdmmState, not from x

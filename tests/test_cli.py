@@ -147,6 +147,20 @@ class TestReconstruct:
         assert captured.out == ""
         assert captured.err.startswith("error: alpha must be finite")
 
+    def test_zero_alpha_on_singular_blocks_is_runtime_error(self, tmp_path,
+                                                            capsys):
+        # 4 filters at rank 2 on a 1-D signal: every ridge block is 8x8 of
+        # rank 1, singular at alpha = 0
+        src = synth_dir(tmp_path, "src", shape="16", support="5", m=4)
+        capsys.readouterr()
+        code = run_cli("reconstruct", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd",
+                       "--reg", "l2", "--alpha", "0", "--rank", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ridge blocks are singular")
+        assert "alpha=0: a positive alpha is needed" in err
+
     def test_missing_signal_file_is_runtime_error(self, tmp_path):
         src = synth_dir(tmp_path, "src")
         code = run_cli("reconstruct", "--signal", tmp_path / "nope.lrt",

@@ -1,10 +1,12 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 import lrdec.convmodel
+import lrdec.solver
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec)
@@ -225,6 +227,27 @@ class TestSolveModeAdmm:
         assert state2.iterations - state.iterations <= state.iterations
         assert np.max(np.abs(y1 - y2)) < 1e-8 * max(1.0, np.max(np.abs(y1)))
 
+    @pytest.mark.parametrize("rho_init", [1e-8, 1e-15, 1e-17])
+    def test_singular_blocks_match_proximal_gradient_reference(self,
+                                                               rho_init):
+        # M*R = 6 > C*Lambda = 1: every Gram block has rank 1, and at
+        # rho = 1e-17 the shifted blocks G + rho I round to singular
+        shape, lam = (6,), 0.05
+        d = unit_norm_dictionary((3,), 3, seed=70)
+        factors = factor_stacks(shape, 3, 2, seed=71)
+        signal = RNG(72).standard_normal(shape)
+        op = SpectralOperator(d, shape, factors, 0)
+        cfg = SolverConfig(reg="l1", lam=lam, rho_init=rho_init,
+                           admm_iters=3000, tol_primal=1e-11, tol_dual=1e-11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y, _ = solve_mode_admm(op, signal[None], cfg)
+        a_mat = materialize_spatial_forward(d.filters, shape, factors, 0)
+        x_ref = ista_l1(a_mat, signal, lam)
+        obj = admm_objective(a_mat, signal, y, lam)
+        obj_ref = 0.5 * np.sum((a_mat @ x_ref - signal) ** 2) + \
+            lam * np.sum(np.abs(x_ref))
+        assert abs(obj - obj_ref) <= 1e-4 * max(1.0, abs(obj_ref))
 
     @pytest.mark.parametrize("shape,channels,mode", [
         ((5, 4), 1, 0), ((4, 5, 3), 2, 1)])
@@ -398,6 +421,50 @@ class TestLrdFit:
                     if w.startswith("l2 objective increased")]
         recon = forward_model(d, acts)
         assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
+
+    def test_l2_singular_ridge_blocks_ask_for_positive_alpha(self):
+        # M*R = 8 > C*Lambda = 1 on a 1-D signal: alpha = 0 leaves every
+        # ridge block singular
+        d, _, signal = make_problem((16,), (5,), m_count=4, rank=2, seed=0)
+        cfg = SolverConfig(reg="l2", alpha=0.0, rank=2)
+        with pytest.raises(ValueError, match=r"^ridge blocks are singular "
+                           r"at sweep 0 mode 0 with alpha=0: a positive "
+                           r"alpha is needed$"):
+            lrd_fit(signal, d, cfg)
+        # alpha = 0 stays valid where the blocks are non-singular
+        d, _, signal = synthesize((6, 5), (2, 2), 1, 1, seed=42)
+        _, report = lrd_fit(signal, d, SolverConfig(reg="l2", alpha=0.0,
+                                                    rank=1, outer_iters=5))
+        assert report.sweeps >= 1
+        assert np.isfinite(report.objectives[-1])
+
+    def test_l1_factors_gram_once_per_visit_and_l2_solves_once(
+            self, monkeypatch):
+        calls = {"eigh": 0, "solve": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lrdec.solver.np.linalg, name, counted(name))
+        d, _, signal = synthesize((5, 4, 3), (2, 2, 2), 2, 2, seed=43)
+        cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=3,
+                           admm_iters=50, tol_outer=1e-15)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.sweeps == 3
+        assert sum(report.inner_iters) > 9  # more ADMM steps than visits
+        assert calls == {"eigh": 9, "solve": 0}
+
+        calls.update(eigh=0, solve=0)
+        cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.sweeps == 3
+        assert calls == {"eigh": 0, "solve": 9}
 
 
 class TestMaskedPath:
