@@ -11,8 +11,8 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
 * an ADMM loop for the l1 penalty, whose quadratic step is the ridge
   block solve with a proximal term ``rho``; one eigendecomposition of the
   visit's half Gram stack serves every ``rho`` the adaptive loop visits,
-  so each step is two batched matrix-vector products and a divide: its
-  ADMM iterations;
+  so each step, on the ``(I_n, M*R)`` factor rows, is two real FFTs, two
+  batched eigenbasis products and a shrink: its ADMM iterations;
 * a conjugate-gradient solve for masked signals, where the spatial mask
   breaks the per-frequency decoupling, preconditioned by the unmasked
   per-frequency blocks with the mask taken as its observed fraction: its
@@ -141,9 +141,10 @@ class SolveReport:
     ``objectives`` etc. carry one entry per completed outer sweep;
     ``mode_objectives`` is the finer trace with one entry per mode solve.
     ``relative_residuals`` is the sweep's ``||W x - s|| / ||s||``, over the
-    observed entries for a masked fit.  ``inner_iters`` sums a sweep's
-    inner work over its mode visits: 1 per ridge solve, else the ADMM or
-    CG iterations run.
+    observed entries for a masked fit, and 0 for an all-zero signal, which
+    the first visit's zero factors fit exactly.  ``inner_iters`` sums a
+    sweep's inner work over its mode visits: 1 per ridge solve, else the
+    ADMM or CG iterations run.
     """
 
     objectives: list = field(default_factory=list)
@@ -159,14 +160,15 @@ class SolveReport:
 
 
 def soft_threshold(v, gamma):
-    """Elementwise shrinkage ``sign(v) * max(|v| - gamma, 0)``.
+    """Elementwise shrinkage ``sign(v) * max(|v| - gamma, 0)``, computed as
+    ``v - clip(v, -gamma, gamma)``.
 
     Proximal map of ``gamma * ||.||_1``; `gamma` must be non-negative.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     v = np.asarray(v)
-    return np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0)
+    return v - v.clip(-gamma, gamma)
 
 
 def _per_frequency(apply_blocks, xhat):
@@ -197,9 +199,9 @@ def _tap_maps(op):
     return forward, adjoint
 
 
-def _mode_rows(op, stack):
-    """A ``(C, *shape)`` stack as output rows, mode n first."""
-    return np.moveaxis(stack, 1 + op.mode, 0).reshape(op.mode_length, -1)
+def _mode_rows(stack, mode):
+    """A ``(C, *shape)`` stack as output rows, mode `mode` first."""
+    return np.moveaxis(stack, 1 + mode, 0).reshape(stack.shape[1 + mode], -1)
 
 
 def _masked_apply(op, mask_stack, x_factor):
@@ -212,7 +214,7 @@ def _masked_apply(op, mask_stack, x_factor):
 
 def _masked_adjoint(op, mask_stack, y_stack):
     """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    rows = _tap_maps(op)[1](_mode_rows(op, y_stack * mask_stack))
+    rows = _tap_maps(op)[1](_mode_rows(y_stack * mask_stack, op.mode))
     return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
 
 
@@ -278,7 +280,9 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     Alternates the frequency-domain quadratic step with spatial shrinkage
     and a scaled dual update; the auxiliary (sparse) stack is returned as
     the solution.  Residual-balancing adaptation of the penalty is applied
-    when ``cfg.rho_adaptive``.
+    when ``cfg.rho_adaptive``.  The loop runs on the ``(I_n, M*R)`` mode-n
+    factor rows of the taps and the masked CG; `state` keeps its
+    ``(M, I_n, R)`` stacks, converted once per call.
 
     Parameters
     ----------
@@ -299,30 +303,32 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     dims = (op.num_filters, op.mode_length, op.rank)
     if state is None:
         state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
-    x, y, u, rho = state.x, state.y, state.u, state.rho
     length = op.mode_length
     # one eigendecomposition G = V diag(w) V^H serves every rho:
     # (G + rho I)^-1 = V diag(1 / (w + rho)) V^H; the blocks are PSD by
     # construction, so a negative w is roundoff
     w, v = np.linalg.eigh(op.gram_blocks())
     w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
-    rows = len(w)
+    rhs = _half_rhs(op, shat_vec).transpose(1, 0, 2).reshape(len(w), -1, 1)
+    proj = vh @ rhs
 
-    def eigen_cols(stack):
-        return vh @ stack.transpose(1, 0, 2).reshape(rows, -1, 1)
+    def steps(rho):  # the step's scales, made again only when rho moves
+        inv = 1.0 / (w + rho)
+        return proj * inv, rho * inv
 
-    proj = eigen_cols(_half_rhs(op, shat_vec))
-
+    y, u = (s.transpose(1, 0, 2).reshape(length, -1)
+            for s in (state.y, state.u))
+    rho = state.rho
+    base, shift = steps(rho)
     for _ in range(cfg.admm_iters):
-        zhat = rdft_factor(y - u, axis=1)
-        coef = (proj + rho * eigen_cols(zhat)) / (w + rho)
-        xhat = (v @ coef).reshape(rows, op.num_filters, -1).transpose(1, 0, 2)
-        x = irdft_factor(xhat, length, axis=1)
+        zhat = rdft_factor(y - u)[..., None]
+        x = irdft_factor((v @ (base + shift * (vh @ zhat)))[..., 0], length)
         y_prev = y
         y = soft_threshold(x + u, cfg.lam / rho)
-        u = u + x - y
+        gap = x - y
+        u = u + gap
 
-        primal = np.linalg.norm(x - y)
+        primal = np.linalg.norm(gap)
         dual = rho * np.linalg.norm(y - y_prev)
         primal_rel = primal / max(np.linalg.norm(x), np.linalg.norm(y), _TINY)
         dual_rel = dual / max(rho * np.linalg.norm(u), _TINY)
@@ -331,18 +337,17 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
         state.dual_residuals.append(dual_rel)
         if primal_rel <= cfg.tol_primal and dual_rel <= cfg.tol_dual:
             break
-        if cfg.rho_adaptive:
+        if cfg.rho_adaptive and max(primal, dual) > 10.0 * min(primal, dual):
             # balance the unnormalized residuals; the scaled dual shrinks
             # inversely with rho
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                u = u / 2.0
-            elif dual > 10.0 * primal:
-                rho /= 2.0
-                u = u * 2.0
+            scale = 2.0 if primal > dual else 0.5
+            rho, u = rho * scale, u / scale
+            base, shift = steps(rho)
 
-    state.x, state.y, state.u, state.rho = x, y, u, rho
-    return y.copy(), state
+    state.x, state.y, state.u = (s.reshape(length, op.num_filters, -1)
+                                 .transpose(1, 0, 2) for s in (x, y, u))
+    state.rho = rho
+    return state.y.copy(), state
 
 
 def data_term_gradient(op, shat_vec, x_factor):
@@ -354,9 +359,12 @@ def data_term_gradient(op, shat_vec, x_factor):
 
 
 def _as_channel_stack(signal, num_channels):
-    """Split a signal into (C, *spatial) form; channels live on the last
-    axis when the dictionary is multichannel."""
-    signal = np.asarray(signal, dtype=float)
+    """Split a real signal into (C, *spatial) float form; channels live on
+    the last axis when the dictionary is multichannel."""
+    signal = np.asarray(signal)
+    if np.iscomplexobj(signal):
+        raise ValueError(f"signal must be real, got dtype {signal.dtype}")
+    signal = signal.astype(float, copy=False)
     if num_channels == 1:
         return signal[None], signal.shape
     if signal.ndim < 2 or signal.shape[-1] != num_channels:
@@ -431,10 +439,14 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     report = SolveReport()
     modes = range(len(shape))
     correlations = [filter_correlations(dictionary, shape, n) for n in modes]
+    s_rows = [_mode_rows(s_obs, n) for n in modes]
+    mask_rows = [_mode_rows(mask_stack, n) if np.ndim(mask_stack) else 1.0
+                 for n in modes]
     signal_norm = float(np.linalg.norm(s_obs))
 
-    def data_term(op, x):
-        r = _masked_apply(op, mask_stack, x) - s_obs
+    def data_term(forward, n, x):
+        r = (forward(x.transpose(1, 0, 2).reshape(shape[n], -1))
+             * mask_rows[n] - s_rows[n])
         return 0.5 * float(np.sum(r * r))
 
     prev_obj = None
@@ -443,14 +455,16 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
         for n in modes:
             op = SpectralOperator(dictionary, shape, factors, n,
                                   correlations=correlations[n])
+            forward = _tap_maps(op)[0]
             if prev_obj is None:  # score the start on the first operator
-                prev_obj = obj = (data_term(op, factors[n])
+                prev_obj = obj = (data_term(forward, n, factors[n])
                                   + _reg_term(factors, cfg))
             factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
             inner += iters
             report.warnings.extend(warnings)
             last_obj = obj
-            data, reg = data_term(op, factors[n]), _reg_term(factors, cfg)
+            data = data_term(forward, n, factors[n])
+            reg = _reg_term(factors, cfg)
             obj = data + reg
             report.mode_objectives.append(obj)
             if check_l2 and obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):
@@ -463,10 +477,10 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
         report.data_terms.append(data)
         report.reg_terms.append(reg)
         report.relative_residuals.append(
-            float(np.sqrt(2.0 * data)) / max(signal_norm, _TINY))
+            float(np.sqrt(2.0 * data)) / signal_norm if signal_norm else 0.0)
         report.inner_iters.append(inner)
         report.sweeps += 1
-        if abs(prev_obj - obj) <= cfg.tol_outer * max(abs(prev_obj), _TINY):
+        if abs(prev_obj - obj) <= cfg.tol_outer * abs(prev_obj):
             report.converged = True
             break
         prev_obj = obj
@@ -561,7 +575,7 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
     gram = op.gram_blocks()
     inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
     forward, adjoint = _tap_maps(op)
-    mask_rows = _mode_rows(op, mask_stack)
+    mask_rows = _mode_rows(mask_stack, op.mode)
 
     def matvec(v):
         x = v.reshape(length, -1)
@@ -571,7 +585,7 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
         xhat = rdft_factor(v.reshape(length, -1, 1))
         return irdft_factor(inv @ xhat, length).ravel()
 
-    rhs = adjoint(_mode_rows(op, s_obs) * mask_rows).ravel()
+    rhs = adjoint(_mode_rows(s_obs, op.mode) * mask_rows).ravel()
     shape = (x0.size, x0.size)
     lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
                                              dtype=float)
@@ -615,8 +629,7 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
         raise ValueError("masked completion requires the l2 regularizer")
     if not cfg.alpha > 0:
         raise ValueError("masked completion requires alpha > 0")
-    mask = np.asarray(mask)
-    signal = np.asarray(signal, dtype=float)
+    mask, signal = np.asarray(mask), np.asarray(signal)
     if mask.dtype != bool:
         raise ValueError(f"mask must be boolean, got dtype {mask.dtype}")
     if mask.shape != signal.shape:

@@ -225,3 +225,51 @@ def ista_l1(a, s, lam, step=None, iters=20000, tol=1e-14):
             break
         x = x_new
     return x
+
+
+def admm_l1_by_frequency(gram, rhs, lam, state, iters, tol_primal, tol_dual,
+                         adaptive):
+    """Reference scaled ADMM for one mode's l1 subproblem, on ``(M, I_n, R)``
+    factor stacks, with a dense solve of ``G_i + rho I`` at every frequency
+    ``i`` of every step.
+
+    ``gram`` is the full ``(I_n, M*R, M*R)`` Gram stack, ``rhs`` the real
+    ``W^T s`` stack and ``state`` a dict with the stacks ``x``, ``y``,
+    ``u``, the penalty ``rho``, the step count ``iterations`` and the
+    residual lists ``primal`` and ``dual``, updated in place; ``rhos``
+    collects the penalty after each step.  Returns ``state``.
+    """
+    m_count, length, rank = rhs.shape
+    size = m_count * rank
+    rhat = np.fft.fft(rhs, axis=1) / np.sqrt(length)
+    x, y, u, rho = state["x"], state["y"], state["u"], state["rho"]
+    for _ in range(iters):
+        zhat = np.fft.fft(y - u, axis=1) / np.sqrt(length)
+        xhat = np.empty(zhat.shape, dtype=complex)
+        for i in range(length):
+            b = (rhat[:, i] + rho * zhat[:, i]).reshape(size)
+            sol = np.linalg.solve(gram[i] + rho * np.eye(size), b)
+            xhat[:, i] = sol.reshape(m_count, rank)
+        x = (np.fft.ifft(xhat, axis=1) * np.sqrt(length)).real
+        y_prev = y
+        v = x + u
+        y = np.sign(v) * np.maximum(np.abs(v) - lam / rho, 0.0)
+        u = u + x - y
+        primal = np.linalg.norm(x - y)
+        dual = rho * np.linalg.norm(y - y_prev)
+        primal_rel = primal / max(np.linalg.norm(x), np.linalg.norm(y), 1e-30)
+        dual_rel = dual / max(rho * np.linalg.norm(u), 1e-30)
+        state["iterations"] += 1
+        state["primal"].append(primal_rel)
+        state["dual"].append(dual_rel)
+        if primal_rel <= tol_primal and dual_rel <= tol_dual:
+            state["rhos"].append(rho)
+            break
+        if adaptive:
+            if primal > 10.0 * dual:
+                rho, u = rho * 2.0, u / 2.0
+            elif dual > 10.0 * primal:
+                rho, u = rho / 2.0, u * 2.0
+        state["rhos"].append(rho)
+    state.update(x=x, y=y, u=u, rho=rho)
+    return state

@@ -19,7 +19,8 @@ from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
-from oracles import (fold_by_enumeration, ista_l1,
+from oracles import (admm_l1_by_frequency, fold_by_enumeration,
+                     gram_blocks_by_pairs, ista_l1,
                      materialize_spatial_forward, materialize_w)
 
 RNG = np.random.default_rng
@@ -268,6 +269,48 @@ class TestSolveModeAdmm:
         with pytest.raises(ValueError):  # a signal without its channel axis
             solve_mode_admm(op, stack[0], cfg)
 
+    @pytest.mark.parametrize("shape,rho_init", [((6, 5), 1.0),
+                                                ((5, 6), 100.0)])
+    def test_matches_stack_reference_over_warm_starts(self, shape, rho_init):
+        # the loop runs on (I_n, M*R) rows and rescales its step only when
+        # rho moves; the reference runs the stack loop with a dense solve
+        # of G_i + rho I per frequency and step
+        mode, m_count, rank = 1, 2, 2
+        d = unit_norm_dictionary((2, 2), m_count, seed=83)
+        factors = factor_stacks(shape, m_count, rank, seed=84)
+        signal = RNG(85).standard_normal(shape)
+        op = SpectralOperator(d, shape, factors, mode)
+        cfg = SolverConfig(reg="l1", lam=0.05, rho_init=rho_init,
+                           admm_iters=25, tol_primal=1e-9, tol_dual=1e-9)
+        a_mat = materialize_spatial_forward(d.filters, shape, factors, mode)
+        length = shape[mode]
+        rhs = (a_mat.T @ signal.reshape(-1, order="F")).reshape(
+            m_count, rank, length).transpose(0, 2, 1)
+        gram = gram_blocks_by_pairs(d.filters, shape, factors, mode)
+        zero = np.zeros((m_count, length, rank))
+        ref = dict(x=zero, y=zero, u=zero, rho=rho_init, iterations=0,
+                   primal=[], dual=[], rhos=[])
+        state = None
+        for _ in range(3):
+            y, state = solve_mode_admm(op, signal[None], cfg, state)
+            admm_l1_by_frequency(gram, rhs, cfg.lam, ref, cfg.admm_iters,
+                                 cfg.tol_primal, cfg.tol_dual, adaptive=True)
+            assert y.shape == zero.shape
+            np.testing.assert_allclose(y, ref["y"], rtol=0, atol=1e-10)
+            for name in ("x", "y", "u"):
+                got = getattr(state, name)
+                assert got.shape == zero.shape
+                np.testing.assert_allclose(got, ref[name], rtol=0,
+                                           atol=1e-10)
+            assert state.rho == ref["rho"]
+            assert state.iterations == ref["iterations"]
+            np.testing.assert_allclose(state.primal_residuals, ref["primal"],
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(state.dual_residuals, ref["dual"],
+                                       rtol=0, atol=1e-10)
+        steps = np.divide(ref["rhos"][1:], ref["rhos"][:-1])
+        assert np.any(steps == 2.0) and np.any(steps == 0.5)
+
 
 class TestDataTermGradient:
     @pytest.mark.parametrize("seed", [20, 21, 22, 23, 24])
@@ -400,6 +443,51 @@ class TestLrdFit:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             lrd_fit(bad, d, SolverConfig())
+
+    def test_rejects_complex_signal(self):
+        d = unit_norm_dictionary((2, 2), 1, seed=40)
+        with pytest.raises(ValueError, match="complex128"):
+            lrd_fit(np.ones((4, 4), dtype=complex), d, SolverConfig())
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_stopping_and_residuals_are_scale_free(self, masked):
+        # fitting c s with alpha c on two modes scales the factors by
+        # sqrt(c) and leaves the relative residuals as they are
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        mask = RNG(2).uniform(size=signal.shape) > 0.3
+        runs = {}
+        for c in (1e-100, 1e-20, 1.0, 1e100):
+            if masked:
+                cfg = SolverConfig(reg="l2", alpha=3e-3 * c, rank=2,
+                                   outer_iters=8, cg_tol=1e-10)
+                report = lrd_fit_masked(c * signal, mask, d, cfg)[2]
+            else:
+                cfg = SolverConfig(reg="l2", alpha=1e-4 * c, rank=2,
+                                   outer_iters=40)
+                report = lrd_fit(c * signal, d, cfg)[1]
+            runs[c] = report
+        want = runs[1.0]
+        assert want.sweeps == cfg.outer_iters and not want.converged
+        for c, report in runs.items():
+            assert (report.sweeps, report.converged) == (want.sweeps,
+                                                         want.converged), c
+            np.testing.assert_allclose(report.relative_residuals,
+                                       want.relative_residuals, rtol=1e-6,
+                                       atol=0, err_msg=f"c={c}")
+
+    @pytest.mark.parametrize("reg", ["l1", "l2", "masked"])
+    def test_zero_signal_reports_zero_relative_residual(self, reg):
+        d = unit_norm_dictionary((2, 2), 2, seed=31)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", rank=2,
+                           outer_iters=3)
+        if reg == "masked":
+            mask = RNG(3).uniform(size=(5, 4)) > 0.5
+            report = lrd_fit_masked(np.zeros((5, 4)), mask, d, cfg)[2]
+        else:
+            report = lrd_fit(np.zeros((5, 4)), d, cfg)[1]
+        assert report.converged
+        assert report.relative_residuals == [0.0] * report.sweeps
 
     def test_rejects_inconsistent_num_filters(self):
         d = unit_norm_dictionary((2, 2), 2, seed=41)
@@ -623,6 +711,12 @@ class TestMaskedPath:
         with pytest.raises(ValueError):
             lrd_fit_masked(np.zeros((4, 4)), np.zeros((4, 4), dtype=bool), d,
                            SolverConfig())
+
+    def test_rejects_complex_signal(self):
+        d = unit_norm_dictionary((2, 2), 1, seed=59)
+        with pytest.raises(ValueError, match="complex64"):
+            lrd_fit_masked(np.ones((4, 4), dtype=np.complex64),
+                           np.ones((4, 4), dtype=bool), d, SolverConfig())
 
     def test_rejects_shape_mismatch(self):
         d = unit_norm_dictionary((2, 2), 1, seed=59)
