@@ -1,23 +1,20 @@
-"""Forward convolutional model and its per-mode frequency-domain operator.
+"""Forward convolutional model and its per-mode operator.
 
 The model synthesizes a signal as ``sum_m d_m (*) K_m`` with ``(*)`` the
 N-dimensional circular convolution, ``d_m`` small-support filters and
 ``K_m`` rank-R factored activation tensors.  For a fixed mode ``n`` the map
-from the stacked mode-n factors to the signal spectrum is linear; that map
-is :class:`SpectralOperator`.  The operator never materializes its matrix:
-the filter spectra act diagonally and the remaining factors act through a
-Khatri-Rao matrix, which also decouples the normal equations into one small
-Hermitian block per mode-n frequency.
+from the stacked mode-n factors to the model output is linear; that map
+is :class:`SpectralOperator`.  The operator never materializes its matrix.
 
-The operator has three forms, each made on first use and cached: the
-Gram blocks of its normal equations, the real mode-n convolution taps of
-the map, and the spectral map itself (filter spectra and the Khatri-Rao
-chain of factor spectra).  The fits use only the taps and the Gram
-blocks, so no fit makes filter spectra; the spectral map serves the
-vector API (:meth:`SpectralOperator.apply` and its adjoint).  Filters and
+The operator has two forms, each made on first use and cached: the Gram
+blocks of its normal equations, which the unitary DFT along mode ``n``
+splits into one small Hermitian block per mode-n frequency, and the real
+mode-n convolution taps, on which the map itself runs.  Filters and
 factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
-``0..I_n//2`` (the half spectrum) only.
+``0..I_n//2`` (the half spectrum) only.  No operator makes filter spectra;
+:func:`filter_spectra` serves :func:`forward_model`, the independent FFT
+reference that the taps are checked against.
 
 Gram blocks in the lag domain
 -----------------------------
@@ -48,8 +45,8 @@ keeps ``J_k = min(2 L_k - 1, I_k)`` lags, stored in DFT order: lag index
 
 Mode-n taps
 -----------
-Every fit runs the same map in the signal domain instead.  Channel
-``c`` of the model output, unfolded along mode ``n``, is::
+The map runs in the signal domain.  Channel ``c`` of the model output,
+unfolded along mode ``n``, is::
 
     Y_c = sum_{tau < L_n} S_tau X B_c[tau]
 
@@ -62,8 +59,10 @@ one gather and one real product ``[S_0 X ... S_{L_n-1} X] @ B``, and the
 adjoint ``Z B^T`` and ``L_n`` shifted row sums, with
 :meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
 the ``B_c[tau]``.  Its columns run over the channels and then the other
-modes in ascending order, the last fastest (not the order of ``unfold``).
-Unlike the spectral map's, its work grows with ``L_n``.
+modes in ascending order, the last fastest (not the order of ``unfold``):
+the row layout of :func:`stack_to_rows`.  Its work grows with ``L_n``.
+The fits call these row maps (:meth:`SpectralOperator.tap_maps`); the
+vector API wraps them in unitary DFTs of arbitrary complex spectra.
 
 Vector layouts
 --------------
@@ -75,8 +74,8 @@ unfolding, giving length ``C * I_n * Lambda``.
 
 import numpy as np
 
-from .tensor import co_size, kruskal_reconstruct, KruskalTensor, unfold
-from .transform import dft_factor, dft_nd, idft_nd
+from .tensor import co_size, kruskal_reconstruct, KruskalTensor
+from .transform import dft_nd, idft_nd
 
 __all__ = [
     "Dictionary",
@@ -89,6 +88,8 @@ __all__ = [
     "vec_to_factor",
     "signal_to_vec",
     "vec_to_signal",
+    "stack_to_rows",
+    "rows_to_stack",
 ]
 
 
@@ -195,7 +196,7 @@ def filter_spectra(dictionary, shape):
     """Unnormalized FFTs of the filters zero-padded to `shape`.
 
     Returns the ``(M, C, *shape)`` complex stack that :func:`forward_model`
-    and the spectral map of :class:`SpectralOperator` read; no fit makes it.
+    reads; no fit and no :class:`SpectralOperator` makes it.
     """
     shape = tuple(int(s) for s in shape)
     dictionary.check_signal_shape(shape)
@@ -331,19 +332,32 @@ def vec_to_signal(v, num_channels, length, lam):
     return v.reshape(num_channels, lam, length).transpose(0, 2, 1)
 
 
+def stack_to_rows(stack, mode):
+    """A ``(C, *shape)`` stack as the ``(I_n, C*Lambda)`` output rows of the
+    mode-`mode` taps: mode `mode` first, then the channels and the other
+    modes in ascending order, the last fastest."""
+    return np.moveaxis(stack, 1 + mode, 0).reshape(stack.shape[1 + mode], -1)
+
+
+def rows_to_stack(rows, shape, mode):
+    """Inverse of :func:`stack_to_rows` for a signal of spatial `shape`."""
+    rest = [s for k, s in enumerate(shape) if k != mode]
+    return np.moveaxis(rows.reshape([shape[mode], -1] + rest), 0, 1 + mode)
+
+
 class SpectralOperator:
-    """Frequency-domain linear map from one mode's factors to the model output.
+    """Linear map from one mode's factors to the model output.
 
     For mode ``n`` and fixed factors on all other modes, maps the stacked
     spectral factors ``xhat`` (length ``M*R*I_n``) to the stacked spectra of
-    ``sum_m d_m (*) K_m`` unfolded along ``n`` (length ``C*I_n*Lambda``).
-    Filter spectra are unnormalized FFTs of the zero-padded filters, so the
-    map is exactly the unitary-DFT image of the spatial forward model.
+    ``sum_m d_m (*) K_m`` unfolded along ``n`` (length ``C*I_n*Lambda``),
+    both under the unitary DFT.  It runs the real mode-n taps between an
+    inverse DFT along mode ``n`` and a forward N-D DFT in ``unfold`` order.
 
-    Construction only validates and stores; the Gram blocks, the mode-n
-    taps and the spectral map are each made on first use and cached.
-    Immutable otherwise; reuse one instance for all solves of the same mode
-    while the other factors are fixed.
+    Two forms, each made on first use and cached: the half-spectrum Gram
+    blocks of its normal equations and the mode-n taps.  Immutable
+    otherwise; reuse one instance for all solves of the same mode while
+    the other factors are fixed.
 
     Parameters
     ----------
@@ -370,11 +384,13 @@ class SpectralOperator:
         dictionary.check_signal_shape(shape)
         factors = [np.asarray(f) for f in factors]
         m_count = dictionary.num_filters
-        rank = factors[0].shape[2]
+        rank = factors[0].shape[-1:]  # () for a 0-d block, rejected below
         for k, f in enumerate(factors):
-            if f.shape != (m_count, shape[k], rank):
+            if f.shape != (m_count, shape[k]) + rank:
                 raise ValueError(f"factor block {k} has shape {f.shape}, "
-                                 f"expected {(m_count, shape[k], rank)}")
+                                 f"expected an (M, I_{k}, R) stack of shape "
+                                 f"{(m_count, shape[k]) + rank}")
+        rank = rank[0]
         self._lags = [(k, _lags(dictionary.support[k], shape[k]))
                       for k in range(n_modes) if k != mode]
         if correlations is None:
@@ -401,7 +417,7 @@ class SpectralOperator:
         self._dictionary = dictionary
         self._gram = None
         self._taps = None
-        self._spectral = None
+        self._tap_maps = None
 
     @property
     def factor_size(self):
@@ -411,38 +427,26 @@ class SpectralOperator:
     def signal_size(self):
         return self.num_channels * self.mode_length * self.lam
 
-    def _spectral_map(self):
-        """The ``(M, C, I_n, Lambda)`` mode-n unfolding of the filter
-        spectra and the ``(M, R, Lambda)`` Khatri-Rao chain of the other
-        modes' unitary factor spectra, cached."""
-        if self._spectral is not None:
-            return self._spectral
-        mode = self.mode
-        dhat = np.array([[unfold(s, mode) for s in bank] for bank in
-                         filter_spectra(self._dictionary, self.signal_shape)])
-        # in `build_q` order; all ones for a single mode
-        qhat = np.ones((self.num_filters, self.rank, 1), dtype=complex)
-        for k in reversed(range(len(self.signal_shape))):
-            if k != mode:
-                fhat = dft_factor(self._factors[k], axis=1).transpose(0, 2, 1)
-                qhat = (qhat[..., None] * fhat[:, :, None]).reshape(
-                    self.num_filters, self.rank, -1)
-        self._spectral = dhat, qhat
-        return self._spectral
-
     def apply_arrays(self, xhat):
         """Map spectral factors ``(M, I_n, R)`` to output spectra
         ``(C, I_n, Lambda)``."""
-        dhat, qhat = self._spectral_map()
-        terms = (np.asarray(xhat) @ qhat)[:, None]    # (M, 1, I_n, Lambda)
-        return (terms * dhat).sum(axis=0)
+        x = np.fft.ifft(xhat, axis=1, norm="ortho").transpose(1, 0, 2)
+        y = rows_to_stack(self.tap_maps()[0](x), self.signal_shape, self.mode)
+        yhat = np.fft.fftn(y, axes=tuple(range(1, y.ndim)), norm="ortho")
+        # unfold order: the other modes ascending, the first fastest
+        return np.moveaxis(yhat, 1 + self.mode, 1).reshape(
+            self.num_channels, self.mode_length, -1, order="F")
 
     def adjoint_arrays(self, yhat):
         """Adjoint of :meth:`apply_arrays` under the complex inner product."""
-        dhat, qhat = self._spectral_map()
-        # conj(D^H y) @ Q = conj(D^H y @ conj(Q)), no conjugated filter copy
-        corr = (dhat * np.asarray(yhat).conj()).sum(axis=1)
-        return (corr @ qhat.transpose(0, 2, 1)).conj()
+        rest = [s for k, s in enumerate(self.signal_shape) if k != self.mode]
+        yhat = np.moveaxis(np.reshape(
+            yhat, [self.num_channels, self.mode_length] + rest, order="F"),
+            1, 1 + self.mode)
+        y = np.fft.ifftn(yhat, axes=tuple(range(1, yhat.ndim)), norm="ortho")
+        x = self.tap_maps()[1](stack_to_rows(y, self.mode))
+        return np.fft.fft(x.reshape(self.mode_length, self.num_filters, -1)
+                          .transpose(1, 0, 2), axis=1, norm="ortho")
 
     def apply(self, xhat_vec):
         """Vector form of :meth:`apply_arrays`."""
@@ -505,6 +509,28 @@ class SpectralOperator:
                 shifts, tuple(range(2, t.ndim - 2))), -1, pos)
         self._taps = np.moveaxis(t, 3, 0).reshape(-1, d.shape[1] * self.lam)
         return self._taps
+
+    def tap_maps(self):
+        """The taps' forward map and its adjoint, cached: ``(I_n, M*R)``
+        factor rows to and from :func:`stack_to_rows` output rows."""
+        if self._tap_maps is not None:
+            return self._tap_maps
+        taps, length = self.conv_taps(), self.mode_length
+        tau = np.arange(taps.shape[0] // (self.num_filters * self.rank))
+        rows = np.arange(length)[:, None]
+        lagged = (rows - tau) % length
+        # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
+        leading = (rows + tau) % length * len(tau) + tau
+
+        def forward(x):
+            return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
+
+        def adjoint(z):
+            w = (z @ taps.T).reshape(length * len(tau), -1)
+            return np.take(w, leading, axis=0).sum(axis=1)
+
+        self._tap_maps = forward, adjoint
+        return self._tap_maps
 
     def normal_blocks(self, regularizer):
         """Regularized normal-equation blocks ``W^H W + reg I``.

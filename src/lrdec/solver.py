@@ -19,14 +19,14 @@ solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
   CG iterations.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
-convolution taps (``SpectralOperator.conv_taps``), with no FFT: the
+convolution taps (``SpectralOperator.tap_maps``), with no FFT: the
 right-hand side ``W^H s`` is one real product with the taps and ``L_n``
 shifted row sums (the MTTKRP of CP-ALS); the objective
 ``0.5 ||P W x - s||^2``, with ``P`` the mask or 1, is one gather and one
-real product; the CG matvec is both.  That work grows with the mode-n
-filter support ``L_n``, so it beats the spectral map for small filters
-only: for the masked matvec on a 64x64 image (M=8, R=3) they break even
-near ``L_n = 20``, and the l2 and l1 fits pay it once per visit too.
+real product; the CG matvec is both.  Known limit: that work grows with
+the mode-n filter support ``L_n``.  For the masked matvec on a 64x64 image
+(M=8, R=3) it matched the FFT-based map it replaced near ``L_n = 20`` taps
+and runs 3x slower at ``L_n = I_n``; the l2 and l1 fits pay it too.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
@@ -44,7 +44,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
-                        vec_to_factor, vec_to_signal)
+                        rows_to_stack, stack_to_rows, vec_to_factor,
+                        vec_to_signal)
 from .tensor import KruskalTensor
 from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
 
@@ -179,42 +180,15 @@ def _per_frequency(apply_blocks, xhat):
     return apply_blocks(cols).reshape(rows, m_count, rank).transpose(1, 0, 2)
 
 
-def _tap_maps(op):
-    """Forward and adjoint of the visit's unmasked model on its mode-n taps:
-    ``(I_n, M*R)`` factor rows to and from ``(I_n, C*Lambda)`` output rows."""
-    taps, length = op.conv_taps(), op.mode_length
-    tau = np.arange(taps.shape[0] // (op.num_filters * op.rank))
-    rows = np.arange(length)[:, None]
-    lagged = (rows - tau) % length
-    # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
-    leading = (rows + tau) % length * len(tau) + tau
-
-    def forward(x):
-        return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
-
-    def adjoint(z):
-        w = (z @ taps.T).reshape(length * len(tau), -1)
-        return np.take(w, leading, axis=0).sum(axis=1)
-
-    return forward, adjoint
-
-
-def _mode_rows(stack, mode):
-    """A ``(C, *shape)`` stack as output rows, mode `mode` first."""
-    return np.moveaxis(stack, 1 + mode, 0).reshape(stack.shape[1 + mode], -1)
-
-
 def _masked_apply(op, mask_stack, x_factor):
     """Spatial masked forward map of one mode's real factor stack."""
-    rows = _tap_maps(op)[0](x_factor.transpose(1, 0, 2))
-    rest = [s for k, s in enumerate(op.signal_shape) if k != op.mode]
-    rows = rows.reshape([op.mode_length, op.num_channels] + rest)
-    return np.moveaxis(rows, 0, 1 + op.mode) * mask_stack
+    rows = op.tap_maps()[0](x_factor.transpose(1, 0, 2))
+    return rows_to_stack(rows, op.signal_shape, op.mode) * mask_stack
 
 
 def _masked_adjoint(op, mask_stack, y_stack):
     """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    rows = _tap_maps(op)[1](_mode_rows(y_stack * mask_stack, op.mode))
+    rows = op.tap_maps()[1](stack_to_rows(y_stack * mask_stack, op.mode))
     return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
 
 
@@ -439,8 +413,8 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     report = SolveReport()
     modes = range(len(shape))
     correlations = [filter_correlations(dictionary, shape, n) for n in modes]
-    s_rows = [_mode_rows(s_obs, n) for n in modes]
-    mask_rows = [_mode_rows(mask_stack, n) if np.ndim(mask_stack) else 1.0
+    s_rows = [stack_to_rows(s_obs, n) for n in modes]
+    mask_rows = [stack_to_rows(mask_stack, n) if np.ndim(mask_stack) else 1.0
                  for n in modes]
     signal_norm = float(np.linalg.norm(s_obs))
 
@@ -455,7 +429,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
         for n in modes:
             op = SpectralOperator(dictionary, shape, factors, n,
                                   correlations=correlations[n])
-            forward = _tap_maps(op)[0]
+            forward = op.tap_maps()[0]
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(forward, n, factors[n])
                                   + _reg_term(factors, cfg))
@@ -574,8 +548,8 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
     gram = op.gram_blocks()
     inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
-    forward, adjoint = _tap_maps(op)
-    mask_rows = _mode_rows(mask_stack, op.mode)
+    forward, adjoint = op.tap_maps()
+    mask_rows = stack_to_rows(mask_stack, op.mode)
 
     def matvec(v):
         x = v.reshape(length, -1)
@@ -585,7 +559,7 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
         xhat = rdft_factor(v.reshape(length, -1, 1))
         return irdft_factor(inv @ xhat, length).ravel()
 
-    rhs = adjoint(_mode_rows(s_obs, op.mode) * mask_rows).ravel()
+    rhs = adjoint(stack_to_rows(s_obs, op.mode) * mask_rows).ravel()
     shape = (x0.size, x0.size)
     lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
                                              dtype=float)

@@ -175,6 +175,7 @@ class TestSpectralOperator:
         ((2, 3, 2), 2, 2, 1, 1),
         ((3, 4), 2, 2, 3, 0),
         ((5,), 2, 2, 1, 0),
+        ((3, 4, 2), 2, 2, 2, 2),
     ])
     def test_apply_matches_materialized(self, shape, m_count, rank, channels,
                                         mode):
@@ -201,6 +202,7 @@ class TestSpectralOperator:
         ((4, 3), 2, 2, 1),
         ((3, 4, 2), 3, 2, 1),
         ((4, 4), 2, 3, 2),
+        ((3, 4, 2), 2, 2, 2),
     ])
     def test_adjoint_identity(self, shape, m_count, rank, channels):
         op, _, _, _ = tiny_operator(shape, m_count, rank, seed=21,
@@ -239,6 +241,42 @@ class TestSpectralOperator:
                             for c in range(2)])
         rhs = signal_to_vec(stacked)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_rejects_factor_blocks_that_are_not_stacks(self):
+        # per-filter (I_k, R) matrices instead of (M, I_k, R) stacks
+        d = Dictionary(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"\(M, I_0, R\)"):
+            SpectralOperator(d, (4, 3), [np.ones((4, 2)), np.ones((3, 2))], 0)
+
+    def test_vector_api_runs_on_the_taps(self, monkeypatch):
+        calls = {"pad_to_shape": 0, "taps_built": 0}
+        original_pad = lrdec.convmodel.pad_to_shape
+        original_taps = SpectralOperator.conv_taps
+
+        def counted(filt, shape):
+            calls["pad_to_shape"] += 1
+            return original_pad(filt, shape)
+
+        def conv_taps(op):
+            calls["taps_built"] += op._taps is None
+            return original_taps(op)
+
+        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
+        monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
+        op, _, _, factors = tiny_operator((4, 3, 2), 2, 2, seed=29,
+                                          channels=2, mode=1)
+        rng = RNG(30)
+        # the spectrum of a real signal, as the gradient needs
+        shat = signal_to_vec(np.stack([
+            unfold(dft_nd(c), 1) for c in rng.standard_normal((2, 4, 3, 2))]))
+        op.apply(rng.standard_normal(op.factor_size))
+        op.apply_adjoint(shat)
+        op.materialize()
+        lrdec.solver.solve_mode_quadratic(op, shat, None, 0.5)
+        lrdec.solver.data_term_gradient(op, shat, factors[1])
+        lrdec.solver.solve_mode_admm(
+            op, shat, SolverConfig(reg="l1", admm_iters=3))
+        assert calls == {"pad_to_shape": 0, "taps_built": 1}
 
     def test_vec_round_trips(self):
         rng = RNG(27)
