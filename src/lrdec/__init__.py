@@ -15,7 +15,7 @@ from .metrics import (CompressionStats, MetricReport, compression_ratio,
                       evaluate, mse, psnr)
 from .solver import (AdmmState, SolveReport, SolverConfig, lrd_fit,
                      lrd_fit_masked, soft_threshold, solve_mode_admm,
-                     solve_mode_l2, solve_mode_quadratic)
+                     solve_mode_l2)
 from .synth import make_activations, make_filters, make_problem, smooth_low_rank
 from .tensor import (KruskalTensor, build_q, fold, khatri_rao,
                      kruskal_reconstruct, unfold)
@@ -63,7 +63,6 @@ __all__ = [
     "soft_threshold",
     "solve_mode_admm",
     "solve_mode_l2",
-    "solve_mode_quadratic",
     "unfold",
     "write_dictionary",
     "write_image",

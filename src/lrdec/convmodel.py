@@ -468,8 +468,8 @@ class SpectralOperator:
         ``i``.  Each block is built in the lag domain of the module
         docstring, over ``J`` lags instead of ``Lambda`` frequencies.
         Returns the ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of
-        frequencies ``0..I_n//2``, cached; :meth:`normal_blocks` gives the
-        full one.
+        frequencies ``0..I_n//2``, cached; each mode solver shifts it by a
+        multiple of the identity.
         """
         if self._gram is not None:
             return self._gram
@@ -531,22 +531,6 @@ class SpectralOperator:
 
         self._tap_maps = forward, adjoint
         return self._tap_maps
-
-    def normal_blocks(self, regularizer):
-        """Regularized normal-equation blocks ``W^H W + reg I``.
-
-        Returns the full ``(I_n, M*R, M*R)`` stack of Hermitian
-        positive-definite systems, mirrored from :meth:`gram_blocks`;
-        ``regularizer`` must be positive.
-        """
-        if not regularizer > 0:
-            raise ValueError(f"regularizer must be positive, got {regularizer}")
-        half = self.gram_blocks()
-        mirrored = half[1:self.mode_length - len(half) + 1][::-1]
-        blocks = np.concatenate([half, mirrored.conj()])
-        idx = np.arange(blocks.shape[1])
-        blocks[:, idx, idx] += regularizer
-        return blocks
 
     def materialize(self):
         """Dense matrix of the operator, for validation at tiny sizes."""

@@ -4,37 +4,43 @@ The fit decomposes a signal as ``sum_m d_m (*) K_m`` by cycling over the
 tensor modes and, for each mode, minimizing over that mode's stacked
 factors while the others stay fixed.  One sweep loop runs every fit: a
 mode visit builds the mode's :class:`SpectralOperator`, calls one of three
-mode solvers on it and scores the objective on that same operator.  The
-solvers, with the inner work a visit adds to ``SolveReport.inner_iters``:
+mode solvers on it and scores the objective on that same operator.  Each
+solver is the code its fit runs, on the fit's real ``(C, *shape)`` signal
+stack, and the code the acceptance criteria check.  With the inner work a
+visit adds to ``SolveReport.inner_iters``:
 
-* a closed-form ridge solve (squared-norm penalty on the factors): 1;
-* an ADMM loop for the l1 penalty, whose quadratic step is the ridge
-  block solve with a proximal term ``rho``; one eigendecomposition of the
-  visit's half Gram stack serves every ``rho`` the adaptive loop visits,
-  so each step, on the ``(I_n, M*R)`` factor rows, is two real FFTs, two
-  batched eigenbasis products and a shrink: its ADMM iterations;
-* a conjugate-gradient solve for masked signals, where the spatial mask
-  breaks the per-frequency decoupling, preconditioned by the unmasked
-  per-frequency blocks with the mask taken as its observed fraction: its
-  CG iterations.
+* :func:`solve_mode_l2`, the closed-form ridge solve (squared-norm penalty
+  on the factors), one LU of the half Gram stack plus ``alpha I``: 1;
+* :func:`solve_mode_admm`, an ADMM loop for the l1 penalty, whose
+  quadratic step is the ridge block solve with a proximal term ``rho``;
+  one eigendecomposition of the visit's half Gram stack serves every
+  ``rho`` the adaptive loop visits, so each step, on the ``(I_n, M*R)``
+  factor rows, is two real FFTs, two batched eigenbasis products and a
+  shrink: its ADMM iterations;
+* :func:`_solve_mode_masked_cg`, a conjugate-gradient solve for masked
+  signals, where the spatial mask breaks the per-frequency decoupling,
+  preconditioned by the unmasked per-frequency blocks with the mask taken
+  as its observed fraction: the CG iterations it counts.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
 convolution taps (``SpectralOperator.tap_maps``), with no FFT: the
 right-hand side ``W^H s`` is one real product with the taps and ``L_n``
 shifted row sums (the MTTKRP of CP-ALS); the objective
 ``0.5 ||P W x - s||^2``, with ``P`` the mask or 1, is one gather and one
-real product; the CG matvec is both.  Known limit: that work grows with
-the mode-n filter support ``L_n``.  For the masked matvec on a 64x64 image
-(M=8, R=3) it matched the FFT-based map it replaced near ``L_n = 20`` taps
-and runs 3x slower at ``L_n = I_n``; the l2 and l1 fits pay it too.
+real product; the CG matvec (:func:`_masked_normal`) is both.  Known
+limit: that work grows with the mode-n filter support ``L_n``.  For the
+masked matvec on a 64x64 image (M=8, R=3) it matched the FFT-based map it
+replaced near ``L_n = 20`` taps and runs 3x slower at ``L_n = I_n``; the
+l2 and l1 fits pay it too.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
 per mode-n frequency.  Signal and factors are real, so these solves carry
-only frequencies ``0..I_n//2`` along mode ``n``: real-input transforms in
-and out (the inverse stays real however ill-conditioned the blocks are),
-half-spectrum Gram blocks in between.  Each mode's lag-domain filter
-correlations are made once per fit; no fit makes filter spectra.
+only frequencies ``0..I_n//2`` along mode ``n``, as ``(I_n//2 + 1, M*R)``
+rows: real-input transforms in and out (the inverse stays real however
+ill-conditioned the blocks are), half-spectrum Gram blocks in between.
+Each mode's lag-domain filter correlations are made once per fit; no fit
+makes filter spectra.
 """
 
 import time
@@ -43,9 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .convmodel import (SpectralOperator, factor_to_vec, filter_correlations,
-                        rows_to_stack, stack_to_rows, vec_to_factor,
-                        vec_to_signal)
+from .convmodel import (SpectralOperator, filter_correlations, rows_to_stack,
+                        stack_to_rows, vec_to_signal)
 from .tensor import KruskalTensor
 from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
 
@@ -54,7 +59,6 @@ __all__ = [
     "AdmmState",
     "SolveReport",
     "soft_threshold",
-    "solve_mode_quadratic",
     "solve_mode_l2",
     "solve_mode_admm",
     "data_term_gradient",
@@ -71,15 +75,13 @@ class SolverConfig:
 
     ``reg`` selects the penalty on the activation factors: ``"l1"`` with
     weight ``lam`` (solved by ADMM) or ``"l2"`` with weight ``alpha``
-    (closed form).  ``num_filters`` is optional and only cross-checked
-    against the dictionary when set.
+    (closed form).  The dictionary fixes the number of filters.
     """
 
     reg: str = "l2"
     lam: float = 0.1
     alpha: float = 1e-4
     rank: int = 3
-    num_filters: int | None = None
     rho_init: float = 1.0
     rho_adaptive: bool = True
     admm_iters: int = 50
@@ -99,6 +101,11 @@ class SolverConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got "
                                  f"{value}")
+        for name in ("rank", "outer_iters", "admm_iters", "cg_max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not (np.isfinite(self.rho_init) and self.rho_init > 0):
@@ -172,83 +179,56 @@ def soft_threshold(v, gamma):
     return v - v.clip(-gamma, gamma)
 
 
-def _per_frequency(apply_blocks, xhat):
-    """Apply `apply_blocks` to a spectral stack ``(M, rows, R)`` laid out
-    as one ``(M*R, 1)`` column per frequency."""
-    m_count, rows, rank = xhat.shape
-    cols = xhat.transpose(1, 0, 2).reshape(rows, m_count * rank, 1)
-    return apply_blocks(cols).reshape(rows, m_count, rank).transpose(1, 0, 2)
+def _to_rows(x):
+    """An ``(M, I_n, R)`` factor stack as ``(I_n, M*R)`` factor rows."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _masked_apply(op, mask_stack, x_factor):
-    """Spatial masked forward map of one mode's real factor stack."""
-    rows = op.tap_maps()[0](x_factor.transpose(1, 0, 2))
-    return rows_to_stack(rows, op.signal_shape, op.mode) * mask_stack
+def _to_stack(rows, m_count):
+    """Inverse of :func:`_to_rows`."""
+    return rows.reshape(len(rows), m_count, -1).transpose(1, 0, 2)
 
 
-def _masked_adjoint(op, mask_stack, y_stack):
-    """Adjoint of :func:`_masked_apply` on real signal stacks."""
-    rows = op.tap_maps()[1](stack_to_rows(y_stack * mask_stack, op.mode))
-    return rows.reshape(op.mode_length, op.num_filters, -1).transpose(1, 0, 2)
+def _half_rhs(op, signal):
+    """``W^H s`` of a real ``(C, *shape)`` signal stack through the visit's
+    mode-n taps, on the half spectrum: ``(I_n//2 + 1, M*R)`` rows."""
+    if np.shape(signal) != (op.num_channels,) + op.signal_shape:
+        raise ValueError(f"signal stack of shape {np.shape(signal)}, "
+                         f"expected {(op.num_channels,) + op.signal_shape}")
+    return rdft_factor(op.tap_maps()[1](stack_to_rows(signal, op.mode)))
 
 
-def _signal_arrays(op, shat_vec):
-    """A spectral signal vector as ``(C, I_n, Lambda)`` unfolding rows."""
-    return vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
+def solve_mode_l2(op, signal, alpha):
+    """Ridge mode solve ``(W^H W + alpha I) x = W^H s``, the l2 fit's.
 
-
-def _half_rhs(op, s):
-    """``W^H s`` on the half spectrum, ``(M, I_n//2 + 1, R)``, from a
-    spectral signal vector or a real ``(C, *shape)`` signal stack, the
-    latter through the visit's mode-n taps."""
-    if np.ndim(s) == 1:
-        rhs = op.adjoint_arrays(_signal_arrays(op, s))
-        return rhs[:, :op.mode_length // 2 + 1]
-    if np.shape(s) != (op.num_channels,) + op.signal_shape:
-        raise ValueError(f"signal stack of shape {np.shape(s)}, expected "
-                         f"{(op.num_channels,) + op.signal_shape}")
-    return rdft_factor(_masked_adjoint(op, 1.0, s), axis=1)
-
-
-def solve_mode_quadratic(op, shat_vec, zhat_vec, rho):
-    """Closed-form solve of ``(W^H W + rho I) x = W^H s + rho z``.
+    One LU of the half Gram stack ``G + alpha I`` solves the half-spectrum
+    right-hand side rows; a real inverse transform along mode ``n`` gives
+    the factors.
 
     Parameters
     ----------
     op : SpectralOperator
-    shat_vec : ndarray
-        Spectral signal vector, length ``op.signal_size``.
-    zhat_vec : ndarray or None
-        Spectral shortcut vector, length ``op.factor_size``; ``None``
-        means zero.
-    rho : float
-        Positive diagonal regularizer.
+    signal : ndarray
+        The real ``(C, *shape)`` signal stack.
+    alpha : float
+        Non-negative ridge weight.  At 0 the blocks may be singular, and
+        the solve raises ``numpy.linalg.LinAlgError``.
 
     Returns
     -------
     ndarray
-        Spectral factor vector of length ``op.factor_size``.
-
-    The spectra may be arbitrary complex vectors, so unlike the fits this
-    solves every frequency on the full :meth:`SpectralOperator.normal_blocks`.
+        The real factor stack ``(M, I_n, R)``.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    rhs = op.adjoint_arrays(_signal_arrays(op, shat_vec))
-    if zhat_vec is not None:
-        rhs = rhs + rho * vec_to_factor(zhat_vec, op.num_filters,
-                                        op.mode_length, op.rank)
-    blocks = op.normal_blocks(rho)
-    return factor_to_vec(
-        _per_frequency(lambda rows: np.linalg.solve(blocks, rows), rhs))
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    gram = op.gram_blocks()
+    blocks = gram + alpha * np.eye(gram.shape[1])
+    rows = np.linalg.solve(blocks, _half_rhs(op, signal)[..., None])
+    return _to_stack(irdft_factor(rows[..., 0], op.mode_length),
+                     op.num_filters)
 
 
-def solve_mode_l2(op, shat_vec, alpha):
-    """Ridge mode solve ``(W^H W + alpha I) x = W^H s``."""
-    return solve_mode_quadratic(op, shat_vec, None, alpha)
-
-
-def solve_mode_admm(op, shat_vec, cfg, state=None):
+def solve_mode_admm(op, signal, cfg, state=None):
     """ADMM solve of one mode's l1-penalized subproblem.
 
     Alternates the frequency-domain quadratic step with spatial shrinkage
@@ -261,8 +241,8 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     Parameters
     ----------
     op : SpectralOperator
-    shat_vec : ndarray
-        Spectral signal vector, or the real ``(C, *shape)`` signal stack.
+    signal : ndarray
+        The real ``(C, *shape)`` signal stack.
     cfg : SolverConfig
         Uses ``lam``, ``rho_init``, ``rho_adaptive``, ``admm_iters``,
         ``tol_primal`` and ``tol_dual``.
@@ -283,15 +263,13 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
     # construction, so a negative w is roundoff
     w, v = np.linalg.eigh(op.gram_blocks())
     w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
-    rhs = _half_rhs(op, shat_vec).transpose(1, 0, 2).reshape(len(w), -1, 1)
-    proj = vh @ rhs
+    proj = vh @ _half_rhs(op, signal)[..., None]
 
     def steps(rho):  # the step's scales, made again only when rho moves
         inv = 1.0 / (w + rho)
         return proj * inv, rho * inv
 
-    y, u = (s.transpose(1, 0, 2).reshape(length, -1)
-            for s in (state.y, state.u))
+    y, u = _to_rows(state.y), _to_rows(state.u)
     rho = state.rho
     base, shift = steps(rho)
     for _ in range(cfg.admm_iters):
@@ -318,18 +296,20 @@ def solve_mode_admm(op, shat_vec, cfg, state=None):
             rho, u = rho * scale, u / scale
             base, shift = steps(rho)
 
-    state.x, state.y, state.u = (s.reshape(length, op.num_filters, -1)
-                                 .transpose(1, 0, 2) for s in (x, y, u))
+    state.x, state.y, state.u = (_to_stack(s, op.num_filters)
+                                 for s in (x, y, u))
     state.rho = rho
     return state.y.copy(), state
 
 
 def data_term_gradient(op, shat_vec, x_factor):
     """Gradient of the data term ``0.5 ||W xhat - shat||^2`` with respect
-    to the spatial factor stack ``x_factor`` of shape ``(M, I_n, R)``."""
+    to the spatial factor stack ``x_factor`` of shape ``(M, I_n, R)``, with
+    ``shat_vec`` a spectral signal vector of :meth:`SpectralOperator.apply`."""
     xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
-    resid = op.apply_arrays(xhat) - _signal_arrays(op, shat_vec)
-    return idft_factor(op.adjoint_arrays(resid), axis=1)
+    shat = vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
+    return idft_factor(op.adjoint_arrays(op.apply_arrays(xhat) - shat),
+                       axis=1)
 
 
 def _as_channel_stack(signal, num_channels):
@@ -361,15 +341,20 @@ def _init_factors(shape, m_count, rank, seed, signal_norm):
 
 
 def _factors_from_init(init, shape, m_count, rank):
-    init = list(init)
+    init = [k.factors if isinstance(k, KruskalTensor) else list(k)
+            for k in init]
     if len(init) != m_count:
         raise ValueError(f"init has {len(init)} activations for {m_count} "
                          f"filters")
+    for m, fs in enumerate(init):
+        if len(fs) != len(shape):
+            raise ValueError(f"init activation {m} has {len(fs)} factors for "
+                             f"an order-{len(shape)} signal")
     stacks = []
     for n, s in enumerate(shape):
         stack = np.empty((m_count, s, rank))
-        for m, k in enumerate(init):
-            f = k.factors[n] if isinstance(k, KruskalTensor) else np.asarray(k[n])
+        for m, fs in enumerate(init):
+            f = np.asarray(fs[n])
             if f.shape != (s, rank):
                 raise ValueError(f"init activation {m} factor {n} has shape "
                                  f"{f.shape}, expected {(s, rank)}")
@@ -379,9 +364,6 @@ def _factors_from_init(init, shape, m_count, rank):
 
 
 def _prepare_fit(signal, dictionary, cfg, init):
-    if cfg.num_filters is not None and cfg.num_filters != dictionary.num_filters:
-        raise ValueError(f"config expects {cfg.num_filters} filters, "
-                         f"dictionary has {dictionary.num_filters}")
     s_stack, shape = _as_channel_stack(signal, dictionary.num_channels)
     if not np.all(np.isfinite(s_stack)):
         raise ValueError("signal contains non-finite values")
@@ -419,8 +401,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     signal_norm = float(np.linalg.norm(s_obs))
 
     def data_term(forward, n, x):
-        r = (forward(x.transpose(1, 0, 2).reshape(shape[n], -1))
-             * mask_rows[n] - s_rows[n])
+        r = forward(_to_rows(x)) * mask_rows[n] - s_rows[n]
         return 0.5 * float(np.sum(r * r))
 
     prev_obj = None
@@ -489,19 +470,13 @@ def lrd_fit(signal, dictionary, cfg, init=None):
 
     if cfg.reg == "l2":
         def solve_mode(op, x, sweep):
-            # one LU of the half Gram stack per visit
-            gram = op.gram_blocks()
-            blocks = gram + cfg.alpha * np.eye(gram.shape[1])
-            rhs = _half_rhs(op, s_stack)
             try:
-                xhat = _per_frequency(
-                    lambda rows: np.linalg.solve(blocks, rows), rhs)
+                return solve_mode_l2(op, s_stack, cfg.alpha), 1, []
             except np.linalg.LinAlgError:
                 raise ValueError(
                     f"ridge blocks are singular at sweep {sweep} mode "
                     f"{op.mode} with alpha={cfg.alpha:g}: a positive alpha "
                     f"is needed") from None
-            return irdft_factor(xhat, op.mode_length, axis=1), 1, []
     else:
         # each mode warm-starts from its own AdmmState, not from x
         states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
@@ -527,49 +502,58 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     return _finish(factors), report
 
 
-def _masked_normal(op, mask_stack, alpha, x):
-    """Masked normal map ``(W^H P W + alpha I) x`` of a factor stack, with
-    ``P`` the spatial mask."""
-    return (_masked_adjoint(op, mask_stack, _masked_apply(op, mask_stack, x))
-            + alpha * x)
+def _masked_normal(op, mask_rows, alpha, x):
+    """Masked normal map ``(W^H P W + alpha I) x`` of ``(I_n, M*R)`` factor
+    rows, with ``P`` the spatial mask as :func:`stack_to_rows` output rows:
+    the CG matvec."""
+    forward, adjoint = op.tap_maps()
+    return adjoint(forward(x) * mask_rows) + alpha * x
 
 
-def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
-                          callback=None):
+def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     """Preconditioned CG solve of the masked normal equations for one mode.
 
     The preconditioner replaces the mask by ``p I``, with ``p`` the observed
     fraction, and applies ``(p W^H W + alpha I)^-1`` exactly per mode-n
     frequency; with nothing masked it is the inverse of the system.
-    Returns the factor stack and the scipy convergence flag (0 means the
-    relative tolerance was met); `callback` runs after each iteration."""
-    length, start = op.mode_length, x0.transpose(1, 0, 2)
+    Returns the factor stack, the CG iterations run and, when the budget
+    ran out, the true relative residual of the normal equations (scipy
+    stops on its running residual, which can drift from the true one);
+    ``None`` when the relative tolerance was met."""
+    length = op.mode_length
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
     gram = op.gram_blocks()
     inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
-    forward, adjoint = op.tap_maps()
     mask_rows = stack_to_rows(mask_stack, op.mode)
 
     def matvec(v):
-        x = v.reshape(length, -1)
-        return (adjoint(forward(x) * mask_rows) + alpha * x).ravel()
+        return _masked_normal(op, mask_rows, alpha,
+                              v.reshape(length, -1)).ravel()
 
     def precondition(v):
         xhat = rdft_factor(v.reshape(length, -1, 1))
         return irdft_factor(inv @ xhat, length).ravel()
 
-    rhs = adjoint(stack_to_rows(s_obs, op.mode) * mask_rows).ravel()
-    shape = (x0.size, x0.size)
+    rhs = op.tap_maps()[1](stack_to_rows(s_obs, op.mode) * mask_rows)
+    shape = (rhs.size, rhs.size)
     lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
                                              dtype=float)
     pre = scipy.sparse.linalg.LinearOperator(shape, matvec=precondition,
                                              dtype=float)
-    sol, info = scipy.sparse.linalg.cg(lin, rhs, x0=start.ravel(),
+    steps = []
+    sol, info = scipy.sparse.linalg.cg(lin, rhs.ravel(),
+                                       x0=_to_rows(x0).ravel(),
                                        rtol=cfg.cg_tol, atol=0.0,
                                        maxiter=cfg.cg_max_iters, M=pre,
-                                       callback=callback)
-    return sol.reshape(start.shape).transpose(1, 0, 2), info
+                                       callback=steps.append)
+    x = sol.reshape(length, -1)
+    residual = None
+    if info != 0:
+        residual = float(np.linalg.norm(
+            rhs - _masked_normal(op, mask_rows, alpha, x))
+            / np.linalg.norm(rhs))
+    return _to_stack(x, op.num_filters), len(steps), residual
 
 
 def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
@@ -619,29 +603,22 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
     s_obs = s_full * mask_stack
 
     def solve_mode(op, x, sweep):
-        iters = []
-        x, info = _solve_mode_masked_cg(op, mask_stack, s_obs, cfg.alpha, x,
-                                        cfg, callback=iters.append)
-        warnings = []
-        if info != 0:
-            # scipy stops on its running residual, which can drift from
-            # the true one
-            rhs = _masked_adjoint(op, mask_stack, s_obs)
-            rel = float(np.linalg.norm(
-                rhs - _masked_normal(op, mask_stack, cfg.alpha, x))
-                / np.linalg.norm(rhs))
-            cmp = ">" if rel > cfg.cg_tol else "<="
-            warnings.append(
-                f"cg budget exhausted at sweep {sweep} mode {op.mode}: "
-                f"{len(iters)} iterations, relative residual {rel:.3e} "
-                f"{cmp} cg_tol {cfg.cg_tol:.1e}")
-        return x, len(iters), warnings
+        x, iters, residual = _solve_mode_masked_cg(op, mask_stack, s_obs,
+                                                   cfg.alpha, x, cfg)
+        if residual is None:
+            return x, iters, []
+        cmp = ">" if residual > cfg.cg_tol else "<="
+        return x, iters, [
+            f"cg budget exhausted at sweep {sweep} mode {op.mode}: "
+            f"{iters} iterations, relative residual {residual:.3e} "
+            f"{cmp} cg_tol {cfg.cg_tol:.1e}"]
 
     report, op = _sweep(dictionary, shape, factors, cfg, solve_mode,
                         mask_stack, s_obs, check_l2=False)
 
-    # unmasked, the last visit's map of its final factors is the model output
-    out = _masked_apply(op, 1.0, factors[-1])
+    # the last visit's map of its final factors is the model output
+    out = rows_to_stack(op.tap_maps()[0](_to_rows(factors[-1])), shape,
+                        op.mode)
     completed = np.ascontiguousarray(
         out[0] if dictionary.num_channels == 1 else np.moveaxis(out, 0, -1))
     report.seconds = time.perf_counter() - t0

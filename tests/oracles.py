@@ -162,6 +162,19 @@ def gram_blocks_by_pairs(filters, shape, factors, mode):
     return gram
 
 
+def mirror_half_blocks(half, length):
+    """The full ``(length, K, K)`` stack of per-frequency blocks from the
+    half stack of frequencies ``0..length//2``.
+
+    The normal matrix of a real map is conjugate-symmetric over the
+    frequencies: block ``length - i`` is the conjugate of block ``i``.
+    """
+    full = np.empty((length,) + half.shape[1:], dtype=complex)
+    for i in range(length):
+        full[i] = half[i] if i < len(half) else np.conj(half[length - i])
+    return full
+
+
 def fold_by_enumeration(m, mode, shape):
     """Inverse of :func:`unfold_by_enumeration` via the same index map."""
     m = np.asarray(m)

@@ -15,7 +15,7 @@ from lrdec.io import read_dictionary, read_image
 from lrdec.metrics import psnr
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, solve_mode_admm, solve_mode_l2,
-                          solve_mode_quadratic, _solve_mode_masked_cg)
+                          _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import (build_q, fold, khatri_rao, kruskal_reconstruct,
                           unfold)
@@ -23,7 +23,8 @@ from lrdec.transform import dft_factor, dft_nd
 
 from oracles import (fold_by_enumeration, ista_l1, khatri_rao_by_columns,
                      materialize_spatial_forward, materialize_w,
-                     unfold_by_enumeration, vec_colmajor)
+                     mirror_half_blocks, unfold_by_enumeration,
+                     vec_colmajor)
 
 RNG = np.random.default_rng
 
@@ -118,7 +119,8 @@ def test_criterion_02_operator_suite():
             perm[v] = idx * m_count * rank + m * rank + r
         inv = np.argsort(perm)
         permuted = dense[np.ix_(inv, inv)]
-        assembled = scipy.linalg.block_diag(*op.normal_blocks(rho))
+        assembled = scipy.linalg.block_diag(*mirror_half_blocks(
+            op.gram_blocks() + rho * np.eye(m_count * rank), shape[mode]))
         assert _rel_ok(assembled, permuted, 1e-11)
     _report(2, "operator suite", t0, 30.0)
 
@@ -134,20 +136,13 @@ def test_criterion_03_solver_exactness():
         shat = _signal_vec(signal, mode)
         w = materialize_w(d.filters, shape, factors, mode)
         svec = shat.copy()
-        rng = RNG(1000 + i)
-        zhat = rng.standard_normal(op.factor_size) + \
-            1j * rng.standard_normal(op.factor_size)
-        for rho in (1e-3, 0.5, 10.0):
-            xhat = solve_mode_quadratic(op, shat, zhat, rho)
+        for alpha in (1e-3, 0.5, 10.0, 0.05):
+            xhat = factor_to_vec(dft_factor(
+                solve_mode_l2(op, signal[None], alpha), axis=1))
             dense = np.linalg.solve(
-                w.conj().T @ w + rho * np.eye(op.factor_size),
-                w.conj().T @ svec + rho * zhat)
+                w.conj().T @ w + alpha * np.eye(op.factor_size),
+                w.conj().T @ svec)
             assert _rel_ok(xhat, dense, 1e-10)
-        alpha = 0.05
-        xhat = solve_mode_l2(op, shat, alpha)
-        dense = np.linalg.solve(w.conj().T @ w + alpha * np.eye(op.factor_size),
-                                w.conj().T @ svec)
-        assert _rel_ok(xhat, dense, 1e-10)
 
     # masked completion solve against the dense materialized system
     shape = (4, 3)
@@ -174,10 +169,10 @@ def test_criterion_03_solver_exactness():
         t_mat.conj().T @ s_obs.reshape(-1, order="F"))
     op = SpectralOperator(d, shape, factors, 0)
     cfg = SolverConfig(reg="l2", alpha=alpha, cg_tol=1e-12, cg_max_iters=500)
-    sol, info = _solve_mode_masked_cg(op, mask[None].astype(float),
-                                      s_obs[None], alpha,
-                                      np.zeros((1, shape[0], 2)), cfg)
-    assert info == 0
+    sol, _, residual = _solve_mode_masked_cg(op, mask[None].astype(float),
+                                             s_obs[None], alpha,
+                                             np.zeros((1, shape[0], 2)), cfg)
+    assert residual is None
     xhat = factor_to_vec(dft_factor(sol, axis=1))
     assert np.linalg.norm(xhat - dense) <= 1e-8 * max(
         1.0, np.linalg.norm(dense))
@@ -236,7 +231,6 @@ def test_criterion_07_admm_correctness():
     factors = _factor_stacks(shape, 1, 1, 1501)
     signal = RNG(1502).standard_normal(shape)
     op = SpectralOperator(d, shape, factors, 0)
-    shat = _signal_vec(signal, 0)
     a_mat = materialize_spatial_forward(d.filters, shape, factors, 0)
     s_vec = signal.reshape(-1, order="F")
 
@@ -247,7 +241,7 @@ def test_criterion_07_admm_correctness():
     # zero weight: agree with the unregularized least-squares oracle
     cfg = SolverConfig(reg="l1", lam=0.0, rho_init=1.0, admm_iters=500,
                        tol_primal=1e-12, tol_dual=1e-12)
-    y, _ = solve_mode_admm(op, shat, cfg)
+    y, _ = solve_mode_admm(op, signal[None], cfg)
     xstar, *_ = np.linalg.lstsq(a_mat, s_vec, rcond=None)
     obj_star = 0.5 * np.sum((a_mat @ xstar - s_vec) ** 2)
     assert abs(objective(y, 0.0) - obj_star) <= 1e-4 * max(1.0, obj_star)
@@ -255,14 +249,14 @@ def test_criterion_07_admm_correctness():
     # overwhelming weight: the shrinkage annihilates the solution exactly
     cfg = SolverConfig(reg="l1", lam=1e6, rho_init=1.0, rho_adaptive=False,
                        admm_iters=30)
-    y, _ = solve_mode_admm(op, shat, cfg)
+    y, _ = solve_mode_admm(op, signal[None], cfg)
     assert np.array_equal(y, np.zeros_like(y))
 
     # moderate weight: match an independent proximal-gradient solver
     lam = 0.1
     cfg = SolverConfig(reg="l1", lam=lam, rho_init=1.0, admm_iters=3000,
                        tol_primal=1e-11, tol_dual=1e-11)
-    y, _ = solve_mode_admm(op, shat, cfg)
+    y, _ = solve_mode_admm(op, signal[None], cfg)
     x_ref = ista_l1(a_mat, s_vec, lam)
     obj_ref = 0.5 * np.sum((a_mat @ x_ref - s_vec) ** 2) + \
         lam * np.sum(np.abs(x_ref))

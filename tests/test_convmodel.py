@@ -13,7 +13,8 @@ from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
 from oracles import (circular_convolve_by_sums, gram_blocks_by_pairs,
-                     kruskal_by_outer_sums, materialize_w, vec_colmajor)
+                     kruskal_by_outer_sums, materialize_w, mirror_half_blocks,
+                     vec_colmajor)
 
 RNG = np.random.default_rng
 
@@ -266,16 +267,16 @@ class TestSpectralOperator:
         op, _, _, factors = tiny_operator((4, 3, 2), 2, 2, seed=29,
                                           channels=2, mode=1)
         rng = RNG(30)
+        signal = rng.standard_normal((2, 4, 3, 2))
         # the spectrum of a real signal, as the gradient needs
-        shat = signal_to_vec(np.stack([
-            unfold(dft_nd(c), 1) for c in rng.standard_normal((2, 4, 3, 2))]))
+        shat = signal_to_vec(np.stack([unfold(dft_nd(c), 1) for c in signal]))
         op.apply(rng.standard_normal(op.factor_size))
         op.apply_adjoint(shat)
         op.materialize()
-        lrdec.solver.solve_mode_quadratic(op, shat, None, 0.5)
+        lrdec.solver.solve_mode_l2(op, signal, 0.5)
         lrdec.solver.data_term_gradient(op, shat, factors[1])
         lrdec.solver.solve_mode_admm(
-            op, shat, SolverConfig(reg="l1", admm_iters=3))
+            op, signal, SolverConfig(reg="l1", admm_iters=3))
         assert calls == {"pad_to_shape": 0, "taps_built": 1}
 
     def test_vec_round_trips(self):
@@ -293,13 +294,20 @@ class TestSpectralOperator:
         assert np.array_equal(factor_to_vec(x), expected)
 
 
+def normal_blocks(op, rho):
+    """The full ``(I_n, M*R, M*R)`` stack ``G + rho I`` that the solvers'
+    half stacks stand for."""
+    half = op.gram_blocks() + rho * np.eye(op.num_filters * op.rank)
+    return mirror_half_blocks(half, op.mode_length)
+
+
 class TestNormalBlocks:
     def test_blocks_match_materialized_normal_matrix(self):
         for channels in (1, 2):
             op, w, _, _ = tiny_operator((3, 2), 2, 2, seed=29,
                                         channels=channels)
             rho = 0.7
-            blocks = op.normal_blocks(rho)
+            blocks = normal_blocks(op, rho)
             dense = w.conj().T @ w + rho * np.eye(op.factor_size)
             # permute the vec ordering (m, r, i) into frequency-major blocks
             m_count, rank, i_n = op.num_filters, op.rank, op.mode_length
@@ -319,7 +327,7 @@ class TestNormalBlocks:
     def test_blocks_hermitian_positive_definite(self):
         op, _, _, _ = tiny_operator((4, 3), 2, 2, seed=30)
         rho = 0.3
-        blocks = op.normal_blocks(rho)
+        blocks = normal_blocks(op, rho)
         for blk in blocks:
             assert np.max(np.abs(blk - blk.conj().T)) < 1e-12 * max(
                 1.0, np.max(np.abs(blk)))
@@ -329,17 +337,12 @@ class TestNormalBlocks:
     def test_scalar_case_direct_sum(self):
         op, _, d, factors = tiny_operator((4, 3), 1, 1, seed=31)
         rho = 0.5
-        blocks = op.normal_blocks(rho)
+        blocks = normal_blocks(op, rho)
         dhat = unfold(np.fft.fftn(pad_to_shape(d.filter(0), (4, 3))), 0)
         qhat = dft_factor(factors[1][0])[:, 0]
         for i in range(4):
             direct = np.sum(np.abs(dhat[i]) ** 2 * np.abs(qhat) ** 2) + rho
             assert abs(blocks[i, 0, 0] - direct) < 1e-11 * max(1.0, direct)
-
-    def test_regularizer_must_be_positive(self):
-        op, _, _, _ = tiny_operator()
-        with pytest.raises(ValueError):
-            op.normal_blocks(0.0)
 
 
 HALF_SPECTRUM_CASES = [
@@ -391,22 +394,26 @@ class TestHalfSpectrum:
         half = shape[mode] // 2 + 1
         signal = RNG(54).standard_normal((channels,) + shape)
         shat = np.stack([unfold(dft_nd(s), mode) for s in signal])
-        want = op.adjoint_arrays(shat)[:, :half]
-        # the right-hand side the fits build on the taps, from the signal
+        want = op.adjoint_arrays(shat)[:, :half].transpose(1, 0, 2).reshape(
+            half, -1)
+        # the right-hand side the fits build on the taps, from the signal,
+        # as (I_n//2 + 1, M*R) half-spectrum rows
         got = _half_rhs(op, signal)
-        assert got.shape == (m_count, half, rank)
+        assert got.shape == (half, m_count * rank)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("length", [5, 6])
     def test_normal_blocks_mirror_the_half(self, length):
-        op, _, _, _ = tiny_operator((length, 3), 2, 2, seed=41)
-        half = op.gram_blocks() + 0.25 * np.eye(4)
-        full = op.normal_blocks(0.25)
-        assert full.shape[0] == length
-        assert np.array_equal(full[:len(half)], half)
-        for i in range(1, (length + 1) // 2):  # not the self-conjugate ones
-            assert np.array_equal(full[length - i], full[i].conj())
+        # the half stack stands for every frequency: the pair oracle's
+        # blocks at I_n - i are the conjugates of those at i
+        op, _, d, factors = tiny_operator((length, 3), 2, 2, seed=41)
+        full = gram_blocks_by_pairs(d.filters, (length, 3), factors, 0)
+        got = normal_blocks(op, 0.25)
+        assert got.shape == full.shape
+        want = full + 0.25 * np.eye(4)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(
+            1.0, np.max(np.abs(want)))
 
     def test_filter_spectra_layout(self):
         d = random_dictionary((2, 3), 3, seed=42, channels=2)

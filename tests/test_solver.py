@@ -9,11 +9,10 @@ import lrdec.convmodel
 import lrdec.solver
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
-                             forward_model, signal_to_vec)
+                             forward_model, signal_to_vec, stack_to_rows)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, soft_threshold, solve_mode_admm,
-                          solve_mode_l2, solve_mode_quadratic,
-                          _masked_adjoint, _masked_apply, _masked_normal,
+                          solve_mode_l2, _masked_normal,
                           _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
@@ -66,6 +65,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("rank", 2.5), ("rank", True), ("rank", 3.0), ("outer_iters", 2.5),
+        ("admm_iters", 2.5), ("cg_max_iters", 2.5), ("cg_max_iters", False)])
+    def test_rejects_non_integer_counts(self, name, value):
+        # a float used to pass and fail deep in numpy once the fit ran
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(**{name: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolverConfig(rank=np.int64(2), outer_iters=np.int32(3))
+        assert (cfg.rank, cfg.outer_iters) == (2, 3)
+
 
 class TestSoftThreshold:
     def test_zero_gamma_identity(self):
@@ -92,81 +103,75 @@ class TestSoftThreshold:
             assert abs(oi - best) < 2e-3
 
 
+def spectral_factor_vec(x):
+    """The spectral factor vector of a real ``(M, I_n, R)`` factor stack."""
+    return factor_to_vec(dft_factor(x, axis=1))
+
+
 class TestSolveModeQuadratic:
-    def test_matches_materialized_dense_solve(self):
-        d, factors, signal, op, shat = tiny_problem((4, 3), 2, 2, seed=3)
-        w = materialize_w(d.filters, (4, 3), factors, 0)
-        rng = RNG(4)
-        zhat = rng.standard_normal(op.factor_size) + \
-            1j * rng.standard_normal(op.factor_size)
-        rho = 0.37
-        xhat = solve_mode_quadratic(op, shat, zhat, rho)
-        svec = spectral_signal_vec(signal, 0)
-        dense = np.linalg.solve(
-            w.conj().T @ w + rho * np.eye(op.factor_size),
-            w.conj().T @ svec + rho * zhat)
-        assert np.max(np.abs(xhat - dense)) < 1e-10 * max(
-            1.0, np.max(np.abs(dense)))
+    """The quadratic (ridge) mode solve, :func:`solve_mode_l2`, checked on
+    the spectral vector API."""
 
     def test_normal_equation_residual(self):
-        _, _, _, op, shat = tiny_problem((5, 4), 2, 2, seed=5)
+        _, _, signal, op, shat = tiny_problem((5, 4), 2, 2, seed=5)
         rho = 0.8
-        zhat = np.zeros(op.factor_size, dtype=complex)
-        xhat = solve_mode_quadratic(op, shat, zhat, rho)
+        xhat = spectral_factor_vec(solve_mode_l2(op, signal[None], rho))
         lhs = op.apply_adjoint(op.apply(xhat)) + rho * xhat
         rhs = op.apply_adjoint(shat)
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
 
     def test_zero_filters_passthrough(self):
+        # zero filters pass nothing of the signal through
         shape = (4, 3)
         d = Dictionary(np.zeros((1, 2, 2)))
         factors = factor_stacks(shape, 1, 2, seed=6)
         op = SpectralOperator(d, shape, factors, 0)
-        rng = RNG(7)
-        zhat = rng.standard_normal(op.factor_size) + \
-            1j * rng.standard_normal(op.factor_size)
-        xhat = solve_mode_quadratic(op, np.zeros(op.signal_size), zhat, 2.5)
-        assert np.max(np.abs(xhat - zhat)) < 1e-12
+        signal = RNG(7).standard_normal((1,) + shape)
+        x = solve_mode_l2(op, signal, 2.5)
+        assert np.max(np.abs(x)) < 1e-12
 
     def test_small_rho_recovers_least_squares(self):
         d, factors, _, op, _ = tiny_problem((4, 3), 1, 1, seed=8)
-        w = materialize_w(d.filters, (4, 3), factors, 0)
-        rng = RNG(9)
-        xstar = rng.standard_normal(op.factor_size) + \
-            1j * rng.standard_normal(op.factor_size)
-        shat = w @ xstar
-        xhat = solve_mode_quadratic(op, shat, np.zeros(op.factor_size), 1e-10)
-        assert np.linalg.norm(xhat - xstar) / np.linalg.norm(xstar) < 1e-4
+        a_mat = materialize_spatial_forward(d.filters, (4, 3), factors, 0)
+        xstar = RNG(9).standard_normal((1, 4, 1))
+        signal = (a_mat @ factor_to_vec(xstar)).reshape((4, 3), order="F")
+        x = solve_mode_l2(op, signal[None], 1e-10)
+        assert np.linalg.norm(x - xstar) / np.linalg.norm(xstar) < 1e-4
 
     def test_rho_must_be_positive(self):
-        _, _, _, op, shat = tiny_problem()
-        with pytest.raises(ValueError):
-            solve_mode_quadratic(op, shat, None, 0.0)
+        # the ridge weight may be 0, where the blocks are non-singular, but
+        # not negative or NaN
+        _, _, signal, op, _ = tiny_problem()
+        for alpha in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="^alpha must be >= 0"):
+                solve_mode_l2(op, signal[None], alpha)
 
 
 class TestSolveModeL2:
     def test_zero_signal_zero_solution(self):
         _, _, _, op, _ = tiny_problem((4, 3), 2, 2, seed=10)
-        xhat = solve_mode_l2(op, np.zeros(op.signal_size), 0.5)
-        assert np.max(np.abs(xhat)) < 1e-14
-
-    def test_equals_quadratic_with_zero_shortcut(self):
-        _, _, _, op, shat = tiny_problem((4, 3), 2, 2, seed=11)
-        a = solve_mode_l2(op, shat, 0.3)
-        b = solve_mode_quadratic(op, shat, np.zeros(op.factor_size), 0.3)
-        assert np.array_equal(a, b)
+        x = solve_mode_l2(op, np.zeros((1, 4, 3)), 0.5)
+        assert np.max(np.abs(x)) < 1e-14
 
     def test_matches_materialized_dense_solve(self):
-        d, factors, signal, op, shat = tiny_problem((3, 2, 2), 2, 2, seed=12,
-                                                    mode=1)
+        d, factors, signal, op, _ = tiny_problem((3, 2, 2), 2, 2, seed=12,
+                                                 mode=1)
         w = materialize_w(d.filters, (3, 2, 2), factors, 1)
         alpha = 0.05
-        xhat = solve_mode_l2(op, shat, alpha)
+        xhat = spectral_factor_vec(solve_mode_l2(op, signal[None], alpha))
         svec = spectral_signal_vec(signal, 1)
         dense = np.linalg.solve(w.conj().T @ w + alpha * np.eye(op.factor_size),
                                 w.conj().T @ svec)
         assert np.max(np.abs(xhat - dense)) < 1e-10 * max(
             1.0, np.max(np.abs(dense)))
+
+    def test_rejects_a_signal_without_its_channel_axis(self):
+        # both solvers take the fit's (C, *shape) signal stack
+        _, _, signal, op, _ = tiny_problem((4, 3), 2, 2, seed=11)
+        with pytest.raises(ValueError, match="^signal stack of shape"):
+            solve_mode_l2(op, signal, 0.5)
+        with pytest.raises(ValueError, match="^signal stack of shape"):
+            solve_mode_admm(op, signal, SolverConfig(reg="l1"))
 
 
 def admm_objective(a_mat, s_vec, y, lam):
@@ -176,12 +181,12 @@ def admm_objective(a_mat, s_vec, y, lam):
 
 class TestSolveModeAdmm:
     def test_lambda_zero_matches_least_squares(self):
-        d, factors, signal, op, shat = tiny_problem((4, 3), 1, 1, seed=13)
+        d, factors, signal, op, _ = tiny_problem((4, 3), 1, 1, seed=13)
         a_mat = materialize_spatial_forward(d.filters, (4, 3), factors, 0)
         s_vec = signal.reshape(-1, order="F")
         cfg = SolverConfig(reg="l1", lam=0.0, rho_init=1.0, admm_iters=500,
                            tol_primal=1e-12, tol_dual=1e-12)
-        y, state = solve_mode_admm(op, shat, cfg)
+        y, state = solve_mode_admm(op, signal[None], cfg)
         xstar, *_ = np.linalg.lstsq(a_mat, s_vec, rcond=None)
         x = y.transpose(0, 2, 1).reshape(-1)
         assert np.linalg.norm(x - xstar) / np.linalg.norm(xstar) < 1e-5
@@ -190,20 +195,20 @@ class TestSolveModeAdmm:
         assert abs(obj - obj_star) <= 1e-4 * max(1.0, abs(obj_star))
 
     def test_huge_lambda_annihilates(self):
-        _, _, _, op, shat = tiny_problem((4, 3), 2, 2, seed=14)
+        _, _, signal, op, _ = tiny_problem((4, 3), 2, 2, seed=14)
         cfg = SolverConfig(reg="l1", lam=1e6, rho_init=1.0, admm_iters=30,
                            rho_adaptive=False)
-        y, _ = solve_mode_admm(op, shat, cfg)
+        y, _ = solve_mode_admm(op, signal[None], cfg)
         assert np.array_equal(y, np.zeros_like(y))
 
     def test_matches_proximal_gradient_reference(self):
-        d, factors, signal, op, shat = tiny_problem((4, 3), 1, 1, seed=15)
+        d, factors, signal, op, _ = tiny_problem((4, 3), 1, 1, seed=15)
         lam = 0.1
         a_mat = materialize_spatial_forward(d.filters, (4, 3), factors, 0)
         s_vec = signal.reshape(-1, order="F")
         cfg = SolverConfig(reg="l1", lam=lam, rho_init=1.0, admm_iters=3000,
                            tol_primal=1e-11, tol_dual=1e-11)
-        y, _ = solve_mode_admm(op, shat, cfg)
+        y, _ = solve_mode_admm(op, signal[None], cfg)
         x_ref = ista_l1(a_mat, s_vec, lam)
         obj = admm_objective(a_mat, s_vec, y, lam)
         obj_ref = 0.5 * np.sum((a_mat @ x_ref - s_vec) ** 2) + \
@@ -211,20 +216,20 @@ class TestSolveModeAdmm:
         assert abs(obj - obj_ref) <= 1e-4 * max(1.0, abs(obj_ref))
 
     def test_residuals_below_tolerance_at_convergence(self):
-        _, _, _, op, shat = tiny_problem((4, 3), 2, 2, seed=16)
+        _, _, signal, op, _ = tiny_problem((4, 3), 2, 2, seed=16)
         cfg = SolverConfig(reg="l1", lam=0.05, admm_iters=2000,
                            tol_primal=1e-8, tol_dual=1e-8)
-        _, state = solve_mode_admm(op, shat, cfg)
+        _, state = solve_mode_admm(op, signal[None], cfg)
         assert state.iterations < 2000
         assert state.primal_residuals[-1] <= 1e-8
         assert state.dual_residuals[-1] <= 1e-8
 
     def test_warm_start_preserves_solution(self):
-        _, _, _, op, shat = tiny_problem((4, 3), 2, 2, seed=17)
+        _, _, signal, op, _ = tiny_problem((4, 3), 2, 2, seed=17)
         cfg = SolverConfig(reg="l1", lam=0.05, admm_iters=2000,
                            tol_primal=1e-10, tol_dual=1e-10)
-        y1, state = solve_mode_admm(op, shat, cfg)
-        y2, state2 = solve_mode_admm(op, shat, cfg, state)
+        y1, state = solve_mode_admm(op, signal[None], cfg)
+        y2, state2 = solve_mode_admm(op, signal[None], cfg, state)
         assert state2.iterations - state.iterations <= state.iterations
         assert np.max(np.abs(y1 - y2)) < 1e-8 * max(1.0, np.max(np.abs(y1)))
 
@@ -249,25 +254,6 @@ class TestSolveModeAdmm:
         obj_ref = 0.5 * np.sum((a_mat @ x_ref - signal) ** 2) + \
             lam * np.sum(np.abs(x_ref))
         assert abs(obj - obj_ref) <= 1e-4 * max(1.0, abs(obj_ref))
-
-    @pytest.mark.parametrize("shape,channels,mode", [
-        ((5, 4), 1, 0), ((4, 5, 3), 2, 1)])
-    def test_signal_stack_matches_spectral_vector(self, shape, channels,
-                                                  mode):
-        d = unit_norm_dictionary((2,) * len(shape), 2, seed=18,
-                                 channels=channels)
-        factors = factor_stacks(shape, 2, 2, seed=19)
-        stack = RNG(20).standard_normal((channels,) + shape)
-        shat = signal_to_vec(np.stack([unfold(dft_nd(c), mode)
-                                       for c in stack]))
-        op = SpectralOperator(d, shape, factors, mode)
-        cfg = SolverConfig(reg="l1", lam=0.05, admm_iters=40)
-        y_vec, _ = solve_mode_admm(op, shat, cfg)
-        y_stack, _ = solve_mode_admm(op, stack, cfg)
-        assert np.max(np.abs(y_stack - y_vec)) <= 1e-10 * max(
-            1.0, np.max(np.abs(y_vec)))
-        with pytest.raises(ValueError):  # a signal without its channel axis
-            solve_mode_admm(op, stack[0], cfg)
 
     @pytest.mark.parametrize("shape,rho_init", [((6, 5), 1.0),
                                                 ((5, 6), 100.0)])
@@ -489,12 +475,6 @@ class TestLrdFit:
         assert report.converged
         assert report.relative_residuals == [0.0] * report.sweeps
 
-    def test_rejects_inconsistent_num_filters(self):
-        d = unit_norm_dictionary((2, 2), 2, seed=41)
-        cfg = SolverConfig(num_filters=3)
-        with pytest.raises(ValueError):
-            lrd_fit(np.zeros((4, 4)), d, cfg)
-
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("alpha", [1e-6, 1e-8])
     def test_over_complete_bank_at_tiny_alpha(self, seed, alpha):
@@ -525,6 +505,53 @@ class TestLrdFit:
                                                     rank=1, outer_iters=5))
         assert report.sweeps >= 1
         assert np.isfinite(report.objectives[-1])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_init_activations_need_one_factor_per_mode(self, count):
+        # one factor per activation used to raise IndexError and three
+        # dropped the extra factor silently
+        d = unit_norm_dictionary((2, 2), 2, seed=44)
+        init = [[np.ones((5, 2))] * count for _ in range(2)]
+        cfg = SolverConfig(reg="l2", rank=2, outer_iters=2)
+        message = (f"^init activation 0 has {count} factors for an order-2 "
+                   f"signal$")
+        with pytest.raises(ValueError, match=message):
+            lrd_fit(np.ones((5, 5)), d, cfg, init=init)
+        with pytest.raises(ValueError, match=message):
+            lrd_fit_masked(np.ones((5, 5)), np.ones((5, 5), bool), d, cfg,
+                           init=[KruskalTensor(f) for f in init])
+
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_fits_run_the_public_solvers_once_per_visit(self, reg,
+                                                        monkeypatch):
+        # the solvers the acceptance criteria check are the fits' own
+        name = {"l2": "solve_mode_l2", "l1": "solve_mode_admm",
+                "masked": "_solve_mode_masked_cg"}[reg]
+        original = getattr(lrdec.solver, name)
+        calls = []
+
+        def counted(op, *args):
+            result = original(op, *args)
+            calls.append((op.mode, result))
+            return result
+
+        monkeypatch.setattr(lrdec.solver, name, counted)
+        d, _, signal = synthesize((5, 4, 3), (2, 2, 2), 2, 2, seed=45)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                           rank=2, outer_iters=3, admm_iters=20,
+                           tol_outer=1e-15)
+        if reg == "masked":
+            mask = RNG(46).uniform(size=signal.shape) > 0.3
+            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+        else:
+            report = lrd_fit(signal, d, cfg)[-1]
+        assert report.sweeps == 3
+        assert [mode for mode, _ in calls] == [0, 1, 2] * 3
+        if reg == "masked":  # the CG reports the iterations it ran
+            iters = [result[1] for _, result in calls]
+            assert [sum(iters[3 * s:3 * s + 3]) for s in range(3)] == \
+                report.inner_iters
+            assert all(result[2] is None for _, result in calls)
 
     def test_l1_factors_gram_once_per_visit_and_l2_solves_once(
             self, monkeypatch):
@@ -567,8 +594,12 @@ class TestMaskedPath:
             mask = (rng.uniform(size=(channels,) + shape) > 0.4).astype(float)
             x = rng.standard_normal((2, shape[mode], 2))
             y = rng.standard_normal((channels,) + shape)
-            lhs = np.sum(_masked_apply(op, mask, x) * y)
-            rhs = np.sum(x * _masked_adjoint(op, mask, y))
+            # on the taps' rows: <P W x, y> = <x, W^T P y>
+            forward, adjoint = op.tap_maps()
+            x_rows = x.transpose(1, 0, 2).reshape(shape[mode], -1)
+            mask_rows, y_rows = (stack_to_rows(a, mode) for a in (mask, y))
+            lhs = np.sum(forward(x_rows) * mask_rows * y_rows)
+            rhs = np.sum(x_rows * adjoint(y_rows * mask_rows))
             assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
     MASKED_NORMAL_CASES = [
@@ -601,7 +632,10 @@ class TestMaskedPath:
             a_mat.shape[1])
         op = SpectralOperator(d, shape, factors, mode)
         x = rng.standard_normal((2, shape[mode], 2))
-        got = factor_to_vec(_masked_normal(op, mask, alpha, x))
+        # on the (I_n, M*R) factor rows and the mask's output rows
+        rows = _masked_normal(op, stack_to_rows(mask, mode), alpha,
+                              x.transpose(1, 0, 2).reshape(shape[mode], -1))
+        got = factor_to_vec(rows.reshape(shape[mode], 2, 2).transpose(1, 0, 2))
         want = dense @ factor_to_vec(x)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))
@@ -635,11 +669,10 @@ class TestMaskedPath:
         op = SpectralOperator(d, shape, factors, 0)
         cfg = SolverConfig(reg="l2", alpha=alpha, cg_tol=1e-12,
                            cg_max_iters=400)
-        from lrdec.solver import _solve_mode_masked_cg
         x0 = np.zeros((1, shape[0], 2))
-        sol, info = _solve_mode_masked_cg(op, mask_bool[None].astype(float),
-                                          s_obs[None], alpha, x0, cfg)
-        assert info == 0
+        sol, _, residual = _solve_mode_masked_cg(
+            op, mask_bool[None].astype(float), s_obs[None], alpha, x0, cfg)
+        assert residual is None
         xhat = factor_to_vec(dft_factor(sol, axis=1))
         assert np.linalg.norm(xhat - dense) / max(
             1.0, np.linalg.norm(dense)) < 1e-8
@@ -910,9 +943,9 @@ class TestPreconditionedCg:
         cfg = SolverConfig(reg="l2", alpha=alpha, cg_tol=1e-12,
                            cg_max_iters=400)
         x0 = np.zeros((m_count, shape[mode], rank))
-        sol, info = _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0,
-                                          cfg)
-        assert info == 0
+        sol, _, residual = _solve_mode_masked_cg(op, mask_stack, s_obs, alpha,
+                                                 x0, cfg)
+        assert residual is None
         xhat = factor_to_vec(dft_factor(sol, axis=1))
         assert np.linalg.norm(xhat - dense) / max(
             1.0, np.linalg.norm(dense)) < 1e-8
