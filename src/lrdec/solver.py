@@ -20,7 +20,9 @@ visit adds to ``SolveReport.inner_iters``:
 * :func:`_solve_mode_masked_cg`, a conjugate-gradient solve for masked
   signals, where the spatial mask breaks the per-frequency decoupling,
   preconditioned by the unmasked per-frequency blocks with the mask taken
-  as its observed fraction: the CG iterations it counts.
+  as its observed fraction: the CG iterations it counts.  The CG is
+  :func:`_pcg`, a short numpy loop on flat vectors whose arithmetic
+  follows scipy's ``cg`` step for step; the runtime imports numpy only.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
 convolution taps (``SpectralOperator.tap_maps``), with no FFT: the
@@ -47,7 +49,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .convmodel import (SpectralOperator, filter_correlations, rows_to_stack,
                         stack_to_rows, vec_to_signal)
@@ -101,19 +102,24 @@ class SolverConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got "
                                  f"{value}")
-        for name in ("rank", "outer_iters", "admm_iters", "cg_max_iters"):
+        for name in ("rank", "outer_iters", "admm_iters", "cg_max_iters",
+                     "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value,
                                                          (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.rho_init) and self.rho_init > 0):
             raise ValueError(f"rho_init must be finite and positive, got "
                              f"{self.rho_init}")
         for name in ("tol_primal", "tol_dual", "tol_outer", "cg_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{value}")
         if self.admm_iters < 1 or self.outer_iters < 1 or self.cg_max_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
 
@@ -510,6 +516,40 @@ def _masked_normal(op, mask_rows, alpha, x):
     return adjoint(forward(x) * mask_rows) + alpha * x
 
 
+def _pcg(matvec, precondition, b, x0, rtol, maxiter):
+    """Preconditioned conjugate gradients on flat real vectors.
+
+    Solves ``A x = b`` for an SPD ``A`` applied by `matvec`, with
+    `precondition` applying an SPD approximation of ``A^-1``.  Stops when
+    the running residual is below ``rtol ||b||``, tested before each
+    iteration.  Every step repeats the arithmetic of scipy's ``cg``, so
+    the two return the same bits.  Returns the solution (a copy of ``b``
+    when it is zero), the iterations run and whether the tolerance was met.
+    """
+    x = np.array(x0, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0:
+        return b.copy(), 0, True
+    atol = rtol * bnorm
+    r = b - matvec(x) if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration, True
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
 def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     """Preconditioned CG solve of the masked normal equations for one mode.
 
@@ -517,9 +557,9 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     fraction, and applies ``(p W^H W + alpha I)^-1`` exactly per mode-n
     frequency; with nothing masked it is the inverse of the system.
     Returns the factor stack, the CG iterations run and, when the budget
-    ran out, the true relative residual of the normal equations (scipy
-    stops on its running residual, which can drift from the true one);
-    ``None`` when the relative tolerance was met."""
+    ran out, the true relative residual of the normal equations (CG stops
+    on its running residual, updated by recurrence, which can drift from
+    the true one); ``None`` when the relative tolerance was met."""
     length = op.mode_length
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
@@ -536,24 +576,16 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
         return irdft_factor(inv @ xhat, length).ravel()
 
     rhs = op.tap_maps()[1](stack_to_rows(s_obs, op.mode) * mask_rows)
-    shape = (rhs.size, rhs.size)
-    lin = scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
-                                             dtype=float)
-    pre = scipy.sparse.linalg.LinearOperator(shape, matvec=precondition,
-                                             dtype=float)
-    steps = []
-    sol, info = scipy.sparse.linalg.cg(lin, rhs.ravel(),
-                                       x0=_to_rows(x0).ravel(),
-                                       rtol=cfg.cg_tol, atol=0.0,
-                                       maxiter=cfg.cg_max_iters, M=pre,
-                                       callback=steps.append)
+    sol, iterations, converged = _pcg(matvec, precondition, rhs.ravel(),
+                                      _to_rows(x0).ravel(), cfg.cg_tol,
+                                      cfg.cg_max_iters)
     x = sol.reshape(length, -1)
     residual = None
-    if info != 0:
+    if not converged:
         residual = float(np.linalg.norm(
             rhs - _masked_normal(op, mask_rows, alpha, x))
             / np.linalg.norm(rhs))
-    return _to_stack(x, op.num_filters), len(steps), residual
+    return _to_stack(x, op.num_filters), iterations, residual
 
 
 def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):

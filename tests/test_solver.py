@@ -74,8 +74,29 @@ class TestSolverConfig:
             SolverConfig(**{name: value})
 
     def test_accepts_numpy_integers(self):
-        cfg = SolverConfig(rank=np.int64(2), outer_iters=np.int32(3))
-        assert (cfg.rank, cfg.outer_iters) == (2, 3)
+        cfg = SolverConfig(rank=np.int64(2), outer_iters=np.int32(3),
+                           seed=np.uint8(7))
+        assert (cfg.rank, cfg.outer_iters, cfg.seed) == (2, 3, 7)
+
+    @pytest.mark.parametrize("name", ["tol_primal", "tol_dual", "tol_outer",
+                                      "cg_tol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -1e-8])
+    def test_rejects_non_finite_or_non_positive_tolerances(self, name, value):
+        # cg_tol=inf used to pass: the masked fit then ran no CG iteration
+        # and stopped after one sweep as converged, with no warning
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value,message", [
+        (2.5, "must be an integer"), (True, "must be an integer"),
+        (np.float64(3.0), "must be an integer"), ("1", "must be an integer"),
+        (-1, "must be >= 0"), (np.int64(-3), "must be >= 0")])
+    def test_rejects_seeds_numpy_cannot_use(self, value, message):
+        # these used to fail only in the fit, in numpy's SeedSequence, with
+        # a message that did not name the field
+        with pytest.raises(ValueError, match=f"^seed {message}"):
+            SolverConfig(seed=value)
 
 
 class TestSoftThreshold:
