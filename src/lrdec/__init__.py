@@ -11,8 +11,7 @@ from .convmodel import (Dictionary, SpectralOperator, circular_convolve,
 from .io import (FormatError, generate_mask, read_dictionary, read_image,
                  read_mask, read_tensor, write_dictionary, write_image,
                  write_mask, write_tensor)
-from .metrics import (CompressionStats, MetricReport, compression_ratio,
-                      evaluate, mse, psnr)
+from .metrics import CompressionStats, compression_ratio, mse, psnr
 from .solver import (AdmmState, SolveReport, SolverConfig, lrd_fit,
                      lrd_fit_masked, soft_threshold, solve_mode_admm,
                      solve_mode_l2)
@@ -31,7 +30,6 @@ __all__ = [
     "FormatError",
     "ImaginaryResidueError",
     "KruskalTensor",
-    "MetricReport",
     "SolveReport",
     "SolverConfig",
     "SpectralOperator",
@@ -40,7 +38,6 @@ __all__ = [
     "compression_ratio",
     "dft_factor",
     "dft_nd",
-    "evaluate",
     "fold",
     "forward_model",
     "generate_mask",

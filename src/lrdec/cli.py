@@ -133,26 +133,17 @@ def cmd_synth(args):
     return 0
 
 
-def _solver_config(args, reg, weight, rank):
-    return SolverConfig(
-        reg=reg,
-        lam=weight if reg == "l1" else 0.1,
-        alpha=weight if reg == "l2" else 1e-4,
-        rank=rank,
-        rho_init=args.rho,
-        admm_iters=args.admm_iters,
-        outer_iters=args.max_outer,
-        tol_outer=args.tol,
-        cg_tol=args.cg_tol,
-        cg_max_iters=args.cg_iters,
-        seed=args.seed,
-    )
+def _solver_config(args, **fields):
+    """The sweep flags of :func:`_add_fit_flags` plus the fit's `fields`."""
+    return SolverConfig(outer_iters=args.max_outer, tol_outer=args.tol,
+                        seed=args.seed, **fields)
 
 
 def cmd_reconstruct(args):
     signal = _read_signal(args.signal)
     dictionary = read_dictionary(args.filters)
-    weights = args.lam if args.reg == "l1" else args.alpha
+    # --lambda and --alpha store their sweeps under SolverConfig's names
+    weight_field = "lam" if args.reg == "l1" else "alpha"
     out_dir = Path(args.out) if args.out else None
     if args.save_activations and out_dir is None:
         raise ValueError("--save-activations requires --out")
@@ -161,15 +152,17 @@ def cmd_reconstruct(args):
 
     rows = [CSV_HEADER]
     point = 0
-    for weight in weights:
+    for weight in getattr(args, weight_field):
         for rank in args.rank:
-            cfg = _solver_config(args, args.reg, weight, rank)
+            cfg = _solver_config(args, reg=args.reg, rank=rank,
+                                 rho_init=args.rho, admm_iters=args.admm_iters,
+                                 **{weight_field: weight})
             activations, report = lrd_fit(signal, dictionary, cfg)
             for warning in report.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
             recon = forward_model(dictionary, activations)
             quality = psnr(signal, recon, peak=args.peak)
-            stats = compression_ratio(activations, activations[0].shape,
+            stats = compression_ratio(activations, signal.shape,
                                       eps_rel=args.eps_rel)
             seconds = report.seconds if args.timing else 0.0
             rows.append(",".join([
@@ -204,7 +197,8 @@ def cmd_inpaint(args):
     if args.truth:
         truth = _read_signal(args.truth)
 
-    cfg = _solver_config(args, "l2", args.alpha, args.rank)
+    cfg = _solver_config(args, alpha=args.alpha, rank=args.rank,
+                         cg_tol=args.cg_tol, cg_max_iters=args.cg_iters)
     _, completed, report = lrd_fit_masked(signal, mask, dictionary, cfg)
 
     out = Path(args.out)
@@ -228,30 +222,24 @@ def cmd_metrics(args):
               _fmt(mse(reference, estimate))]
     if args.activations:
         acts = _load_activations(args.activations)
-        stats = compression_ratio(acts, acts[0].shape, eps_rel=args.eps_rel)
+        stats = compression_ratio(acts, reference.shape,
+                                  eps_rel=args.eps_rel)
         fields += [_fmt(stats.cr), str(stats.nnz)]
     print(",".join(fields))
     return 0
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--max-outer", type=_positive_int, default=100,
+def _add_fit_flags(parser):
+    """The flags both fitting commands read, defaulting as SolverConfig."""
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed,
+                        help="RNG seed")
+    parser.add_argument("--max-outer", type=_positive_int,
+                        default=SolverConfig.outer_iters,
                         help="outer sweep budget")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol_outer,
                         help="relative objective-change stopping tolerance")
-    parser.add_argument("--rho", type=float, default=1.0,
-                        help="initial ADMM penalty")
-    parser.add_argument("--admm-iters", type=_positive_int, default=50,
-                        help="inner ADMM budget per mode visit")
-    parser.add_argument("--cg-tol", type=float, default=1e-8,
-                        help="CG relative tolerance (masked solves)")
-    parser.add_argument("--cg-iters", type=_positive_int, default=500,
-                        help="CG budget per masked mode solve")
     parser.add_argument("--peak", type=float, default=1.0,
                         help="peak value for PSNR")
-    parser.add_argument("--eps-rel", type=float, default=1e-6,
-                        help="relative nonzero threshold for CR")
 
 
 def build_parser():
@@ -280,32 +268,45 @@ def build_parser():
     p.add_argument("--signal", required=True)
     p.add_argument("--filters", required=True)
     p.add_argument("--reg", choices=("l1", "l2"), default="l2")
-    p.add_argument("--lambda", dest="lam", type=_float_list, default=[0.1],
+    p.add_argument("--lambda", dest="lam", type=_float_list,
+                   default=[SolverConfig.lam],
                    help="l1 weight sweep, comma separated")
-    p.add_argument("--alpha", type=_float_list, default=[1e-4],
+    p.add_argument("--alpha", type=_float_list, default=[SolverConfig.alpha],
                    help="l2 weight sweep, comma separated")
-    p.add_argument("--rank", type=_int_list, default=[3],
+    p.add_argument("--rank", type=_int_list, default=[SolverConfig.rank],
                    help="rank sweep, comma separated")
     p.add_argument("--out", default=None,
                    help="directory for results.csv (default: stdout)")
     p.add_argument("--save-activations", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="report wall time in the seconds column")
-    _add_solver_flags(p)
+    _add_fit_flags(p)
+    p.add_argument("--rho", type=float, default=SolverConfig.rho_init,
+                   help="initial ADMM penalty (l1)")
+    p.add_argument("--admm-iters", type=_positive_int,
+                   default=SolverConfig.admm_iters,
+                   help="inner ADMM budget per mode visit (l1)")
+    p.add_argument("--eps-rel", type=float, default=1e-6,
+                   help="relative nonzero threshold for CR")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("inpaint", help="complete a partially observed signal")
     p.add_argument("--signal", required=True)
     p.add_argument("--filters", required=True)
-    p.add_argument("--alpha", type=float, default=1e-4)
-    p.add_argument("--rank", type=_positive_int, default=3)
+    p.add_argument("--alpha", type=float, default=SolverConfig.alpha)
+    p.add_argument("--rank", type=_positive_int, default=SolverConfig.rank)
     p.add_argument("--missing", type=float, default=None,
                    help="fraction of entries to hide (mask is generated)")
     p.add_argument("--mask", default=None, help="mask tensor file")
     p.add_argument("--truth", default=None,
                    help="ground-truth tensor for PSNR")
     p.add_argument("--out", required=True, help="output directory")
-    _add_solver_flags(p)
+    _add_fit_flags(p)
+    p.add_argument("--cg-tol", type=float, default=SolverConfig.cg_tol,
+                   help="CG relative tolerance")
+    p.add_argument("--cg-iters", type=_positive_int,
+                   default=SolverConfig.cg_max_iters,
+                   help="CG budget per mode visit")
     p.set_defaults(func=cmd_inpaint)
 
     p = sub.add_parser("metrics", help="compare two tensors")

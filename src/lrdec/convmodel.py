@@ -90,6 +90,8 @@ __all__ = [
     "vec_to_signal",
     "stack_to_rows",
     "rows_to_stack",
+    "factors_to_rows",
+    "rows_to_factors",
 ]
 
 
@@ -138,9 +140,6 @@ class Dictionary:
     def ndim(self):
         """Number of spatial modes the filters act on."""
         return len(self.support)
-
-    def filter(self, m, c=0):
-        return self.filters[m, c]
 
     def check_signal_shape(self, shape):
         """Validate the filter support against a signal shape.
@@ -345,6 +344,16 @@ def rows_to_stack(rows, shape, mode):
     return np.moveaxis(rows.reshape([shape[mode], -1] + rest), 0, 1 + mode)
 
 
+def factors_to_rows(x):
+    """An ``(M, I_n, R)`` factor stack as the taps' ``(I_n, M*R)`` rows."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def rows_to_factors(rows, num_filters):
+    """Inverse of :func:`factors_to_rows`."""
+    return rows.reshape(len(rows), num_filters, -1).transpose(1, 0, 2)
+
+
 class SpectralOperator:
     """Linear map from one mode's factors to the model output.
 
@@ -430,7 +439,7 @@ class SpectralOperator:
     def apply_arrays(self, xhat):
         """Map spectral factors ``(M, I_n, R)`` to output spectra
         ``(C, I_n, Lambda)``."""
-        x = np.fft.ifft(xhat, axis=1, norm="ortho").transpose(1, 0, 2)
+        x = factors_to_rows(np.fft.ifft(xhat, axis=1, norm="ortho"))
         y = rows_to_stack(self.tap_maps()[0](x), self.signal_shape, self.mode)
         yhat = np.fft.fftn(y, axes=tuple(range(1, y.ndim)), norm="ortho")
         # unfold order: the other modes ascending, the first fastest
@@ -445,8 +454,8 @@ class SpectralOperator:
             1, 1 + self.mode)
         y = np.fft.ifftn(yhat, axes=tuple(range(1, yhat.ndim)), norm="ortho")
         x = self.tap_maps()[1](stack_to_rows(y, self.mode))
-        return np.fft.fft(x.reshape(self.mode_length, self.num_filters, -1)
-                          .transpose(1, 0, 2), axis=1, norm="ortho")
+        return np.fft.fft(rows_to_factors(x, self.num_filters), axis=1,
+                          norm="ortho")
 
     def apply(self, xhat_vec):
         """Vector form of :meth:`apply_arrays`."""

@@ -1,4 +1,9 @@
-"""Reconstruction quality and representation efficiency metrics."""
+"""Reconstruction quality and representation efficiency metrics.
+
+:func:`psnr` and :func:`mse` rate a reconstruction against its reference
+and :func:`compression_ratio` rates the activations that make it; the
+``reconstruct`` and ``metrics`` commands report the three side by side.
+"""
 
 from dataclasses import dataclass
 
@@ -11,8 +16,6 @@ __all__ = [
     "psnr",
     "CompressionStats",
     "compression_ratio",
-    "MetricReport",
-    "evaluate",
 ]
 
 
@@ -46,14 +49,12 @@ class CompressionStats:
     """Sparsity summary of a set of activations.
 
     ``nnz`` counts factor entries above ``eps_rel`` times the largest
-    absolute entry; ``cr`` is signal elements per surviving entry.  The
-    raw l1 mass of the factors is kept alongside for reference.
+    absolute entry; ``cr`` is signal elements, channels included, per
+    surviving entry.
     """
 
     cr: float
     nnz: int
-    l1_sum: float
-    threshold_eps: float
 
 
 def _factor_arrays(activations):
@@ -72,7 +73,8 @@ def compression_ratio(activations, signal_shape, eps_rel=1e-6):
     activations : sequence
         Per-filter activations (:class:`KruskalTensor` or factor lists).
     signal_shape : tuple of int
-        Shape of the represented signal.
+        Shape of the represented signal, its channel axis included: a
+        C-channel signal has C times the elements of one activation.
     eps_rel : float
         Relative magnitude threshold under which a stored coefficient
         counts as zero.
@@ -89,32 +91,5 @@ def compression_ratio(activations, signal_shape, eps_rel=1e-6):
     peak = max((float(np.max(np.abs(f))) for f in factors), default=0.0)
     nnz = sum(int(np.sum(np.abs(f) > eps_rel * peak)) for f in factors) \
         if peak > 0 else 0
-    l1 = sum(float(np.sum(np.abs(f))) for f in factors)
     cr = float("inf") if nnz == 0 else total / nnz
-    return CompressionStats(cr=cr, nnz=nnz, l1_sum=l1, threshold_eps=eps_rel)
-
-
-@dataclass
-class MetricReport:
-    """Combined quality/efficiency record for one reconstruction."""
-
-    psnr_db: float
-    mse: float
-    cr: float | None = None
-    nnz: int | None = None
-    threshold_eps: float | None = None
-    l1_sum: float | None = None
-
-
-def evaluate(reference, estimate, activations=None, peak=1.0, eps_rel=1e-6):
-    """Assemble a :class:`MetricReport` for an estimate of `reference`."""
-    report = MetricReport(psnr_db=psnr(reference, estimate, peak=peak),
-                          mse=mse(reference, estimate))
-    if activations is not None:
-        stats = compression_ratio(activations, np.asarray(reference).shape,
-                                  eps_rel=eps_rel)
-        report.cr = stats.cr
-        report.nnz = stats.nnz
-        report.threshold_eps = stats.threshold_eps
-        report.l1_sum = stats.l1_sum
-    return report
+    return CompressionStats(cr=cr, nnz=nnz)

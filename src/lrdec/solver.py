@@ -50,8 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convmodel import (SpectralOperator, filter_correlations, rows_to_stack,
-                        stack_to_rows, vec_to_signal)
+from .convmodel import (SpectralOperator, factors_to_rows, filter_correlations,
+                        rows_to_factors, rows_to_stack, stack_to_rows,
+                        vec_to_signal)
 from .tensor import KruskalTensor
 from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
 
@@ -102,26 +103,21 @@ class SolverConfig:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got "
                                  f"{value}")
-        for name in ("rank", "outer_iters", "admm_iters", "cg_max_iters",
-                     "seed"):
+        minimums = {"rank": 1, "outer_iters": 1, "admm_iters": 1,
+                    "cg_max_iters": 1, "seed": 0}
+        for name, minimum in minimums.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value,
                                                          (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.rho_init) and self.rho_init > 0):
-            raise ValueError(f"rho_init must be finite and positive, got "
-                             f"{self.rho_init}")
-        for name in ("tol_primal", "tol_dual", "tol_outer", "cg_tol"):
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        for name in ("rho_init", "tol_primal", "tol_dual", "tol_outer",
+                     "cg_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got "
                                  f"{value}")
-        if self.admm_iters < 1 or self.outer_iters < 1 or self.cg_max_iters < 1:
-            raise ValueError("iteration budgets must be >= 1")
 
 
 @dataclass
@@ -185,16 +181,6 @@ def soft_threshold(v, gamma):
     return v - v.clip(-gamma, gamma)
 
 
-def _to_rows(x):
-    """An ``(M, I_n, R)`` factor stack as ``(I_n, M*R)`` factor rows."""
-    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-
-
-def _to_stack(rows, m_count):
-    """Inverse of :func:`_to_rows`."""
-    return rows.reshape(len(rows), m_count, -1).transpose(1, 0, 2)
-
-
 def _half_rhs(op, signal):
     """``W^H s`` of a real ``(C, *shape)`` signal stack through the visit's
     mode-n taps, on the half spectrum: ``(I_n//2 + 1, M*R)`` rows."""
@@ -230,8 +216,8 @@ def solve_mode_l2(op, signal, alpha):
     gram = op.gram_blocks()
     blocks = gram + alpha * np.eye(gram.shape[1])
     rows = np.linalg.solve(blocks, _half_rhs(op, signal)[..., None])
-    return _to_stack(irdft_factor(rows[..., 0], op.mode_length),
-                     op.num_filters)
+    return rows_to_factors(irdft_factor(rows[..., 0], op.mode_length),
+                           op.num_filters)
 
 
 def solve_mode_admm(op, signal, cfg, state=None):
@@ -275,7 +261,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
         inv = 1.0 / (w + rho)
         return proj * inv, rho * inv
 
-    y, u = _to_rows(state.y), _to_rows(state.u)
+    y, u = factors_to_rows(state.y), factors_to_rows(state.u)
     rho = state.rho
     base, shift = steps(rho)
     for _ in range(cfg.admm_iters):
@@ -302,7 +288,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
             rho, u = rho * scale, u / scale
             base, shift = steps(rho)
 
-    state.x, state.y, state.u = (_to_stack(s, op.num_filters)
+    state.x, state.y, state.u = (rows_to_factors(s, op.num_filters)
                                  for s in (x, y, u))
     state.rho = rho
     return state.y.copy(), state
@@ -407,7 +393,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     signal_norm = float(np.linalg.norm(s_obs))
 
     def data_term(forward, n, x):
-        r = forward(_to_rows(x)) * mask_rows[n] - s_rows[n]
+        r = forward(factors_to_rows(x)) * mask_rows[n] - s_rows[n]
         return 0.5 * float(np.sum(r * r))
 
     prev_obj = None
@@ -577,15 +563,15 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
 
     rhs = op.tap_maps()[1](stack_to_rows(s_obs, op.mode) * mask_rows)
     sol, iterations, converged = _pcg(matvec, precondition, rhs.ravel(),
-                                      _to_rows(x0).ravel(), cfg.cg_tol,
-                                      cfg.cg_max_iters)
+                                      factors_to_rows(x0).ravel(),
+                                      cfg.cg_tol, cfg.cg_max_iters)
     x = sol.reshape(length, -1)
     residual = None
     if not converged:
         residual = float(np.linalg.norm(
             rhs - _masked_normal(op, mask_rows, alpha, x))
             / np.linalg.norm(rhs))
-    return _to_stack(x, op.num_filters), iterations, residual
+    return rows_to_factors(x, op.num_filters), iterations, residual
 
 
 def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
@@ -649,8 +635,8 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                         mask_stack, s_obs, check_l2=False)
 
     # the last visit's map of its final factors is the model output
-    out = rows_to_stack(op.tap_maps()[0](_to_rows(factors[-1])), shape,
-                        op.mode)
+    out = rows_to_stack(op.tap_maps()[0](factors_to_rows(factors[-1])),
+                        shape, op.mode)
     completed = np.ascontiguousarray(
         out[0] if dictionary.num_channels == 1 else np.moveaxis(out, 0, -1))
     report.seconds = time.perf_counter() - t0

@@ -89,13 +89,13 @@ def make_problem(shape, support, m_count, rank, seed, channels=1,
     return dictionary, activations, forward_model(dictionary, activations)
 
 
-def smooth_low_rank(shape, rank, seed, num_harmonics=2):
+def smooth_low_rank(shape, rank, seed):
     """Smooth factored tensor scaled into [0, 1].
 
-    Sums `rank` outer products of random low-frequency profiles (constant
-    plus `num_harmonics` sinusoids per mode), then shifts and scales the
-    result to span the unit interval.  Deterministic per (shape, rank,
-    seed).
+    Sums `rank` outer products of random low-frequency profiles, then
+    shifts and scales the result to span the unit interval.  Each profile
+    is a constant plus a sine and a cosine at each of the first two
+    harmonics of its mode's length.  Deterministic per (shape, rank, seed).
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -104,7 +104,7 @@ def smooth_low_rank(shape, rank, seed, num_harmonics=2):
     def profile(n):
         t = np.linspace(0.0, 1.0, n, endpoint=False)
         out = rng.standard_normal() * np.ones(n)
-        for k in range(1, num_harmonics + 1):
+        for k in (1, 2):
             out += rng.standard_normal() * np.sin(2 * np.pi * k * t)
             out += rng.standard_normal() * np.cos(2 * np.pi * k * t)
         return out

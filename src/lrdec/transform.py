@@ -17,12 +17,13 @@ __all__ = [
     "ImaginaryResidueError",
     "dft_nd",
     "idft_nd",
-    "idft_nd_complex",
     "dft_factor",
     "idft_factor",
     "rdft_factor",
     "irdft_factor",
 ]
+
+_RESIDUE_TOL = 1e-9  # largest max|imag| / max|real| of a real inverse
 
 
 class ImaginaryResidueError(ValueError):
@@ -30,13 +31,13 @@ class ImaginaryResidueError(ValueError):
     with a non-negligible imaginary part."""
 
 
-def _strip_imag(z, residue_tol, what):
+def _strip_imag(z, what):
     imag_max = np.abs(z.imag).max() if z.size else 0.0
     real_max = np.abs(z.real).max() if z.size else 0.0
-    if imag_max > residue_tol * real_max:
+    if imag_max > _RESIDUE_TOL * real_max:
         raise ImaginaryResidueError(
             f"{what}: imaginary residue {imag_max:.3e} exceeds "
-            f"{residue_tol:.1e} * {real_max:.3e}; upstream data is not "
+            f"{_RESIDUE_TOL:.1e} * {real_max:.3e}; upstream data is not "
             f"conjugate-symmetric")
     return np.ascontiguousarray(z.real)
 
@@ -50,19 +51,13 @@ def dft_nd(t):
     return np.fft.fftn(t, norm="ortho")
 
 
-def idft_nd_complex(s):
-    """Unitary inverse DFT, keeping the full complex result."""
-    return np.fft.ifftn(s, norm="ortho")
-
-
-def idft_nd(s, residue_tol=1e-9):
+def idft_nd(s):
     """Unitary inverse DFT of the spectrum of a real tensor, returned real.
 
     Raises :class:`ImaginaryResidueError` when ``max|imag| / max|real|`` of
-    the inverse exceeds `residue_tol`: the spectrum was not
-    conjugate-symmetric.
+    the inverse exceeds 1e-9: the spectrum was not conjugate-symmetric.
     """
-    return _strip_imag(idft_nd_complex(s), residue_tol, "idft_nd")
+    return _strip_imag(np.fft.ifftn(s, norm="ortho"), "idft_nd")
 
 
 def dft_factor(x, axis=0):
@@ -75,14 +70,14 @@ def dft_factor(x, axis=0):
     return np.fft.fft(x, axis=axis, norm="ortho")
 
 
-def idft_factor(xhat, axis=0, residue_tol=1e-9):
+def idft_factor(xhat, axis=0):
     """Inverse of :func:`dft_factor`, returning the real factor.
 
     Raises :class:`ImaginaryResidueError` when the input is not the
-    spectrum of a real factor within `residue_tol`.
+    spectrum of a real factor within the 1e-9 of :func:`idft_nd`.
     """
     z = np.fft.ifft(xhat, axis=axis, norm="ortho")
-    return _strip_imag(z, residue_tol, "idft_factor")
+    return _strip_imag(z, "idft_factor")
 
 
 def rdft_factor(x, axis=0):

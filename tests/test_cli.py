@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lrdec import cli
 from lrdec.cli import main
@@ -326,3 +327,42 @@ class TestMetrics:
         write_tensor(a, np.zeros((3, 3)))
         write_tensor(b, np.zeros((3, 4)))
         assert run_cli("metrics", "--ref", a, "--est", b) == 1
+
+
+class TestSubcommandFlags:
+    def test_compression_ratio_counts_channels(self, tmp_path, capsys):
+        # cr used to be computed from one activation's shape, C times too
+        # low for a C-channel signal
+        src = tmp_path / "src"
+        assert run_cli("synth", "--shape", "10,9", "--support", "3,3",
+                       "-M", "3", "--rank", "2", "--channels", "3",
+                       "--out", src) == 0
+        size = read_tensor(src / "signal.lrt").size
+        assert size == 10 * 9 * 3
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd", "--reg", "l1",
+                       "--lambda", "0.01", "--max-outer", "3") == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert abs(float(row[3]) * int(row[4]) - size) < 1e-9 * size
+        assert run_cli("metrics", "--ref", src / "signal.lrt",
+                       "--est", src / "signal.lrt",
+                       "--activations", src) == 0
+        fields = capsys.readouterr().out.strip().split(",")
+        assert abs(float(fields[2]) * int(fields[3]) - size) < 1e-9 * size
+
+    @pytest.mark.parametrize("command,flag", [
+        ("reconstruct", "--cg-tol"), ("reconstruct", "--cg-iters"),
+        ("inpaint", "--rho"), ("inpaint", "--admm-iters"),
+        ("inpaint", "--eps-rel")])
+    def test_flags_the_fit_does_not_read_are_usage_errors(
+            self, tmp_path, capsys, command, flag):
+        # both fitting commands used to accept every solver flag, and these
+        # changed no output byte
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        argv = [command, "--signal", src / "signal.lrt",
+                "--filters", src / "dictionary.lrd", flag, "2"]
+        if command == "inpaint":
+            argv += ["--missing", "0.5", "--out", tmp_path / "out"]
+        assert run_cli(*argv) == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err

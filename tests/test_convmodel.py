@@ -131,7 +131,7 @@ class TestForwardModel:
         ref = np.zeros((5, 5, 3))
         for m in range(2):
             k_m = kruskal_by_outer_sums([f[m] for f in factors])
-            ref += circular_convolve_by_sums(d.filter(m), k_m)
+            ref += circular_convolve_by_sums(d.filters[m, 0], k_m)
         assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_multichannel_stacks_last_axis(self):
@@ -338,7 +338,7 @@ class TestNormalBlocks:
         op, _, d, factors = tiny_operator((4, 3), 1, 1, seed=31)
         rho = 0.5
         blocks = normal_blocks(op, rho)
-        dhat = unfold(np.fft.fftn(pad_to_shape(d.filter(0), (4, 3))), 0)
+        dhat = unfold(np.fft.fftn(pad_to_shape(d.filters[0, 0], (4, 3))), 0)
         qhat = dft_factor(factors[1][0])[:, 0]
         for i in range(4):
             direct = np.sum(np.abs(dhat[i]) ** 2 * np.abs(qhat) ** 2) + rho
@@ -422,7 +422,7 @@ class TestHalfSpectrum:
         for m in range(3):
             for c in range(2):
                 assert np.array_equal(
-                    spectra[m, c], np.fft.fftn(pad_to_shape(d.filter(m, c),
+                    spectra[m, c], np.fft.fftn(pad_to_shape(d.filters[m, c],
                                                             (4, 5))))
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])

@@ -73,6 +73,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["outer_iters", "admm_iters",
+                                      "cg_max_iters"])
+    def test_zero_budget_names_its_field(self, name):
+        # each budget at 0 used to raise "iteration budgets must be >= 1",
+        # which named no field
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            SolverConfig(**{name: 0})
+
     def test_accepts_numpy_integers(self):
         cfg = SolverConfig(rank=np.int64(2), outer_iters=np.int32(3),
                            seed=np.uint8(7))
