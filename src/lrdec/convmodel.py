@@ -16,33 +16,6 @@ conjugate-symmetric and the Gram blocks are built for frequencies
 :func:`filter_spectra` serves :func:`forward_model`, the independent FFT
 reference that the taps are checked against.
 
-Gram blocks in the lag domain
------------------------------
-Block ``i`` contracts over the ``Lambda`` frequencies of the other modes,
-but by Parseval and the convolution theorem it equals a sum over the lags
-of the small filter support::
-
-    G_i[(m,r),(m',r')] = sum_delta K_mm'[delta, i]
-                         * prod_{k != n} R^k_(m,r),(m',r')[delta_k]
-
-with ``delta = u - v`` a lag of the other modes and
-
-* ``p_{m,c,i}[u]``: filter ``(m, c)`` transformed along mode ``n`` only
-  (unnormalized DFT), at frequency ``i`` and other-mode position ``u``;
-* ``K_mm'[delta, i] = sum_c sum_{u - v = delta} conj(p_{m,c,i}[u])
-  p_{m',c,i}[v]``, a fit-constant filter cross-correlation made by
-  :func:`filter_correlations`, with ``|delta_k| < L_k``;
-* ``R^k[delta] = sum_s f_k[m][s, r] f_k[m'][(s + delta) mod I_k, r']``, the
-  circular lag correlation of the real mode-``k`` factor columns, made per
-  operator from ``(M*R)**2`` numbers per lag.
-
-``R^k`` has period ``I_k``, so when ``2 L_k - 1 > I_k`` the lags are folded
-modulo ``I_k`` and the aliased terms of ``K`` summed.  Mode ``k`` then
-keeps ``J_k = min(2 L_k - 1, I_k)`` lags, stored in DFT order: lag index
-``q`` stands for ``delta_k = q`` when ``q < L_k`` and for ``q - J_k``
-(negative, or an alias modulo ``I_k``) otherwise.  The contraction length
-``J = prod_{k != n} J_k`` is never longer than ``Lambda``.
-
 Mode-n taps
 -----------
 The map runs in the signal domain.  Channel ``c`` of the model output,
@@ -60,9 +33,27 @@ adjoint ``Z B^T`` and ``L_n`` shifted row sums, with
 :meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
 the ``B_c[tau]``.  Its columns run over the channels and then the other
 modes in ascending order, the last fastest (not the order of ``unfold``):
-the row layout of :func:`stack_to_rows`.  Its work grows with ``L_n``.
-The fits call these row maps (:meth:`SpectralOperator.tap_maps`); the
-vector API wraps them in unitary DFTs of arbitrary complex spectra.
+the row layout of :func:`stack_to_rows`.  The fits call these row maps
+(:meth:`SpectralOperator.tap_maps`); the vector API wraps them in unitary
+DFTs of arbitrary complex spectra.
+
+Gram blocks from the taps
+-------------------------
+With ``B_tau`` the ``(M*R, C*Lambda)`` rows of tap ``tau``, the normal map
+is ``X -> sum_{tau, tau'} S_{tau - tau'} X B_tau B_tau'^T``, a circulant in
+the mode-n rows.  Its lag products::
+
+    P[d] = sum_tau B_tau B_{tau + d}^T,    |d| < L_n,
+
+are folded modulo ``I_n`` (``S_d`` has period ``I_n``, so when ``2 L_n - 1
+> I_n`` aliased lags add up), and the DFT along mode ``n`` turns the
+circulant into the block ``G_i = sum_d P[d] exp(-2 pi j i d / I_n)`` per
+frequency: the ``rfft`` of ``P`` over ``d`` is the half spectrum of
+blocks.  So the Gram blocks reuse the visit's taps through one real
+product ``B B^T``.
+
+Known limit: the taps' work grows with ``L_n``, and the Gram build, whose
+``B B^T`` has ``(L_n*M*R)**2`` entries, as ``L_n**2``.
 
 Vector layouts
 --------------
@@ -81,7 +72,6 @@ __all__ = [
     "Dictionary",
     "circular_convolve",
     "filter_spectra",
-    "filter_correlations",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -203,55 +193,6 @@ def filter_spectra(dictionary, shape):
                      for bank in dictionary.filters], dtype=complex)
 
 
-def _lags(support, length):
-    """The folded lags ``delta mod length`` of a length-`support`
-    correlation, in DFT order (see the module docstring)."""
-    count = min(2 * support - 1, length)
-    q = np.arange(count)
-    return np.where(q < support, q, q - count) % length
-
-
-def filter_correlations(dictionary, shape, mode):
-    """Lag-domain filter cross-correlations ``K`` of one mode's Gram blocks.
-
-    Returns the ``(M, M, J, I_n//2 + 1)`` complex stack with
-    ``[m, m', q, i]`` the folded ``K_mm'[delta, i]`` of the module
-    docstring, ``q`` running over the lags of the other modes in ascending
-    mode order (C order, one :func:`_lags` set per mode).  Constant over a
-    fit, so a fit makes it once per mode.
-    """
-    shape = tuple(int(s) for s in shape)
-    dictionary.check_signal_shape(shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    counts = [len(_lags(dictionary.support[k], shape[k]))
-              for k in range(len(shape)) if k != mode]
-    axes = tuple(range(2, 2 + len(counts)))
-    # p[m, c, u..., i]: real filters transformed along `mode`, where the
-    # half spectrum 0..I_n//2 is exactly what rfft returns
-    p = np.moveaxis(np.fft.rfft(dictionary.filters, n=shape[mode],
-                                axis=2 + mode), 2 + mode, -1)
-    # circular cross-correlation on J_k points folds the lags mod J_k:
-    # exact for J_k = 2 L_k - 1, the fold mod I_k for J_k = I_k
-    spec = np.fft.fftn(p, s=counts, axes=axes)
-    cross = np.einsum("ac...,bc...->ab...", spec.conj(), spec)
-    corr = np.fft.fftn(cross, axes=axes) / np.prod(counts)
-    m_count = dictionary.num_filters
-    return np.ascontiguousarray(
-        corr.reshape(m_count, m_count, -1, corr.shape[-1]))
-
-
-def _factor_lag_correlations(f, lags):
-    """``R[m, m', r, r', q] = sum_s f[m, s, r] f[m', (s + lags[q]) % I, r']``
-    of a real factor stack `f` of shape ``(M, I, R)``."""
-    m_count, length, rank = f.shape
-    shifted = f[:, (np.arange(length) + lags[:, None]) % length]  # (M,J,I,R)
-    rows = f.transpose(0, 2, 1).reshape(m_count * rank, length)
-    cols = shifted.transpose(2, 0, 3, 1).reshape(length, -1)
-    corr = (rows @ cols).reshape(m_count, rank, m_count, rank, len(lags))
-    return corr.transpose(0, 2, 1, 3, 4)
-
-
 def _activation_factors(activations):
     """Normalize a list of activations to per-filter factor lists."""
     out = []
@@ -363,10 +304,10 @@ class SpectralOperator:
     both under the unitary DFT.  It runs the real mode-n taps between an
     inverse DFT along mode ``n`` and a forward N-D DFT in ``unfold`` order.
 
-    Two forms, each made on first use and cached: the half-spectrum Gram
-    blocks of its normal equations and the mode-n taps.  Immutable
-    otherwise; reuse one instance for all solves of the same mode while
-    the other factors are fixed.
+    Two forms, each made on first use and cached: the mode-n taps and,
+    from them, the half-spectrum Gram blocks of its normal equations.
+    Immutable otherwise; reuse one instance for all solves of the same
+    mode while the other factors are fixed.
 
     Parameters
     ----------
@@ -376,13 +317,9 @@ class SpectralOperator:
         Per mode, the stacked real factors ``(M, I_k, R)``.  The entry at
         `mode` only fixes the dimensions; its values are not used.
     mode : int
-    correlations : ndarray, optional
-        The dictionary's :func:`filter_correlations` at `signal_shape` and
-        `mode`; made here when omitted.
     """
 
-    def __init__(self, dictionary, signal_shape, factors, mode,
-                 correlations=None):
+    def __init__(self, dictionary, signal_shape, factors, mode):
         shape = tuple(int(s) for s in signal_shape)
         n_modes = len(shape)
         if not 0 <= mode < n_modes:
@@ -399,30 +336,15 @@ class SpectralOperator:
                 raise ValueError(f"factor block {k} has shape {f.shape}, "
                                  f"expected an (M, I_{k}, R) stack of shape "
                                  f"{(m_count, shape[k]) + rank}")
-        rank = rank[0]
-        self._lags = [(k, _lags(dictionary.support[k], shape[k]))
-                      for k in range(n_modes) if k != mode]
-        if correlations is None:
-            correlations = filter_correlations(dictionary, shape, mode)
-        expected = (m_count, m_count,
-                    int(np.prod([len(q) for _, q in self._lags])),
-                    shape[mode] // 2 + 1)
-        if correlations.shape != expected:
-            raise ValueError(f"filter correlations of shape "
-                             f"{correlations.shape}, expected {expected}")
 
         self.mode = mode
         self.signal_shape = shape
         self.num_filters = m_count
         self.num_channels = dictionary.num_channels
-        self.rank = rank
+        self.rank = rank[0]
         self.mode_length = shape[mode]
         self.lam = co_size(shape, mode)
         self._factors = factors
-        # (M*M, J, 2 * (I_n//2 + 1)): K with the real and imaginary parts
-        # interleaved, the layout the real Gram contraction reads; a view
-        self._corr = np.ascontiguousarray(correlations).reshape(
-            m_count * m_count, expected[2], expected[3]).view(float)
         self._dictionary = dictionary
         self._gram = None
         self._taps = None
@@ -474,29 +396,24 @@ class SpectralOperator:
 
         The normal matrix ``W^H W`` is block-diagonal over the mode-n
         frequency index, and block ``I_n - i`` is the conjugate of block
-        ``i``.  Each block is built in the lag domain of the module
-        docstring, over ``J`` lags instead of ``Lambda`` frequencies.
-        Returns the ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of
-        frequencies ``0..I_n//2``, cached; each mode solver shifts it by a
-        multiple of the identity.
+        ``i``.  The blocks are the ``rfft`` of the folded lag products of
+        the taps (see the module docstring).  Returns the
+        ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
+        ``0..I_n//2``, cached; each mode solver shifts it by a multiple of
+        the identity.
         """
         if self._gram is not None:
             return self._gram
-        m_count, rank = self.num_filters, self.rank
-        # T[m, m', r, r', q] = prod_k R^k[m, m', r, r', q_k], with q running
-        # over the lag sets in C order like the lag axis of K
-        lagged = np.ones((m_count, m_count, rank, rank, 1))
-        for k, lags in self._lags:
-            corr = _factor_lag_correlations(self._factors[k], lags)
-            lagged = (lagged[..., None] * corr[..., None, :]).reshape(
-                m_count, m_count, rank, rank, -1)
-        # per filter pair, (R*R, J) @ (J, 2H) with K's real and imaginary
-        # parts interleaved gives the complex (R*R, H) block entries
-        pairs = lagged.reshape(m_count * m_count, rank * rank, -1) @ self._corr
-        half = pairs.shape[-1] // 2
-        gram = pairs.view(complex).reshape(m_count, m_count, rank, rank, half)
-        size = m_count * rank
-        self._gram = gram.transpose(4, 0, 2, 1, 3).reshape(half, size, size)
+        taps, size = self.conv_taps(), self.num_filters * self.rank
+        count = len(taps) // size
+        # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into
+        # P[(tau' - tau) mod I_n]
+        pairs = (taps @ taps.T).reshape(count, size, count, size)
+        lagged = np.zeros((self.mode_length, size, size))
+        for tau in range(count):
+            lagged[(np.arange(count) - tau) % self.mode_length] += (
+                pairs[tau].transpose(1, 0, 2))
+        self._gram = np.fft.rfft(lagged, axis=0)
         return self._gram
 
     def conv_taps(self):
@@ -509,7 +426,8 @@ class SpectralOperator:
         # of the other modes, the last first, with the shifted factor columns
         # f_k[m][(i_k - sigma_k) mod I_k, r]
         t = np.repeat(np.moveaxis(d, 2 + self.mode, 2)[:, None], self.rank, 1)
-        for done, (k, _) in enumerate(reversed(self._lags)):
+        others = [k for k in range(len(self.signal_shape)) if k != self.mode]
+        for done, k in enumerate(reversed(others)):
             f, support = self._factors[k], d.shape[2 + k]
             rows = np.subtract.outer(np.arange(f.shape[1]), np.arange(support))
             shifts = f[:, rows.T % f.shape[1]].transpose(0, 3, 1, 2)

@@ -30,7 +30,8 @@ right-hand side ``W^H s`` is one real product with the taps and ``L_n``
 shifted row sums (the MTTKRP of CP-ALS); the objective
 ``0.5 ||P W x - s||^2``, with ``P`` the mask or 1, is one gather and one
 real product; the CG matvec (:func:`_masked_normal`) is both.  Known
-limit: that work grows with the mode-n filter support ``L_n``.  For the
+limit: that work grows with the mode-n filter support ``L_n``, and the
+Gram blocks, built from the taps' ``B B^T``, grow as ``L_n**2``.  For the
 masked matvec on a 64x64 image (M=8, R=3) it matched the FFT-based map it
 replaced near ``L_n = 20`` taps and runs 3x slower at ``L_n = I_n``; the
 l2 and l1 fits pay it too.
@@ -41,8 +42,8 @@ per mode-n frequency.  Signal and factors are real, so these solves carry
 only frequencies ``0..I_n//2`` along mode ``n``, as ``(I_n//2 + 1, M*R)``
 rows: real-input transforms in and out (the inverse stays real however
 ill-conditioned the blocks are), half-spectrum Gram blocks in between.
-Each mode's lag-domain filter correlations are made once per fit; no fit
-makes filter spectra.
+The visit builds those blocks from the same taps; no fit makes filter
+spectra.
 """
 
 import time
@@ -50,9 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convmodel import (SpectralOperator, factors_to_rows, filter_correlations,
-                        rows_to_factors, rows_to_stack, stack_to_rows,
-                        vec_to_signal)
+from .convmodel import (SpectralOperator, factors_to_rows, rows_to_factors,
+                        rows_to_stack, stack_to_rows, vec_to_signal)
 from .tensor import KruskalTensor
 from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
 
@@ -382,11 +382,12 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
     inner iterations and a list of warnings.  Each stack is scored on the
     visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask stack
-    (1.0 for an unmasked fit).  `check_l2` flags a rising objective.
-    Returns the report and the operator of the last visit."""
+    (1.0 for an unmasked fit).  `check_l2` flags a rising objective.  A
+    ridge solve whose blocks are singular raises a ``ValueError`` naming
+    the sweep, mode and ``alpha``.  Returns the report and the operator of
+    the last visit."""
     report = SolveReport()
     modes = range(len(shape))
-    correlations = [filter_correlations(dictionary, shape, n) for n in modes]
     s_rows = [stack_to_rows(s_obs, n) for n in modes]
     mask_rows = [stack_to_rows(mask_stack, n) if np.ndim(mask_stack) else 1.0
                  for n in modes]
@@ -400,13 +401,23 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     for sweep in range(cfg.outer_iters):
         inner = 0
         for n in modes:
-            op = SpectralOperator(dictionary, shape, factors, n,
-                                  correlations=correlations[n])
+            op = SpectralOperator(dictionary, shape, factors, n)
             forward = op.tap_maps()[0]
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(forward, n, factors[n])
                                   + _reg_term(factors, cfg))
-            factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
+            try:
+                factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
+            except np.linalg.LinAlgError:
+                if cfg.reg != "l2":
+                    raise
+                # the l2 and masked fits' ridge blocks G + alpha I (or
+                # alpha / p) round to singular
+                need = "a positive" if cfg.alpha == 0 else "a larger"
+                raise ValueError(
+                    f"ridge blocks are singular at sweep {sweep} mode {n} "
+                    f"with alpha={cfg.alpha:g}: {need} alpha is needed"
+                ) from None
             inner += iters
             report.warnings.extend(warnings)
             last_obj = obj
@@ -462,13 +473,7 @@ def lrd_fit(signal, dictionary, cfg, init=None):
 
     if cfg.reg == "l2":
         def solve_mode(op, x, sweep):
-            try:
-                return solve_mode_l2(op, s_stack, cfg.alpha), 1, []
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"ridge blocks are singular at sweep {sweep} mode "
-                    f"{op.mode} with alpha={cfg.alpha:g}: a positive alpha "
-                    f"is needed") from None
+            return solve_mode_l2(op, s_stack, cfg.alpha), 1, []
     else:
         # each mode warm-starts from its own AdmmState, not from x
         states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)

@@ -261,6 +261,21 @@ class TestInpaint:
         assert code == 1
         assert "filters contain non-finite values" in capsys.readouterr().err
 
+    def test_tiny_alpha_on_singular_blocks_is_runtime_error(self, tmp_path,
+                                                            capsys):
+        # 4 filters at rank 2 on a 1-D signal: every preconditioner block is
+        # 8x8 of rank 1, singular at alpha = 1e-300
+        src = synth_dir(tmp_path, "src", shape="16", support="5", m=4)
+        capsys.readouterr()
+        code = run_cli("inpaint", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd",
+                       "--missing", "0.3", "--alpha", "1e-300",
+                       "--rank", "2", "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: ridge blocks are singular at sweep 0 mode 0 "
+                       "with alpha=1e-300: a larger alpha is needed\n")
+
     def test_fraction_out_of_range(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
         code = run_cli("inpaint", "--signal", src / "signal.lrt",

@@ -5,9 +5,9 @@ import scipy.linalg
 import lrdec.convmodel
 import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                             factor_to_vec, filter_correlations,
-                             filter_spectra, forward_model, pad_to_shape,
-                             signal_to_vec, vec_to_factor, vec_to_signal)
+                             factor_to_vec, filter_spectra, forward_model,
+                             pad_to_shape, signal_to_vec, vec_to_factor,
+                             vec_to_signal)
 from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _half_rhs
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
@@ -360,10 +360,14 @@ HALF_SPECTRUM_CASES = [
     pytest.param((7,), 2, 2, 1, 0, None, id="shape5-2-2-1-0"),
     # single mode, even I_n
     pytest.param((6,), 3, 2, 1, 0, None, id="shape6-3-2-1-0"),
-    # lags folded mod I_k where 2 L_k - 1 > I_k on the other mode
+    # lags folded mod I_k where 2 L_k - 1 > I_k on both modes
     pytest.param((7, 6), 2, 2, 1, 0, (6, 5), id="fold-7x6"),
     # full support on the folded mode, C = 2, even I_n
     pytest.param((12, 10), 2, 2, 2, 1, (12, 3), id="fold-12x10-c2"),
+    # only the visited mode folds its tap lags: 2 L_n - 1 = 11 > I_n = 7
+    pytest.param((7, 6), 2, 3, 1, 0, (6, 2), id="fold-own-7x6"),
+    # the visited mode at full support, L_n = I_n, C = 2
+    pytest.param((12, 10), 2, 2, 2, 0, (12, 3), id="fold-own-12x10-c2"),
     # a middle mode with one folded (mode 2) and one exact (mode 0) lag set
     pytest.param((9, 8, 5), 2, 3, 1, 1, (4, 6, 4), id="fold-9x8x5"),
 ]
@@ -457,35 +461,3 @@ class TestHalfSpectrum:
             _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
         assert calls == {"spectral": 0, "pad_to_shape": 0, "taps_built": 9}
-
-    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
-    def test_fit_makes_filter_correlations_once_per_mode(self, monkeypatch,
-                                                         reg):
-        modes = []
-        original = lrdec.convmodel.filter_correlations
-
-        def counted(dictionary, shape, mode):
-            modes.append(mode)
-            return original(dictionary, shape, mode)
-
-        # the operator makes its own when the fit passes none
-        monkeypatch.setattr(lrdec.convmodel, "filter_correlations", counted)
-        monkeypatch.setattr(lrdec.solver, "filter_correlations", counted)
-        d = random_dictionary((2, 2, 2), 2, seed=48)
-        signal = RNG(49).standard_normal((5, 4, 3))
-        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", rank=2,
-                           outer_iters=3, admm_iters=5)
-        if reg == "masked":
-            mask = RNG(50).random(signal.shape) < 0.7
-            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
-        else:
-            report = lrd_fit(signal, d, cfg)[-1]
-        assert report.sweeps == 3
-        assert modes == [0, 1, 2]
-
-    def test_operator_rejects_mismatched_correlations(self):
-        d = random_dictionary((2, 2), 2, seed=51)
-        factors = factor_stacks((4, 3), 2, 1, seed=52)
-        with pytest.raises(ValueError):
-            SpectralOperator(d, (4, 3), factors, 0,
-                             correlations=filter_correlations(d, (4, 3), 1))

@@ -2,11 +2,14 @@
 
 The masked fit's conjugate gradients and the smooth filter bank's blur
 repeat scipy's ``cg`` and ``gaussian_filter`` in numpy; they must give the
-same iterations and the same bits.
+same iterations and the same bits.  Every module's ``__all__`` names only
+what the module defines, each once, so ``import *`` cannot break unseen.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,21 @@ def test_import_and_fits_load_no_scipy():
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout.splitlines()[-1]) == []
+
+
+def test_every_public_name_is_defined_once():
+    modules = [lrdec] + [importlib.import_module(f"lrdec.{info.name}")
+                         for info in pkgutil.iter_modules(lrdec.__path__)]
+    checked = 0
+    for module in modules:
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        assert len(set(names)) == len(names), module.__name__
+        assert [n for n in names if not hasattr(module, n)] == [], \
+            module.__name__
+    assert checked >= 2
 
 
 def spd_system(n, seed):

@@ -535,6 +535,18 @@ class TestLrdFit:
         assert report.sweeps >= 1
         assert np.isfinite(report.objectives[-1])
 
+    def test_masked_singular_preconditioner_asks_for_larger_alpha(self):
+        # M*R = 12 > C*Lambda = 1 on a 1-D signal: at alpha = 1e-300 the
+        # preconditioner's blocks G + (alpha / p) I round to singular
+        signal = RNG(0).standard_normal(20)
+        d = make_filters((5,), 6, seed=0)
+        mask = RNG(1).uniform(size=20) > 0.3
+        cfg = SolverConfig(alpha=1e-300, rank=2, outer_iters=5)
+        with pytest.raises(ValueError, match=r"^ridge blocks are singular "
+                           r"at sweep 0 mode 0 with alpha=1e-300: a larger "
+                           r"alpha is needed$"):
+            lrd_fit_masked(signal, mask, d, cfg)
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_init_activations_need_one_factor_per_mode(self, count):
         # one factor per activation used to raise IndexError and three
