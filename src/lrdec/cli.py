@@ -13,6 +13,7 @@ deterministic for a fixed seed; the CSV ``seconds`` column is zeroed unless
 """
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -320,6 +321,15 @@ def build_parser():
     return parser
 
 
+def _check_flags(args):
+    """Reject a bad ``--peak`` or ``--seed`` before a command does any work."""
+    peak, seed = getattr(args, "peak", 1.0), getattr(args, "seed", 0)
+    if not (math.isfinite(peak) and peak > 0):
+        raise ValueError(f"--peak must be finite and positive, got {peak}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -327,6 +337,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        _check_flags(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

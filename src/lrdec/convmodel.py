@@ -13,8 +13,8 @@ mode-n convolution taps, on which the map itself runs.  Filters and
 factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
 ``0..I_n//2`` (the half spectrum) only.  No operator makes filter spectra;
-:func:`filter_spectra` serves :func:`forward_model`, the independent FFT
-reference that the taps are checked against.
+:func:`forward_model`, the FFT reference for the taps, multiplies them into
+activation spectra built from the factors' 1-D DFTs, never dense tensors.
 
 Mode-n taps
 -----------
@@ -71,7 +71,6 @@ from .transform import dft_nd, idft_nd
 __all__ = [
     "Dictionary",
     "circular_convolve",
-    "filter_spectra",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -181,18 +180,6 @@ def circular_convolve(filt, activation):
     return idft_nd(spec)
 
 
-def filter_spectra(dictionary, shape):
-    """Unnormalized FFTs of the filters zero-padded to `shape`.
-
-    Returns the ``(M, C, *shape)`` complex stack that :func:`forward_model`
-    reads; no fit and no :class:`SpectralOperator` makes it.
-    """
-    shape = tuple(int(s) for s in shape)
-    dictionary.check_signal_shape(shape)
-    return np.array([[np.fft.fftn(pad_to_shape(f, shape)) for f in bank]
-                     for bank in dictionary.filters], dtype=complex)
-
-
 def _activation_factors(activations):
     """Normalize a list of activations to per-filter factor lists."""
     out = []
@@ -207,6 +194,13 @@ def _activation_factors(activations):
 def forward_model(dictionary, activations):
     """Synthesize the signal ``sum_m d_m (*) K_m``.
 
+    The FFT reference the taps are checked against; it reads no
+    :class:`SpectralOperator`.  ``Khat_m`` is the Kruskal tensor of the
+    factors' 1-D DFTs (``rfft`` along the last mode), so a filter costs one
+    ``rfftn`` of its bank and one rank-R rebuild on the half spectrum, one
+    ``irfftn`` ends it, and no activation is dense: memory is a few half
+    spectra per channel.
+
     Parameters
     ----------
     dictionary : Dictionary
@@ -215,7 +209,7 @@ def forward_model(dictionary, activations):
         shared across channels.
     activations : sequence
         M activation tensors, each a :class:`KruskalTensor` or a factor
-        list, all with the signal shape and a common rank.
+        list of real matrices, all with the signal shape and a common rank.
 
     Returns
     -------
@@ -233,12 +227,18 @@ def forward_model(dictionary, activations):
             raise ValueError(f"activation {m} shape mismatch")
         if any(f.shape[1] != rank for f in fs):
             raise ValueError(f"activation {m} rank mismatch")
+        if any(np.iscomplexobj(f) for f in fs):
+            raise ValueError(f"activation {m} has complex factors")
     dictionary.check_signal_shape(shape)
 
-    spectra = filter_spectra(dictionary, shape)
-    khat = np.stack([dft_nd(kruskal_reconstruct(fs)) for fs in factors])
-    out = np.stack([idft_nd(np.sum(spectra[:, c] * khat, axis=0))
-                    for c in range(dictionary.num_channels)], axis=-1)
+    spatial, spec = tuple(range(len(shape))), 0
+    for fs, bank in zip(factors, dictionary.filters):
+        # rfftn zero-pads the (*support, C) bank at the origin corner
+        khat = kruskal_reconstruct([np.fft.fft(f, axis=0) for f in fs[:-1]]
+                                   + [np.fft.rfft(fs[-1], axis=0)])
+        spec += np.fft.rfftn(np.moveaxis(bank, 0, -1), s=shape,
+                             axes=spatial) * khat[..., None]
+    out = np.fft.irfftn(spec, s=shape, axes=spatial)
     return out[..., 0] if dictionary.num_channels == 1 else out
 
 

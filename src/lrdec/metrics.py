@@ -36,8 +36,8 @@ def psnr(reference, estimate, peak=1.0):
     Identical inputs return ``inf``.  `peak` defaults to 1 for data scaled
     into the unit interval; pass the true dynamic range otherwise.
     """
-    if not peak > 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not (np.isfinite(peak) and peak > 0):
+        raise ValueError(f"peak must be finite and positive, got {peak}")
     err = mse(reference, estimate)
     if err == 0.0:
         return float("inf")

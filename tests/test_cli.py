@@ -381,3 +381,38 @@ class TestSubcommandFlags:
             argv += ["--missing", "0.5", "--out", tmp_path / "out"]
         assert run_cli(*argv) == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("inpaint", "--peak", "0"), ("reconstruct", "--peak", "0"),
+        ("metrics", "--peak", "inf"), ("reconstruct", "--peak", "nan"),
+        ("synth", "--seed", "-1"), ("inpaint", "--seed", "-1"),
+        ("reconstruct", "--seed", "-1")])
+    def test_bad_peak_or_seed_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, value):
+        # inpaint used to fit and write its outputs before psnr rejected
+        # --peak 0, metrics printed inf for --peak inf, and --seed -1 failed
+        # with numpy's message, which names no flag
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "lrd_fit", no_fit)
+        monkeypatch.setattr(cli, "lrd_fit_masked", no_fit)
+        out = tmp_path / "out"
+        argv = [command, flag, value]
+        if command == "synth":
+            argv += ["--shape", "6,6", "--out", out]
+        elif command == "metrics":
+            argv += ["--ref", src / "signal.lrt", "--est", src / "signal.lrt"]
+        else:
+            argv += ["--signal", src / "signal.lrt",
+                     "--filters", src / "dictionary.lrd", "--out", out]
+            if command == "inpaint":
+                argv += ["--missing", "0.5"]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be")
+        assert not out.exists()

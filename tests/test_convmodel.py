@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,11 @@ import scipy.linalg
 import lrdec.convmodel
 import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                             factor_to_vec, filter_spectra, forward_model,
+                             factor_to_vec, forward_model,
                              pad_to_shape, signal_to_vec, vec_to_factor,
                              vec_to_signal)
 from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _half_rhs
+from lrdec.synth import make_activations, make_filters
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
 
@@ -151,6 +154,54 @@ class TestForwardModel:
         ks[1] = KruskalTensor([np.zeros((5, 2)), np.zeros((4, 2))])
         with pytest.raises(ValueError):
             forward_model(d, ks)
+
+    # orders 1-4, C in {1, 3}, odd and even last modes (irfftn needs s= on
+    # odd ones), a support equal to the signal in one mode, M = 1 and R = 1
+    @pytest.mark.parametrize("shape,support,m_count,rank,channels", [
+        ((7,), (3,), 1, 1, 1),
+        ((6,), (2,), 3, 2, 3),
+        ((5, 4), (5, 2), 2, 2, 1),
+        ((4, 5), (2, 3), 1, 1, 3),
+        ((4, 3, 5), (2, 3, 2), 2, 1, 1),
+        ((3, 4, 4), (2, 2, 2), 1, 2, 3),
+        ((3, 2, 3, 4), (2, 2, 1, 2), 2, 2, 1),
+        ((2, 3, 2, 3), (1, 2, 2, 2), 1, 1, 3),
+    ])
+    def test_grid_matches_oracle(self, shape, support, m_count, rank,
+                                 channels):
+        d = random_dictionary(support, m_count, seed=len(shape),
+                              channels=channels)
+        factors = factor_stacks(shape, m_count, rank, seed=10 + len(shape))
+        out = forward_model(d, to_kruskal(factors))
+        assert out.shape == shape + ((channels,) if channels > 1 else ())
+        out = out.reshape(shape + (channels,))
+        for c in range(channels):
+            ref = sum(circular_convolve_by_sums(
+                d.filters[m, c], kruskal_by_outer_sums([f[m] for f in factors]))
+                for m in range(m_count))
+            assert np.max(np.abs(out[..., c] - ref)) < 1e-10
+
+    def test_complex_factors_rejected(self):
+        # rfft would drop their imaginary part without a word
+        d = random_dictionary((2, 2), 2, seed=16)
+        acts = [[f[m] for f in factor_stacks((4, 5), 2, 2, seed=17)]
+                for m in range(2)]
+        acts[1][0] = acts[1][0].astype(complex)
+        with pytest.raises(ValueError, match="activation 1 has complex"):
+            forward_model(d, acts)
+
+    def test_synthesis_builds_no_dense_activations(self):
+        # an (M, *shape) complex stack on the cube is 2 MiB; per filter the
+        # synthesis holds a few half spectra
+        d = make_filters((5, 5, 5), 8, seed=0)
+        acts = make_activations((32, 32, 16), 8, 3, seed=1)
+        tracemalloc.start()
+        try:
+            forward_model(d, acts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 32 * 32 * 16 * 16
 
 
 def tiny_operator(shape=(3, 2), m_count=1, rank=1, seed=16, channels=1,
@@ -418,16 +469,6 @@ class TestHalfSpectrum:
         want = full + 0.25 * np.eye(4)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))
-
-    def test_filter_spectra_layout(self):
-        d = random_dictionary((2, 3), 3, seed=42, channels=2)
-        spectra = filter_spectra(d, (4, 5))
-        assert spectra.shape == (3, 2, 4, 5)
-        for m in range(3):
-            for c in range(2):
-                assert np.array_equal(
-                    spectra[m, c], np.fft.fftn(pad_to_shape(d.filters[m, c],
-                                                            (4, 5))))
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fit_makes_no_filter_spectra(self, monkeypatch, reg):

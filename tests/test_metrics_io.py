@@ -46,6 +46,11 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros(2), np.zeros(2), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [np.inf, np.nan])
+    def test_non_finite_peak_rejected(self, peak):
+        with pytest.raises(ValueError, match="peak must be finite"):
+            psnr(np.zeros(2), np.ones(2), peak=peak)
+
 
 class TestCompressionRatio:
     def test_counted_entries_arithmetic(self):
