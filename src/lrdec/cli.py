@@ -322,12 +322,17 @@ def build_parser():
 
 
 def _check_flags(args):
-    """Reject a bad ``--peak`` or ``--seed`` before a command does any work."""
+    """Reject a bad ``--peak``, ``--seed`` or ``--eps-rel`` before a command
+    does any work."""
     peak, seed = getattr(args, "peak", 1.0), getattr(args, "seed", 0)
+    eps_rel = getattr(args, "eps_rel", 0.0)
     if not (math.isfinite(peak) and peak > 0):
         raise ValueError(f"--peak must be finite and positive, got {peak}")
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
+    if not (math.isfinite(eps_rel) and 0 <= eps_rel < 1):
+        raise ValueError(f"--eps-rel must be finite and in [0, 1), got "
+                         f"{eps_rel}")
 
 
 def main(argv=None):

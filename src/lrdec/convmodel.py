@@ -33,9 +33,11 @@ adjoint ``Z B^T`` and ``L_n`` shifted row sums, with
 :meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
 the ``B_c[tau]``.  Its columns run over the channels and then the other
 modes in ascending order, the last fastest (not the order of ``unfold``):
-the row layout of :func:`stack_to_rows`.  The fits call these row maps
-(:meth:`SpectralOperator.tap_maps`); the vector API wraps them in unitary
-DFTs of arbitrary complex spectra.
+the row layout of :func:`stack_to_rows`.  They are built in place: one
+batched matrix product over ``(M, R)`` per other mode contracts its
+filter lags, and the last writes the taps through a view.  The fits call
+these row maps (:meth:`SpectralOperator.tap_maps`); the vector API wraps
+them in unitary DFTs of arbitrary complex spectra.
 
 Gram blocks from the taps
 -------------------------
@@ -45,12 +47,14 @@ the mode-n rows.  Its lag products::
 
     P[d] = sum_tau B_tau B_{tau + d}^T,    |d| < L_n,
 
-are folded modulo ``I_n`` (``S_d`` has period ``I_n``, so when ``2 L_n - 1
-> I_n`` aliased lags add up), and the DFT along mode ``n`` turns the
-circulant into the block ``G_i = sum_d P[d] exp(-2 pi j i d / I_n)`` per
-frequency: the ``rfft`` of ``P`` over ``d`` is the half spectrum of
-blocks.  So the Gram blocks reuse the visit's taps through one real
-product ``B B^T``.
+are added up unfolded, one contiguous slice per tap ``tau``, and the DFT
+along mode ``n`` turns the circulant into the block
+``G_i = sum_d P[d] exp(-2 pi j i d / I_n)`` per frequency.  So the half
+spectrum of blocks is one product of the ``(I_n//2 + 1, 2 L_n - 1)``
+cos/sin phase matrix with the ``2 L_n - 1`` lag sums; the phases have
+period ``I_n`` in ``d``, so when ``2 L_n - 1 > I_n`` (``S_d`` has period
+``I_n``) the product adds the aliased lags by itself.  The Gram blocks
+reuse the visit's taps through one real product ``B B^T``.
 
 Known limit: the taps' work grows with ``L_n``, and the Gram build, whose
 ``B B^T`` has ``(L_n*M*R)**2`` entries, as ``L_n**2``.
@@ -220,6 +224,13 @@ def forward_model(dictionary, activations):
     if len(factors) != dictionary.num_filters:
         raise ValueError(f"{len(factors)} activations for "
                          f"{dictionary.num_filters} filters")
+    for m, fs in enumerate(factors):
+        if not fs:
+            raise ValueError(f"activation {m} has no factors")
+        for k, f in enumerate(fs):
+            if f.ndim != 2:
+                raise ValueError(f"activation {m} factor {k} is not a matrix "
+                                 f"(ndim={f.ndim})")
     shape = tuple(f.shape[0] for f in factors[0])
     rank = factors[0][0].shape[1]
     for m, fs in enumerate(factors):
@@ -396,8 +407,8 @@ class SpectralOperator:
 
         The normal matrix ``W^H W`` is block-diagonal over the mode-n
         frequency index, and block ``I_n - i`` is the conjugate of block
-        ``i``.  The blocks are the ``rfft`` of the folded lag products of
-        the taps (see the module docstring).  Returns the
+        ``i``.  The blocks are one phase product of the unfolded lag
+        products of the taps (see the module docstring).  Returns the
         ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
         ``0..I_n//2``, cached; each mode solver shifts it by a multiple of
         the identity.
@@ -405,36 +416,61 @@ class SpectralOperator:
         if self._gram is not None:
             return self._gram
         taps, size = self.conv_taps(), self.num_filters * self.rank
-        count = len(taps) // size
-        # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into
-        # P[(tau' - tau) mod I_n]
+        count, length = len(taps) // size, self.mode_length
+        # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into P[tau' - tau],
+        # stored at lag + L_n - 1
         pairs = (taps @ taps.T).reshape(count, size, count, size)
-        lagged = np.zeros((self.mode_length, size, size))
+        lagged = np.zeros((2 * count - 1, size, size))
         for tau in range(count):
-            lagged[(np.arange(count) - tau) % self.mode_length] += (
+            lagged[count - 1 - tau:2 * count - 1 - tau] += (
                 pairs[tau].transpose(1, 0, 2))
-        self._gram = np.fft.rfft(lagged, axis=0)
+        # exp(-2 pi j i d / I_n) has period I_n in d, so the product folds
+        # the aliased lags by itself; i d is reduced to |i d| <= I_n / 2
+        angle = ((np.outer(np.arange(length // 2 + 1),
+                           np.arange(1 - count, count)) + length // 2)
+                 % length - length // 2) * (2 * np.pi / length)
+        parts = np.concatenate([np.cos(angle), -np.sin(angle)]) @ (
+            lagged.reshape(2 * count - 1, -1))
+        self._gram = np.empty((len(angle), size, size), dtype=complex)
+        self._gram.real, self._gram.imag = parts.reshape(2, len(angle),
+                                                         size, size)
         return self._gram
 
     def conv_taps(self):
         """The real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps ``B`` of
-        the module docstring, cached."""
+        the module docstring, built in place, the last mode first, and
+        cached."""
         if self._taps is not None:
             return self._taps
-        d = self._dictionary.filters
-        # t[m, r, c, tau, sigma..., i...]: contract the filter lags sigma_k
-        # of the other modes, the last first, with the shifted factor columns
-        # f_k[m][(i_k - sigma_k) mod I_k, r]
-        t = np.repeat(np.moveaxis(d, 2 + self.mode, 2)[:, None], self.rank, 1)
-        others = [k for k in range(len(self.signal_shape)) if k != self.mode]
-        for done, k in enumerate(reversed(others)):
-            f, support = self._factors[k], d.shape[2 + k]
-            rows = np.subtract.outer(np.arange(f.shape[1]), np.arange(support))
-            shifts = f[:, rows.T % f.shape[1]].transpose(0, 3, 1, 2)
-            pos = t.ndim - 1 - done  # sigma_k, with the done i axes after it
-            t = np.moveaxis(np.moveaxis(t, pos, -1) @ np.expand_dims(
-                shifts, tuple(range(2, t.ndim - 2))), -1, pos)
-        self._taps = np.moveaxis(t, 3, 0).reshape(-1, d.shape[1] * self.lam)
+        d, n = self._dictionary.filters, self.mode
+        lead = (d.shape[2 + n], self.num_filters, self.rank, d.shape[1])
+        others = [k for k in range(len(self.signal_shape)) if k != n]
+        taps = np.empty((lead[0] * lead[1] * lead[2], lead[3] * self.lam))
+
+        def written(tail):  # the taps as t[m, r, c, tau, *tail]
+            return np.moveaxis(taps.reshape(lead + tail), 0, 3)
+
+        # t[m, r, c, tau, sigma..., i...]: the filter lags sigma_k of the
+        # modes left to contract, then the rows i_k of the contracted ones;
+        # contracting mode k takes f_k[m][(i_k - sigma_k) mod I_k, r]
+        t = np.ascontiguousarray(np.moveaxis(d, 2 + n, 2))[:, None]
+        if not others:
+            written(())[...] = t
+        for j in reversed(range(len(others))):
+            f = self._factors[others[j]].transpose(0, 2, 1)  # (M, R, I_k)
+            lags = np.subtract.outer(np.arange(f.shape[2]), np.arange(
+                d.shape[2 + others[j]])) % f.shape[2]
+            first = j == len(others) - 1
+            if first:  # sigma_k is the last axis: t @ S, S (L_k, I_k)
+                s, core = np.take(f, lags.T, 2), (t.shape[-2], f.shape[2])
+            else:  # sigma_k precedes the i axes: S^T @ t, S^T (I_k, L_k)
+                t = t.reshape(t.shape[:5 + j] + (-1,))
+                s, core = np.take(f, lags, 2), (f.shape[2], t.shape[-1])
+            s = s.reshape(s.shape[:2] + (1,) * (t.ndim - 4) + s.shape[2:])
+            # the product's axes after (m, r, c, tau)
+            out = written((t.shape[2:-2] + core)[2:]) if j == 0 else None
+            t = np.matmul(*((t, s) if first else (s, t)), out=out)
+        self._taps = taps
         return self._taps
 
     def tap_maps(self):

@@ -77,15 +77,16 @@ def compression_ratio(activations, signal_shape, eps_rel=1e-6):
         C-channel signal has C times the elements of one activation.
     eps_rel : float
         Relative magnitude threshold under which a stored coefficient
-        counts as zero.
+        counts as zero, finite and in ``[0, 1)``.
 
     Returns
     -------
     CompressionStats
         ``cr`` is ``inf`` when no coefficient survives the threshold.
     """
-    if eps_rel < 0:
-        raise ValueError(f"eps_rel must be >= 0, got {eps_rel}")
+    if not (np.isfinite(eps_rel) and 0 <= eps_rel < 1):
+        raise ValueError(f"eps_rel must be finite and in [0, 1), got "
+                         f"{eps_rel}")
     factors = _factor_arrays(activations)
     total = int(np.prod(tuple(signal_shape)))
     peak = max((float(np.max(np.abs(f))) for f in factors), default=0.0)

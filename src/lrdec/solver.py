@@ -25,16 +25,17 @@ visit adds to ``SolveReport.inner_iters``:
   follows scipy's ``cg`` step for step; the runtime imports numpy only.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
-convolution taps (``SpectralOperator.tap_maps``), with no FFT: the
-right-hand side ``W^H s`` is one real product with the taps and ``L_n``
-shifted row sums (the MTTKRP of CP-ALS); the objective
-``0.5 ||P W x - s||^2``, with ``P`` the mask or 1, is one gather and one
-real product; the CG matvec (:func:`_masked_normal`) is both.  Known
-limit: that work grows with the mode-n filter support ``L_n``, and the
-Gram blocks, built from the taps' ``B B^T``, grow as ``L_n**2``.  For the
-masked matvec on a 64x64 image (M=8, R=3) it matched the FFT-based map it
-replaced near ``L_n = 20`` taps and runs 3x slower at ``L_n = I_n``; the
-l2 and l1 fits pay it too.
+convolution taps (``SpectralOperator.tap_maps``), built in place with
+no FFT: the right-hand side ``W^H s`` is one real product with the taps
+and ``L_n`` shifted row sums (the MTTKRP of CP-ALS); the objective
+``0.5 ||P W x - s||^2``, with ``P`` the mask of a masked fit, is one
+gather, one real product and one dot, plus the visited mode's share of
+the regularizer; the CG matvec (:func:`_masked_normal`) is the product
+and its adjoint.  Known limit: that work grows with the mode-n filter
+support ``L_n``, and the Gram blocks, built from the taps' ``B B^T``,
+grow as ``L_n**2``.  For the masked matvec on a 64x64 image (M=8, R=3)
+it matched the FFT-based map it replaced near ``L_n = 20`` taps and runs
+3x slower at ``L_n = I_n``; the l2 and l1 fits pay it too.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
@@ -42,8 +43,9 @@ per mode-n frequency.  Signal and factors are real, so these solves carry
 only frequencies ``0..I_n//2`` along mode ``n``, as ``(I_n//2 + 1, M*R)``
 rows: real-input transforms in and out (the inverse stays real however
 ill-conditioned the blocks are), half-spectrum Gram blocks in between.
-The visit builds those blocks from the same taps; no fit makes filter
-spectra.
+The visit builds those blocks from the same taps: ``B B^T`` added into
+the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
+no FFT; no fit makes filter spectra.
 """
 
 import time
@@ -190,6 +192,12 @@ def _half_rhs(op, signal):
     return rdft_factor(op.tap_maps()[1](stack_to_rows(signal, op.mode)))
 
 
+def _norm(v):
+    """``np.linalg.norm`` of an array, bit for bit, without its checks."""
+    v = v.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
 def solve_mode_l2(op, signal, alpha):
     """Ridge mode solve ``(W^H W + alpha I) x = W^H s``, the l2 fit's.
 
@@ -267,15 +275,15 @@ def solve_mode_admm(op, signal, cfg, state=None):
     for _ in range(cfg.admm_iters):
         zhat = rdft_factor(y - u)[..., None]
         x = irdft_factor((v @ (base + shift * (vh @ zhat)))[..., 0], length)
-        y_prev = y
-        y = soft_threshold(x + u, cfg.lam / rho)
+        y_prev, y, gamma = y, x + u, cfg.lam / rho
+        y -= y.clip(-gamma, gamma)  # soft_threshold(x + u, gamma)
         gap = x - y
         u = u + gap
 
-        primal = np.linalg.norm(gap)
-        dual = rho * np.linalg.norm(y - y_prev)
-        primal_rel = primal / max(np.linalg.norm(x), np.linalg.norm(y), _TINY)
-        dual_rel = dual / max(rho * np.linalg.norm(u), _TINY)
+        primal = _norm(gap)
+        dual = rho * _norm(y - y_prev)
+        primal_rel = primal / max(_norm(x), _norm(y), _TINY)
+        dual_rel = dual / max(rho * _norm(u), _TINY)
         state.iterations += 1
         state.primal_residuals.append(primal_rel)
         state.dual_residuals.append(dual_rel)
@@ -319,10 +327,9 @@ def _as_channel_stack(signal, num_channels):
     return np.moveaxis(signal, -1, 0), signal.shape[:-1]
 
 
-def _reg_term(factors, cfg):
-    if cfg.reg == "l1":
-        return cfg.lam * float(sum(np.sum(np.abs(f)) for f in factors))
-    return 0.5 * cfg.alpha * float(sum(np.sum(f * f) for f in factors))
+def _reg_sum(f, cfg):
+    """One mode's unweighted share of the regularizer."""
+    return np.sum(np.abs(f)) if cfg.reg == "l1" else np.sum(f * f)
 
 
 def _init_factors(shape, m_count, rank, seed, signal_norm):
@@ -388,14 +395,21 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
     the last visit."""
     report = SolveReport()
     modes = range(len(shape))
-    s_rows = [stack_to_rows(s_obs, n) for n in modes]
-    mask_rows = [stack_to_rows(mask_stack, n) if np.ndim(mask_stack) else 1.0
-                 for n in modes]
+    s_rows = [stack_to_rows(s_obs, n).ravel() for n in modes]
+    mask_rows = [stack_to_rows(mask_stack, n).ravel()
+                 if np.ndim(mask_stack) else None for n in modes]
     signal_norm = float(np.linalg.norm(s_obs))
+    # the regularizer's sum per mode, added in mode order; a visit redoes
+    # only its own mode's
+    reg_sums = [_reg_sum(f, cfg) for f in factors]
+    scale = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
 
     def data_term(forward, n, x):
-        r = forward(factors_to_rows(x)) * mask_rows[n] - s_rows[n]
-        return 0.5 * float(np.sum(r * r))
+        r = forward(factors_to_rows(x)).ravel()
+        if mask_rows[n] is not None:
+            r *= mask_rows[n]
+        r -= s_rows[n]
+        return 0.5 * float(r @ r)
 
     prev_obj = None
     for sweep in range(cfg.outer_iters):
@@ -405,7 +419,7 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
             forward = op.tap_maps()[0]
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(forward, n, factors[n])
-                                  + _reg_term(factors, cfg))
+                                  + scale * float(sum(reg_sums)))
             try:
                 factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
             except np.linalg.LinAlgError:
@@ -422,7 +436,8 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
             report.warnings.extend(warnings)
             last_obj = obj
             data = data_term(forward, n, factors[n])
-            reg = _reg_term(factors, cfg)
+            reg_sums[n] = _reg_sum(factors[n], cfg)
+            reg = scale * float(sum(reg_sums))
             obj = data + reg
             report.mode_objectives.append(obj)
             if check_l2 and obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):

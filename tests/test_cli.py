@@ -416,3 +416,30 @@ class TestSubcommandFlags:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "reconstruct"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1", "-0.5"])
+    def test_bad_eps_rel_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, value):
+        # NaN, infinite and >= 1 thresholds used to report cr=inf, nnz=0
+        # with exit 0, and reconstruct fitted before any check
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "lrd_fit", no_fit)
+        out = tmp_path / "out"
+        if command == "metrics":
+            argv = ["metrics", "--ref", src / "signal.lrt",
+                    "--est", src / "signal.lrt", "--activations", src]
+        else:
+            argv = ["reconstruct", "--signal", src / "signal.lrt",
+                    "--filters", src / "dictionary.lrd", "--out", out]
+        assert run_cli(*argv, "--eps-rel", value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --eps-rel must be finite and in [0, 1)")
+        assert not out.exists()

@@ -190,6 +190,15 @@ class TestForwardModel:
         with pytest.raises(ValueError, match="activation 1 has complex"):
             forward_model(d, acts)
 
+    @pytest.mark.parametrize("factors,message", [
+        pytest.param([np.ones(4), np.ones((4, 2))],
+                     "activation 0 factor 0 is not a matrix", id="vector"),
+        pytest.param([], "activation 0 has no factors", id="empty")])
+    def test_malformed_factor_list_rejected(self, factors, message):
+        # both used to raise IndexError
+        with pytest.raises(ValueError, match=message):
+            forward_model(Dictionary(np.ones((1, 2, 2))), [factors])
+
     def test_synthesis_builds_no_dense_activations(self):
         # an (M, *shape) complex stack on the cube is 2 MiB; per filter the
         # synthesis holds a few half spectra
@@ -228,6 +237,12 @@ class TestSpectralOperator:
         ((3, 4), 2, 2, 3, 0),
         ((5,), 2, 2, 1, 0),
         ((3, 4, 2), 2, 2, 2, 2),
+        # order 4, C = 2, support (2, 2, 2, 2) equal to mode 1: only order
+        # 4 and above reach the taps' middle contraction steps
+        ((3, 2, 4, 3), 2, 2, 2, 0),
+        ((3, 2, 4, 3), 2, 2, 2, 1),
+        ((3, 2, 4, 3), 2, 2, 2, 2),
+        ((3, 2, 4, 3), 2, 2, 2, 3),
     ])
     def test_apply_matches_materialized(self, shape, m_count, rank, channels,
                                         mode):
@@ -330,6 +345,22 @@ class TestSpectralOperator:
             op, signal, SolverConfig(reg="l1", admm_iters=3))
         assert calls == {"pad_to_shape": 0, "taps_built": 1}
 
+    def test_taps_are_written_in_place(self):
+        # the cube's mode-2 taps are (5*8*3, 1024) doubles; the contraction
+        # writes them through a view, so it holds no full-size intermediate
+        # (the peak was 2.03 times the taps' bytes when it copied one)
+        shape = (32, 32, 16)
+        op = SpectralOperator(make_filters((5, 5, 5), 8, seed=0), shape,
+                              factor_stacks(shape, 8, 3, seed=31), 2)
+        tracemalloc.start()
+        try:
+            taps = op.conv_taps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taps.shape == (5 * 8 * 3, 32 * 32)
+        assert peak < 1.5 * taps.nbytes
+
     def test_vec_round_trips(self):
         rng = RNG(27)
         x = rng.standard_normal((3, 4, 2))
@@ -421,6 +452,9 @@ HALF_SPECTRUM_CASES = [
     pytest.param((12, 10), 2, 2, 2, 0, (12, 3), id="fold-own-12x10-c2"),
     # a middle mode with one folded (mode 2) and one exact (mode 0) lag set
     pytest.param((9, 8, 5), 2, 3, 1, 1, (4, 6, 4), id="fold-9x8x5"),
+    # order 4, C = 2, every mode; the support (2, 2, 2, 2) equals mode 1
+    *(pytest.param((3, 2, 4, 3), 2, 2, 2, mode, None, id=f"order4-{mode}")
+      for mode in range(4)),
 ]
 
 

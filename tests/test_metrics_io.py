@@ -74,6 +74,14 @@ class TestCompressionRatio:
         assert stats.nnz == 0
         assert stats.cr == float("inf")
 
+    @pytest.mark.parametrize("eps_rel", [np.nan, np.inf, 1.0, 2.0, -0.1])
+    def test_threshold_outside_unit_interval_rejected(self, eps_rel):
+        # at or above 1, or NaN, no entry survives and cr read inf
+        acts = [KruskalTensor([np.ones((4, 2)), np.ones((3, 2))])]
+        with pytest.raises(ValueError,
+                           match=r"eps_rel must be finite and in \[0, 1\)"):
+            compression_ratio(acts, (4, 3), eps_rel=eps_rel)
+
     def test_invariant_to_filter_permutation(self):
         rng = RNG(4)
         acts = [KruskalTensor([rng.standard_normal((4, 2)),
