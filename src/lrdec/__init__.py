@@ -18,8 +18,7 @@ from .solver import (AdmmState, SolveReport, SolverConfig, lrd_fit,
 from .synth import make_activations, make_filters, make_problem, smooth_low_rank
 from .tensor import (KruskalTensor, build_q, fold, khatri_rao,
                      kruskal_reconstruct, unfold)
-from .transform import (ImaginaryResidueError, dft_factor, dft_nd,
-                        idft_factor, idft_nd)
+from .transform import dft_factor, dft_nd
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "CompressionStats",
     "Dictionary",
     "FormatError",
-    "ImaginaryResidueError",
     "KruskalTensor",
     "SolveReport",
     "SolverConfig",
@@ -41,8 +39,6 @@ __all__ = [
     "fold",
     "forward_model",
     "generate_mask",
-    "idft_factor",
-    "idft_nd",
     "khatri_rao",
     "kruskal_reconstruct",
     "lrd_fit",

@@ -37,24 +37,17 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _float_list(text):
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty value list")
-    try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _int_list(text):
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty value list")
-    try:
-        return [int(s) for s in items]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _list_of(cast):
+    """An argparse type for a comma-separated list of `cast` values."""
+    def parse(text):
+        items = [s for s in text.split(",") if s.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("empty value list")
+        try:
+            return [cast(s) for s in items]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _positive_int(text):
@@ -251,9 +244,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="emit a seeded synthetic problem")
-    p.add_argument("--shape", type=_int_list, required=True,
+    p.add_argument("--shape", type=_list_of(int), required=True,
                    help="signal shape, comma separated")
-    p.add_argument("--support", type=_int_list, default=None,
+    p.add_argument("--support", type=_list_of(int), default=None,
                    help="filter support (default: min(5, I-1) per mode)")
     p.add_argument("-M", "--num-filters", type=_positive_int, default=15)
     p.add_argument("--rank", type=_positive_int, default=3)
@@ -269,12 +262,13 @@ def build_parser():
     p.add_argument("--signal", required=True)
     p.add_argument("--filters", required=True)
     p.add_argument("--reg", choices=("l1", "l2"), default="l2")
-    p.add_argument("--lambda", dest="lam", type=_float_list,
+    p.add_argument("--lambda", dest="lam", type=_list_of(float),
                    default=[SolverConfig.lam],
                    help="l1 weight sweep, comma separated")
-    p.add_argument("--alpha", type=_float_list, default=[SolverConfig.alpha],
+    p.add_argument("--alpha", type=_list_of(float),
+                   default=[SolverConfig.alpha],
                    help="l2 weight sweep, comma separated")
-    p.add_argument("--rank", type=_int_list, default=[SolverConfig.rank],
+    p.add_argument("--rank", type=_list_of(int), default=[SolverConfig.rank],
                    help="rank sweep, comma separated")
     p.add_argument("--out", default=None,
                    help="directory for results.csv (default: stdout)")

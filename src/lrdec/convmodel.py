@@ -61,16 +61,16 @@ Known limit: the taps' work grows with ``L_n``, and the Gram build, whose
 
 Vector layouts
 --------------
-Factor-side vectors stack ``vec(Xhat_m)`` over filters ``m`` (column-major
-vec: frequency index fastest, then rank), giving length ``M*R*I_n``.
-Signal-side vectors stack, per channel, the column-major vec of the mode-n
-unfolding, giving length ``C * I_n * Lambda``.
+Both sides use one layout: the column-major vec of each leading slice
+(mode-n index fastest), stacked in order.  Factor-side vectors stack
+``vec(Xhat_m)`` over filters ``m``, giving length ``M*R*I_n``; signal-side
+vectors stack the mode-n unfoldings over channels, giving length
+``C * I_n * Lambda``.
 """
 
 import numpy as np
 
 from .tensor import co_size, kruskal_reconstruct, KruskalTensor
-from .transform import dft_nd, idft_nd
 
 __all__ = [
     "Dictionary",
@@ -171,17 +171,20 @@ def pad_to_shape(filt, shape):
 
 
 def circular_convolve(filt, activation):
-    """N-dimensional circular convolution of a small filter with a signal.
+    """N-dimensional circular convolution of a small real filter with a
+    real signal, returned real.
 
     Matches the direct definition
     ``out[t] = sum_tau filt[tau] * activation[(t - tau) mod I]``
-    computed through the DFT; the filter is zero-padded to the activation
+    computed through real-input DFTs (``rfftn``/``irfftn``, as in
+    :func:`forward_model`); the filter is zero-padded to the activation
     shape at the origin corner.
     """
     activation = np.asarray(activation, dtype=float)
     padded = pad_to_shape(np.asarray(filt, dtype=float), activation.shape)
-    spec = dft_nd(padded) * dft_nd(activation) * np.sqrt(activation.size)
-    return idft_nd(spec)
+    axes = tuple(range(activation.ndim))
+    return np.fft.irfftn(np.fft.rfftn(padded) * np.fft.rfftn(activation),
+                         s=activation.shape, axes=axes)
 
 
 def _activation_factors(activations):
@@ -254,33 +257,22 @@ def forward_model(dictionary, activations):
 
 
 def factor_to_vec(x):
-    """Stack ``(M, I, R)`` factors into the canonical factor-side vector."""
-    x = np.asarray(x)
-    return x.transpose(0, 2, 1).reshape(-1)
+    """Stack a ``(K, I, W)`` array into one vector: the column-major vec of
+    each leading slice, in order.  Factor stacks ``(M, I_n, R)`` and signal
+    unfoldings ``(C, I_n, Lambda)`` share it as ``signal_to_vec``."""
+    return np.asarray(x).transpose(0, 2, 1).reshape(-1)
 
 
-def vec_to_factor(v, num_filters, length, rank):
-    """Inverse of :func:`factor_to_vec`."""
+def vec_to_factor(v, lead, length, width):
+    """Inverse of :func:`factor_to_vec` to shape ``(lead, length, width)``."""
     v = np.asarray(v)
-    if v.size != num_filters * rank * length:
-        raise ValueError(f"vector length {v.size} != M*R*I = "
-                         f"{num_filters * rank * length}")
-    return v.reshape(num_filters, rank, length).transpose(0, 2, 1)
+    if v.size != lead * length * width:
+        raise ValueError(f"vector length {v.size} != {lead}*{length}*{width} "
+                         f"= {lead * length * width}")
+    return v.reshape(lead, width, length).transpose(0, 2, 1)
 
 
-def signal_to_vec(y):
-    """Stack ``(C, I, Lambda)`` unfolding rows into the signal-side vector."""
-    y = np.asarray(y)
-    return y.transpose(0, 2, 1).reshape(-1)
-
-
-def vec_to_signal(v, num_channels, length, lam):
-    """Inverse of :func:`signal_to_vec`."""
-    v = np.asarray(v)
-    if v.size != num_channels * length * lam:
-        raise ValueError(f"vector length {v.size} != C*I*Lambda = "
-                         f"{num_channels * length * lam}")
-    return v.reshape(num_channels, lam, length).transpose(0, 2, 1)
+signal_to_vec, vec_to_signal = factor_to_vec, vec_to_factor
 
 
 def stack_to_rows(stack, mode):

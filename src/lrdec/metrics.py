@@ -59,9 +59,12 @@ class CompressionStats:
 
 def _factor_arrays(activations):
     out = []
-    for a in activations:
-        factors = a.factors if isinstance(a, KruskalTensor) else a
-        out.extend(np.asarray(f, dtype=float) for f in factors)
+    for m, a in enumerate(activations):
+        factors = [np.asarray(f) for f in
+                   (a.factors if isinstance(a, KruskalTensor) else a)]
+        if any(np.iscomplexobj(f) for f in factors):
+            raise ValueError(f"activation {m} has complex factors")
+        out.extend(f.astype(float, copy=False) for f in factors)
     return out
 
 

@@ -56,7 +56,7 @@ import numpy as np
 from .convmodel import (SpectralOperator, factors_to_rows, rows_to_factors,
                         rows_to_stack, stack_to_rows, vec_to_signal)
 from .tensor import KruskalTensor
-from .transform import dft_factor, idft_factor, irdft_factor, rdft_factor
+from .transform import dft_factor, irdft_factor, rdft_factor
 
 __all__ = [
     "SolverConfig",
@@ -303,13 +303,14 @@ def solve_mode_admm(op, signal, cfg, state=None):
 
 
 def data_term_gradient(op, shat_vec, x_factor):
-    """Gradient of the data term ``0.5 ||W xhat - shat||^2`` with respect
-    to the spatial factor stack ``x_factor`` of shape ``(M, I_n, R)``, with
-    ``shat_vec`` a spectral signal vector of :meth:`SpectralOperator.apply`."""
+    """Gradient ``Re(F^H W^H (W F x - shat))`` of the data term
+    ``0.5 ||W F x - shat||^2`` with respect to the real factor stack ``x``
+    of shape ``(M, I_n, R)``, ``F`` the unitary DFT along mode ``n``, for
+    any spectral signal vector ``shat_vec``, a real signal's or not."""
     xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
     shat = vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
-    return idft_factor(op.adjoint_arrays(op.apply_arrays(xhat) - shat),
-                       axis=1)
+    resid = op.apply_arrays(xhat) - shat
+    return np.fft.ifft(op.adjoint_arrays(resid), axis=1, norm="ortho").real
 
 
 def _as_channel_stack(signal, num_channels):
@@ -357,6 +358,10 @@ def _factors_from_init(init, shape, m_count, rank):
             if f.shape != (s, rank):
                 raise ValueError(f"init activation {m} factor {n} has shape "
                                  f"{f.shape}, expected {(s, rank)}")
+            if np.iscomplexobj(f) or not np.all(np.isfinite(f)):
+                what = ("is complex" if np.iscomplexobj(f)
+                        else "has non-finite values")
+                raise ValueError(f"init activation {m} factor {n} {what}")
             stack[m] = f
         stacks.append(stack)
     return stacks

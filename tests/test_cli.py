@@ -82,6 +82,17 @@ class TestReconstruct:
                        "--alpha", ",", "--rank", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", ",", "empty value list"),
+        ("--rank", "1,x", "invalid literal for int() with base 10: 'x'")])
+    def test_bad_sweep_list_names_the_value(self, tmp_path, capsys, flag,
+                                            value, message):
+        src = synth_dir(tmp_path, "src")
+        code = run_cli("reconstruct", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd", flag, value)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_sweep_order_and_determinism(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
         args = ("reconstruct", "--signal", src / "signal.lrt",

@@ -82,6 +82,14 @@ class TestCompressionRatio:
                            match=r"eps_rel must be finite and in \[0, 1\)"):
             compression_ratio(acts, (4, 3), eps_rel=eps_rel)
 
+    def test_complex_factors_rejected(self):
+        # the cast to float dropped the imaginary parts and counted the rest
+        acts = [[np.ones((4, 2)), np.ones((3, 2))],
+                [np.ones((4, 2)), np.ones((3, 2)) + 1j]]
+        with pytest.raises(ValueError,
+                           match=r"^activation 1 has complex factors$"):
+            compression_ratio(acts, (4, 3))
+
     def test_invariant_to_filter_permutation(self):
         rng = RNG(4)
         acts = [KruskalTensor([rng.standard_normal((4, 2)),

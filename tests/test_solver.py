@@ -328,14 +328,17 @@ class TestSolveModeAdmm:
 
 
 class TestDataTermGradient:
-    @pytest.mark.parametrize("seed", [20, 21, 22, 23, 24])
-    def test_matches_central_differences(self, seed):
+    @staticmethod
+    def check_against_central_differences(seed, complex_target):
         shape = (4, 3)
         d = unit_norm_dictionary((2, 2), 2, seed)
         factors = factor_stacks(shape, 2, 2, seed + 100)
-        signal = RNG(seed + 200).standard_normal(shape)
+        rng = RNG(seed + 200)
+        if complex_target:
+            shat = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        else:
+            shat = spectral_signal_vec(rng.standard_normal(shape), 0)
         op = SpectralOperator(d, shape, factors, 0)
-        shat = spectral_signal_vec(signal, 0)
         x = factors[0].copy()
 
         def f(xf):
@@ -353,6 +356,17 @@ class TestDataTermGradient:
             fd[idx] = (f(xp) - f(xm)) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(grad - fd)) / scale < 1e-5
+
+    @pytest.mark.parametrize("seed", [20, 21, 22, 23, 24])
+    def test_matches_central_differences(self, seed):
+        self.check_against_central_differences(seed, complex_target=False)
+
+    @pytest.mark.parametrize("seed", [25, 26])
+    def test_complex_target_matches_central_differences(self, seed):
+        # a spectral target that is no real signal's spectrum used to raise
+        # an imaginary-residue error; the data term is still a smooth
+        # function of the real factors
+        self.check_against_central_differences(seed, complex_target=True)
 
 
 def synthesize(shape, support, m_count, rank, seed):
@@ -561,6 +575,23 @@ class TestLrdFit:
         with pytest.raises(ValueError, match=message):
             lrd_fit_masked(np.ones((5, 5)), np.ones((5, 5), bool), d, cfg,
                            init=[KruskalTensor(f) for f in init])
+
+    @pytest.mark.parametrize("bad,what", [
+        (1j, "is complex"), (np.nan, "has non-finite values"),
+        (np.inf, "has non-finite values")])
+    def test_init_factors_must_be_real_and_finite(self, bad, what):
+        # a complex init kept only its real part, and a NaN one failed a
+        # sweep later as a non-finite objective that did not name init
+        d = unit_norm_dictionary((2, 2), 2, seed=45)
+        init = [[np.ones((5, 2)), np.ones((4, 2))] for _ in range(2)]
+        init[1][0] = init[1][0] + bad
+        cfg = SolverConfig(reg="l2", rank=2, outer_iters=2)
+        message = f"^init activation 1 factor 0 {what}$"
+        with pytest.raises(ValueError, match=message):
+            lrd_fit(np.ones((5, 4)), d, cfg, init=init)
+        with pytest.raises(ValueError, match=message):
+            lrd_fit_masked(np.ones((5, 4)), np.ones((5, 4), bool), d, cfg,
+                           init=init)
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fits_run_the_public_solvers_once_per_visit(self, reg,
