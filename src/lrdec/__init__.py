@@ -6,15 +6,13 @@ DFT domain, with an l1/ADMM path, an l2 closed-form path, and a masked
 variant for tensor completion.
 """
 
-from .convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                        forward_model)
+from .convmodel import Dictionary, SpectralOperator, forward_model
 from .io import (FormatError, generate_mask, read_dictionary, read_image,
                  read_mask, read_tensor, write_dictionary, write_image,
                  write_mask, write_tensor)
 from .metrics import CompressionStats, compression_ratio, mse, psnr
 from .solver import (AdmmState, SolveReport, SolverConfig, lrd_fit,
-                     lrd_fit_masked, soft_threshold, solve_mode_admm,
-                     solve_mode_l2)
+                     lrd_fit_masked, solve_mode_admm, solve_mode_l2)
 from .synth import make_activations, make_filters, make_problem, smooth_low_rank
 from .tensor import (KruskalTensor, build_q, fold, khatri_rao,
                      kruskal_reconstruct, unfold)
@@ -32,7 +30,6 @@ __all__ = [
     "SolverConfig",
     "SpectralOperator",
     "build_q",
-    "circular_convolve",
     "compression_ratio",
     "dft_factor",
     "dft_nd",
@@ -53,7 +50,6 @@ __all__ = [
     "read_mask",
     "read_tensor",
     "smooth_low_rank",
-    "soft_threshold",
     "solve_mode_admm",
     "solve_mode_l2",
     "unfold",

@@ -190,6 +190,9 @@ def cmd_inpaint(args):
         truth = None
     if args.truth:
         truth = _read_signal(args.truth)
+        if truth.shape != signal.shape:
+            raise ValueError(f"--truth shape {truth.shape} != signal shape "
+                             f"{signal.shape}")
 
     cfg = _solver_config(args, alpha=args.alpha, rank=args.rank,
                          cg_tol=args.cg_tol, cg_max_iters=args.cg_iters)

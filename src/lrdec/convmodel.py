@@ -36,8 +36,9 @@ modes in ascending order, the last fastest (not the order of ``unfold``):
 the row layout of :func:`stack_to_rows`.  They are built in place: one
 batched matrix product over ``(M, R)`` per other mode contracts its
 filter lags, and the last writes the taps through a view.  The fits call
-these row maps (:meth:`SpectralOperator.tap_maps`); the vector API wraps
-them in unitary DFTs of arbitrary complex spectra.
+these row maps (:meth:`SpectralOperator.tap_maps`); the vector API,
+:meth:`SpectralOperator.apply` and :meth:`SpectralOperator.apply_adjoint`,
+wraps them in unitary DFTs of arbitrary complex spectra.
 
 Gram blocks from the taps
 -------------------------
@@ -70,11 +71,10 @@ vectors stack the mode-n unfoldings over channels, giving length
 
 import numpy as np
 
-from .tensor import co_size, kruskal_reconstruct, KruskalTensor
+from .tensor import _as_real, co_size, kruskal_reconstruct, KruskalTensor
 
 __all__ = [
     "Dictionary",
-    "circular_convolve",
     "forward_model",
     "SpectralOperator",
     "factor_to_vec",
@@ -101,7 +101,7 @@ class Dictionary:
     """
 
     def __init__(self, filters, channels=False):
-        arr = np.asarray(filters, dtype=float)
+        arr = _as_real(filters, "filters")
         min_ndim = 3 if channels else 2
         if arr.ndim < min_ndim:
             raise ValueError(f"filter array of ndim {arr.ndim} too flat for "
@@ -155,36 +155,6 @@ class Dictionary:
     def __repr__(self):
         return (f"Dictionary(M={self.num_filters}, C={self.num_channels}, "
                 f"support={self.support})")
-
-
-def pad_to_shape(filt, shape):
-    """Zero-pad a filter to `shape`, anchored at the origin corner."""
-    filt = np.asarray(filt)
-    shape = tuple(shape)
-    if filt.ndim != len(shape):
-        raise ValueError(f"filter order {filt.ndim} != target order {len(shape)}")
-    if any(l > i for l, i in zip(filt.shape, shape)):
-        raise ValueError(f"filter support {filt.shape} exceeds shape {shape}")
-    out = np.zeros(shape, dtype=filt.dtype)
-    out[tuple(slice(0, l) for l in filt.shape)] = filt
-    return out
-
-
-def circular_convolve(filt, activation):
-    """N-dimensional circular convolution of a small real filter with a
-    real signal, returned real.
-
-    Matches the direct definition
-    ``out[t] = sum_tau filt[tau] * activation[(t - tau) mod I]``
-    computed through real-input DFTs (``rfftn``/``irfftn``, as in
-    :func:`forward_model`); the filter is zero-padded to the activation
-    shape at the origin corner.
-    """
-    activation = np.asarray(activation, dtype=float)
-    padded = pad_to_shape(np.asarray(filt, dtype=float), activation.shape)
-    axes = tuple(range(activation.ndim))
-    return np.fft.irfftn(np.fft.rfftn(padded) * np.fft.rfftn(activation),
-                         s=activation.shape, axes=axes)
 
 
 def _activation_factors(activations):
@@ -304,8 +274,10 @@ class SpectralOperator:
     For mode ``n`` and fixed factors on all other modes, maps the stacked
     spectral factors ``xhat`` (length ``M*R*I_n``) to the stacked spectra of
     ``sum_m d_m (*) K_m`` unfolded along ``n`` (length ``C*I_n*Lambda``),
-    both under the unitary DFT.  It runs the real mode-n taps between an
-    inverse DFT along mode ``n`` and a forward N-D DFT in ``unfold`` order.
+    both under the unitary DFT.  :meth:`apply` runs the real mode-n taps
+    between an inverse DFT along mode ``n`` and a forward N-D DFT in
+    ``unfold`` order; :meth:`apply_adjoint` runs them back.  The fits skip
+    these spectral vectors and call the row maps of :meth:`tap_maps`.
 
     Two forms, each made on first use and cached: the mode-n taps and,
     from them, the half-spectrum Gram blocks of its normal equations.
@@ -361,38 +333,30 @@ class SpectralOperator:
     def signal_size(self):
         return self.num_channels * self.mode_length * self.lam
 
-    def apply_arrays(self, xhat):
-        """Map spectral factors ``(M, I_n, R)`` to output spectra
-        ``(C, I_n, Lambda)``."""
+    def apply(self, xhat_vec):
+        """Map stacked spectral factors (length ``M*R*I_n``) to stacked
+        output spectra (length ``C*I_n*Lambda``)."""
+        xhat = vec_to_factor(np.asarray(xhat_vec, dtype=complex),
+                             self.num_filters, self.mode_length, self.rank)
         x = factors_to_rows(np.fft.ifft(xhat, axis=1, norm="ortho"))
         y = rows_to_stack(self.tap_maps()[0](x), self.signal_shape, self.mode)
         yhat = np.fft.fftn(y, axes=tuple(range(1, y.ndim)), norm="ortho")
         # unfold order: the other modes ascending, the first fastest
-        return np.moveaxis(yhat, 1 + self.mode, 1).reshape(
-            self.num_channels, self.mode_length, -1, order="F")
+        return signal_to_vec(np.moveaxis(yhat, 1 + self.mode, 1).reshape(
+            self.num_channels, self.mode_length, -1, order="F"))
 
-    def adjoint_arrays(self, yhat):
-        """Adjoint of :meth:`apply_arrays` under the complex inner product."""
+    def apply_adjoint(self, yhat_vec):
+        """Adjoint of :meth:`apply` under the complex inner product."""
+        yhat = vec_to_signal(np.asarray(yhat_vec, dtype=complex),
+                             self.num_channels, self.mode_length, self.lam)
         rest = [s for k, s in enumerate(self.signal_shape) if k != self.mode]
         yhat = np.moveaxis(np.reshape(
             yhat, [self.num_channels, self.mode_length] + rest, order="F"),
             1, 1 + self.mode)
         y = np.fft.ifftn(yhat, axes=tuple(range(1, yhat.ndim)), norm="ortho")
         x = self.tap_maps()[1](stack_to_rows(y, self.mode))
-        return np.fft.fft(rows_to_factors(x, self.num_filters), axis=1,
-                          norm="ortho")
-
-    def apply(self, xhat_vec):
-        """Vector form of :meth:`apply_arrays`."""
-        x = vec_to_factor(np.asarray(xhat_vec, dtype=complex),
-                          self.num_filters, self.mode_length, self.rank)
-        return signal_to_vec(self.apply_arrays(x))
-
-    def apply_adjoint(self, yhat_vec):
-        """Vector form of :meth:`adjoint_arrays`."""
-        y = vec_to_signal(np.asarray(yhat_vec, dtype=complex),
-                          self.num_channels, self.mode_length, self.lam)
-        return factor_to_vec(self.adjoint_arrays(y))
+        return factor_to_vec(np.fft.fft(rows_to_factors(x, self.num_filters),
+                                        axis=1, norm="ortho"))
 
     def gram_blocks(self):
         """Half-spectrum Gram blocks of the operator.
@@ -486,8 +450,3 @@ class SpectralOperator:
 
         self._tap_maps = forward, adjoint
         return self._tap_maps
-
-    def materialize(self):
-        """Dense matrix of the operator, for validation at tiny sizes."""
-        cols = [self.apply(e) for e in np.eye(self.factor_size, dtype=complex)]
-        return np.stack(cols, axis=1)

@@ -18,6 +18,7 @@ import struct
 import numpy as np
 
 from .convmodel import Dictionary
+from .tensor import _as_real
 
 __all__ = [
     "FormatError",
@@ -88,7 +89,7 @@ def _check_magic(reader, magic):
 
 def write_tensor(path, tensor):
     """Write a real tensor to the binary tensor container."""
-    arr = np.asarray(tensor, dtype=float)
+    arr = _as_real(tensor, "tensor")
     if arr.ndim < 1:
         arr = arr.reshape(1)
     with open(path, "wb") as fh:
@@ -210,7 +211,7 @@ def read_image(path):
 
 def write_image(path, image, maxval=255):
     """Write a [0, 1]-scaled tensor as binary PGM (2-D) or PPM (H, W, 3)."""
-    arr = np.asarray(image, dtype=float)
+    arr = _as_real(image, "image")
     if arr.ndim == 2:
         magic = b"P5"
     elif arr.ndim == 3 and arr.shape[2] == 3:

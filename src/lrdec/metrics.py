@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import KruskalTensor
+from .tensor import _as_real, KruskalTensor
 
 __all__ = [
     "mse",
@@ -21,8 +21,8 @@ __all__ = [
 
 def mse(reference, estimate):
     """Mean squared elementwise error between two equal-shape tensors."""
-    reference = np.asarray(reference, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
+    reference = _as_real(reference, "reference")
+    estimate = _as_real(estimate, "estimate")
     if reference.shape != estimate.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs "
                          f"{estimate.shape}")

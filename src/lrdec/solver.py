@@ -53,16 +53,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convmodel import (SpectralOperator, factors_to_rows, rows_to_factors,
-                        rows_to_stack, stack_to_rows, vec_to_signal)
-from .tensor import KruskalTensor
+from .convmodel import (SpectralOperator, factor_to_vec, factors_to_rows,
+                        rows_to_factors, rows_to_stack, stack_to_rows,
+                        vec_to_factor)
+from .tensor import _as_real, KruskalTensor
 from .transform import dft_factor, irdft_factor, rdft_factor
 
 __all__ = [
     "SolverConfig",
     "AdmmState",
     "SolveReport",
-    "soft_threshold",
     "solve_mode_l2",
     "solve_mode_admm",
     "data_term_gradient",
@@ -171,18 +171,6 @@ class SolveReport:
     warnings: list = field(default_factory=list)
 
 
-def soft_threshold(v, gamma):
-    """Elementwise shrinkage ``sign(v) * max(|v| - gamma, 0)``, computed as
-    ``v - clip(v, -gamma, gamma)``.
-
-    Proximal map of ``gamma * ||.||_1``; `gamma` must be non-negative.
-    """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    v = np.asarray(v)
-    return v - v.clip(-gamma, gamma)
-
-
 def _half_rhs(op, signal):
     """``W^H s`` of a real ``(C, *shape)`` signal stack through the visit's
     mode-n taps, on the half spectrum: ``(I_n//2 + 1, M*R)`` rows."""
@@ -276,7 +264,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
         zhat = rdft_factor(y - u)[..., None]
         x = irdft_factor((v @ (base + shift * (vh @ zhat)))[..., 0], length)
         y_prev, y, gamma = y, x + u, cfg.lam / rho
-        y -= y.clip(-gamma, gamma)  # soft_threshold(x + u, gamma)
+        y -= y.clip(-gamma, gamma)  # shrink x + u toward 0 by gamma
         gap = x - y
         u = u + gap
 
@@ -306,20 +294,19 @@ def data_term_gradient(op, shat_vec, x_factor):
     """Gradient ``Re(F^H W^H (W F x - shat))`` of the data term
     ``0.5 ||W F x - shat||^2`` with respect to the real factor stack ``x``
     of shape ``(M, I_n, R)``, ``F`` the unitary DFT along mode ``n``, for
-    any spectral signal vector ``shat_vec``, a real signal's or not."""
+    any spectral signal vector ``shat_vec``, a real signal's or not: the
+    operator's vector pair :meth:`~SpectralOperator.apply` and
+    :meth:`~SpectralOperator.apply_adjoint` around the residual."""
     xhat = dft_factor(np.asarray(x_factor, dtype=float), axis=1)
-    shat = vec_to_signal(shat_vec, op.num_channels, op.mode_length, op.lam)
-    resid = op.apply_arrays(xhat) - shat
-    return np.fft.ifft(op.adjoint_arrays(resid), axis=1, norm="ortho").real
+    ghat = op.apply_adjoint(op.apply(factor_to_vec(xhat)) - shat_vec)
+    return np.fft.ifft(vec_to_factor(ghat, *xhat.shape), axis=1,
+                       norm="ortho").real
 
 
 def _as_channel_stack(signal, num_channels):
     """Split a real signal into (C, *spatial) float form; channels live on
     the last axis when the dictionary is multichannel."""
-    signal = np.asarray(signal)
-    if np.iscomplexobj(signal):
-        raise ValueError(f"signal must be real, got dtype {signal.dtype}")
-    signal = signal.astype(float, copy=False)
+    signal = _as_real(signal, "signal")
     if num_channels == 1:
         return signal[None], signal.shape
     if signal.ndim < 2 or signal.shape[-1] != num_channels:

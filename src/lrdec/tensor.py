@@ -21,6 +21,15 @@ __all__ = [
 ]
 
 
+def _as_real(x, name):
+    """`x` as a float array; complex input raises rather than losing its
+    imaginary part."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def co_size(shape, mode):
     """Product of all dimensions of `shape` except ``shape[mode]``."""
     shape = tuple(int(s) for s in shape)
@@ -213,9 +222,6 @@ class KruskalTensor:
     def full(self):
         """Materialize the dense tensor."""
         return kruskal_reconstruct(self.factors)
-
-    def copy(self):
-        return KruskalTensor([f.copy() for f in self.factors])
 
     def __repr__(self):
         return f"KruskalTensor(shape={self.shape}, rank={self.rank})"

@@ -287,6 +287,21 @@ class TestInpaint:
         assert err == ("error: ridge blocks are singular at sweep 0 mode 0 "
                        "with alpha=1e-300: a larger alpha is needed\n")
 
+    def test_truth_shape_mismatch_fails_before_the_fit(self, tmp_path,
+                                                        capsys):
+        src = synth_dir(tmp_path, "src", shape="8,8", support="2,2")
+        other = synth_dir(tmp_path, "other", shape="9,8", support="2,2")
+        capsys.readouterr()
+        out = tmp_path / "inp"
+        code = run_cli("inpaint", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd",
+                       "--missing", "0.3", "--truth", other / "signal.lrt",
+                       "--rank", "2", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --truth shape (9, 8) != signal shape (8, 8)\n")
+        assert not out.exists()
+
     def test_fraction_out_of_range(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
         code = run_cli("inpaint", "--signal", src / "signal.lrt",

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import lrdec.convmodel
 import lrdec.solver
-from lrdec.convmodel import (Dictionary, SpectralOperator, circular_convolve,
-                             factor_to_vec, forward_model,
-                             pad_to_shape, signal_to_vec, vec_to_factor,
+from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
+                             forward_model, signal_to_vec, vec_to_factor,
                              vec_to_signal)
 from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _half_rhs
 from lrdec.synth import make_activations, make_filters
@@ -35,52 +33,23 @@ def random_dictionary(support, m_count, seed, channels=1):
                       channels=True)
 
 
+def count_nd_transforms(monkeypatch, calls, key="nd_transforms",
+                        names=("fftn", "ifftn", "rfftn", "irfftn")):
+    """Count calls to numpy's N-D transforms `names` in ``calls[key]``."""
+    def counted(original):
+        def transform(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return transform
+
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+
+
 def to_kruskal(factors):
     m_count = factors[0].shape[0]
     return [KruskalTensor([f[m] for f in factors])
             for m in range(m_count)]
-
-
-class TestCircularConvolve:
-    def test_delta_filter_identity(self):
-        act = RNG(0).standard_normal((4, 5))
-        delta = np.zeros((1, 1))
-        delta[0, 0] = 1.0
-        out = circular_convolve(delta, act)
-        assert np.max(np.abs(out - act)) < 1e-12
-
-    def test_zero_activation(self):
-        filt = RNG(1).standard_normal((2, 2))
-        assert np.max(np.abs(circular_convolve(filt, np.zeros((5, 5))))) == 0.0
-
-    def test_matches_direct_sums(self):
-        rng = RNG(2)
-        filt = rng.standard_normal((3, 3))
-        act = rng.standard_normal((6, 6))
-        out = circular_convolve(filt, act)
-        ref = circular_convolve_by_sums(filt, act)
-        assert np.max(np.abs(out - ref)) < 1e-10
-
-    def test_three_mode_oracle(self):
-        rng = RNG(3)
-        filt = rng.standard_normal((2, 3, 1))
-        act = rng.standard_normal((4, 5, 3))
-        out = circular_convolve(filt, act)
-        ref = circular_convolve_by_sums(filt, act)
-        assert np.max(np.abs(out - ref)) < 1e-10
-
-    def test_support_exceeds_shape(self):
-        with pytest.raises(ValueError):
-            circular_convolve(np.zeros((4, 4)), np.zeros((3, 5)))
-
-    def test_commutes_when_both_padded(self):
-        rng = RNG(4)
-        shape = (6, 5)
-        d = pad_to_shape(rng.standard_normal((3, 2)), shape)
-        k = rng.standard_normal(shape)
-        lhs = circular_convolve(d, k)
-        rhs = circular_convolve(k, d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestDictionary:
@@ -89,6 +58,12 @@ class TestDictionary:
         assert d.num_filters == 3
         assert d.num_channels == 2
         assert d.support == (2, 2)
+
+    def test_complex_filters_rejected(self):
+        # not cast to real: the imaginary part would be dropped
+        with pytest.raises(ValueError, match=r"^filters must be real, got "
+                                             r"dtype complex128$"):
+            Dictionary(np.ones((2, 2, 2)) * (1 + 1j))
 
     def test_support_validation(self):
         d = random_dictionary((3, 3), 2, seed=6)
@@ -253,8 +228,6 @@ class TestSpectralOperator:
             1j * rng.standard_normal(op.factor_size)
         assert np.max(np.abs(op.apply(x) - w @ x)) < 1e-12 * max(
             1.0, np.max(np.abs(w @ x)))
-        assert np.max(np.abs(op.materialize() - w)) < 1e-12 * max(
-            1.0, np.max(np.abs(w)))
 
     def test_adjoint_matches_materialized(self):
         op, w, _, _ = tiny_operator((3, 2), 2, 2, seed=19)
@@ -316,19 +289,17 @@ class TestSpectralOperator:
             SpectralOperator(d, (4, 3), [np.ones((4, 2)), np.ones((3, 2))], 0)
 
     def test_vector_api_runs_on_the_taps(self, monkeypatch):
-        calls = {"pad_to_shape": 0, "taps_built": 0}
-        original_pad = lrdec.convmodel.pad_to_shape
+        calls = {"filter_spectra": 0, "taps_built": 0}
         original_taps = SpectralOperator.conv_taps
-
-        def counted(filt, shape):
-            calls["pad_to_shape"] += 1
-            return original_pad(filt, shape)
 
         def conv_taps(op):
             calls["taps_built"] += op._taps is None
             return original_taps(op)
 
-        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
+        # filter spectra are real-input N-D transforms (forward_model's);
+        # the vector API transforms complex spectra only
+        count_nd_transforms(monkeypatch, calls, "filter_spectra",
+                            ("rfftn", "irfftn"))
         monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
         op, _, _, factors = tiny_operator((4, 3, 2), 2, 2, seed=29,
                                           channels=2, mode=1)
@@ -338,12 +309,11 @@ class TestSpectralOperator:
         shat = signal_to_vec(np.stack([unfold(dft_nd(c), 1) for c in signal]))
         op.apply(rng.standard_normal(op.factor_size))
         op.apply_adjoint(shat)
-        op.materialize()
         lrdec.solver.solve_mode_l2(op, signal, 0.5)
         lrdec.solver.data_term_gradient(op, shat, factors[1])
         lrdec.solver.solve_mode_admm(
             op, signal, SolverConfig(reg="l1", admm_iters=3))
-        assert calls == {"pad_to_shape": 0, "taps_built": 1}
+        assert calls == {"filter_spectra": 0, "taps_built": 1}
 
     def test_taps_are_written_in_place(self):
         # the cube's mode-2 taps are (5*8*3, 1024) doubles; the contraction
@@ -420,7 +390,7 @@ class TestNormalBlocks:
         op, _, d, factors = tiny_operator((4, 3), 1, 1, seed=31)
         rho = 0.5
         blocks = normal_blocks(op, rho)
-        dhat = unfold(np.fft.fftn(pad_to_shape(d.filters[0, 0], (4, 3))), 0)
+        dhat = unfold(np.fft.fftn(d.filters[0, 0], s=(4, 3), axes=(0, 1)), 0)
         qhat = dft_factor(factors[1][0])[:, 0]
         for i in range(4):
             direct = np.sum(np.abs(dhat[i]) ** 2 * np.abs(qhat) ** 2) + rho
@@ -483,8 +453,9 @@ class TestHalfSpectrum:
         half = shape[mode] // 2 + 1
         signal = RNG(54).standard_normal((channels,) + shape)
         shat = np.stack([unfold(dft_nd(s), mode) for s in signal])
-        want = op.adjoint_arrays(shat)[:, :half].transpose(1, 0, 2).reshape(
-            half, -1)
+        want = vec_to_factor(op.apply_adjoint(signal_to_vec(shat)), m_count,
+                             shape[mode], rank)[:, :half].transpose(
+            1, 0, 2).reshape(half, -1)
         # the right-hand side the fits build on the taps, from the signal,
         # as (I_n//2 + 1, M*R) half-spectrum rows
         got = _half_rhs(op, signal)
@@ -506,13 +477,10 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fit_makes_no_filter_spectra(self, monkeypatch, reg):
-        calls = {"spectral": 0, "pad_to_shape": 0, "taps_built": 0}
+        calls = {"spectral": 0, "nd_transforms": 0, "taps_built": 0}
 
-        def spectral(self, rows):
+        def spectral(self, vec):
             calls["spectral"] += 1
-
-        def counted(filt, shape):
-            calls["pad_to_shape"] += 1
 
         original = SpectralOperator.conv_taps
 
@@ -521,10 +489,10 @@ class TestHalfSpectrum:
             return original(op)
 
         # every fit runs on the mode-n taps, built once per visit
-        monkeypatch.setattr(SpectralOperator, "apply_arrays", spectral)
-        monkeypatch.setattr(SpectralOperator, "adjoint_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "apply", spectral)
+        monkeypatch.setattr(SpectralOperator, "apply_adjoint", spectral)
         monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
-        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", counted)
+        count_nd_transforms(monkeypatch, calls)
         d = random_dictionary((2, 2, 2), 3, seed=45, channels=2)
         signal = RNG(46).standard_normal((5, 4, 3, 2))
         if reg == "masked":
@@ -535,4 +503,9 @@ class TestHalfSpectrum:
             cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
             _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
-        assert calls == {"spectral": 0, "pad_to_shape": 0, "taps_built": 9}
+        assert calls == {"spectral": 0, "nd_transforms": 0, "taps_built": 9}
+        # the counter sees the model's FFT synthesis: M filter spectra and
+        # one inverse
+        forward_model(d, [[rng.standard_normal((s, 2)) for s in (5, 4, 3)]
+                          for rng in map(RNG, range(3))])
+        assert calls["nd_transforms"] == 3 + 1

@@ -42,6 +42,15 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("metric", [mse, psnr])
+    def test_complex_input_rejected(self, metric):
+        real, cplx = np.zeros((2, 2)), np.full((2, 2), 1j)
+        with pytest.raises(ValueError, match=r"^estimate must be real, got "
+                                             r"dtype complex128$"):
+            metric(real, cplx)
+        with pytest.raises(ValueError, match="^reference must be real"):
+            metric(cplx, real)
+
     def test_peak_validation(self):
         with pytest.raises(ValueError):
             psnr(np.zeros(2), np.zeros(2), peak=0.0)
@@ -110,6 +119,13 @@ class TestTensorContainer:
         assert np.array_equal(back, t)
         write_tensor(path, back)
         assert path.read_bytes() == first
+
+    def test_complex_tensor_rejected(self, tmp_path):
+        path = tmp_path / "t.lrt"
+        with pytest.raises(ValueError, match=r"^tensor must be real, got "
+                                             r"dtype complex128$"):
+            write_tensor(path, np.ones((2, 3)) * (1 + 1j))
+        assert not path.exists()
 
     def test_documented_byte_layout(self, tmp_path):
         path = tmp_path / "t.lrt"
@@ -273,6 +289,13 @@ class TestImages:
         path.write_bytes(b"P5\nabc 2\n255\n" + bytes(4))
         with pytest.raises(FormatError):
             read_image(path)
+
+    def test_complex_image_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match=r"^image must be real, got "
+                                             r"dtype complex128$"):
+            write_image(path, np.full((2, 2), 0.5 + 0.5j))
+        assert not path.exists()
 
     def test_bad_write_shape(self, tmp_path):
         with pytest.raises(ValueError):

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-import lrdec.convmodel
 import lrdec.solver
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec, stack_to_rows)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
-                          lrd_fit_masked, soft_threshold, solve_mode_admm,
-                          solve_mode_l2, _masked_normal,
-                          _solve_mode_masked_cg)
+                          lrd_fit_masked, solve_mode_admm, solve_mode_l2,
+                          _masked_normal, _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
@@ -105,31 +103,6 @@ class TestSolverConfig:
         # a message that did not name the field
         with pytest.raises(ValueError, match=f"^seed {message}"):
             SolverConfig(seed=value)
-
-
-class TestSoftThreshold:
-    def test_zero_gamma_identity(self):
-        v = RNG(0).standard_normal(10)
-        assert np.array_equal(soft_threshold(v, 0.0), v)
-
-    def test_direct_formula(self):
-        out = soft_threshold(np.array([2.0, -0.5, 0.0]), 1.0)
-        assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.zeros(3), -0.1)
-
-    def test_minimizes_scalar_prox_objective(self):
-        rng = RNG(1)
-        v = rng.standard_normal(20) * 3
-        gamma = 0.7
-        out = soft_threshold(v, gamma)
-        grid = np.linspace(-10, 10, 20001)
-        for vi, oi in zip(v, out):
-            vals = gamma * np.abs(grid) + 0.5 * (grid - vi) ** 2
-            best = grid[np.argmin(vals)]
-            assert abs(oi - best) < 2e-3
 
 
 def spectral_factor_vec(x):
@@ -750,13 +723,16 @@ class TestMaskedPath:
             1.0, np.linalg.norm(dense)) < 1e-8
 
     def test_fit_runs_on_taps_built_once_per_visit(self, monkeypatch):
-        calls = {"spectral": 0, "pad_to_shape": 0, "taps_built": 0}
+        calls = {"spectral": 0, "nd_transforms": 0, "taps_built": 0}
 
-        def spectral(self, rows):
+        def spectral(self, vec):
             calls["spectral"] += 1
 
-        def pad_to_shape(filt, shape):
-            calls["pad_to_shape"] += 1
+        def nd_transform(original):
+            def counted(*args, **kwargs):
+                calls["nd_transforms"] += 1
+                return original(*args, **kwargs)
+            return counted
 
         original = SpectralOperator.conv_taps
 
@@ -764,17 +740,19 @@ class TestMaskedPath:
             calls["taps_built"] += op._taps is None
             return original(op)
 
-        monkeypatch.setattr(SpectralOperator, "apply_arrays", spectral)
-        monkeypatch.setattr(SpectralOperator, "adjoint_arrays", spectral)
+        monkeypatch.setattr(SpectralOperator, "apply", spectral)
+        monkeypatch.setattr(SpectralOperator, "apply_adjoint", spectral)
         monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
-        monkeypatch.setattr(lrdec.convmodel, "pad_to_shape", pad_to_shape)
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, nd_transform(getattr(np.fft,
+                                                                   name)))
         d = unit_norm_dictionary((2, 2, 2), 2, seed=63, channels=2)
         signal = RNG(64).standard_normal((5, 4, 3, 2))
         mask = RNG(65).random(signal.shape) < 0.7
         cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
         report = lrd_fit_masked(signal, mask, d, cfg)[-1]
         assert report.sweeps == 3
-        assert calls == {"spectral": 0, "pad_to_shape": 0, "taps_built": 9}
+        assert calls == {"spectral": 0, "nd_transforms": 0, "taps_built": 9}
 
     @pytest.mark.parametrize("shape,support,channels", [
         ((7, 6), (3, 2), 1), ((6, 5, 4), (2, 3, 2), 2)])
