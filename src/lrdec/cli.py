@@ -134,37 +134,37 @@ def _solver_config(args, **fields):
 
 
 def cmd_reconstruct(args):
-    signal = _read_signal(args.signal)
-    dictionary = read_dictionary(args.filters)
-    # --lambda and --alpha store their sweeps under SolverConfig's names
+    # --lambda and --alpha store their sweeps under SolverConfig's names;
+    # every point's config is checked before any file is read or written
     weight_field = "lam" if args.reg == "l1" else "alpha"
+    points = [(weight, _solver_config(args, reg=args.reg, rank=rank,
+                                      rho_init=args.rho,
+                                      admm_iters=args.admm_iters,
+                                      **{weight_field: weight}))
+              for weight in getattr(args, weight_field) for rank in args.rank]
     out_dir = Path(args.out) if args.out else None
     if args.save_activations and out_dir is None:
         raise ValueError("--save-activations requires --out")
+    signal = _read_signal(args.signal)
+    dictionary = read_dictionary(args.filters)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = [CSV_HEADER]
-    point = 0
-    for weight in getattr(args, weight_field):
-        for rank in args.rank:
-            cfg = _solver_config(args, reg=args.reg, rank=rank,
-                                 rho_init=args.rho, admm_iters=args.admm_iters,
-                                 **{weight_field: weight})
-            activations, report = lrd_fit(signal, dictionary, cfg)
-            for warning in report.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            recon = forward_model(dictionary, activations)
-            quality = psnr(signal, recon, peak=args.peak)
-            stats = compression_ratio(activations, signal.shape,
-                                      eps_rel=args.eps_rel)
-            seconds = report.seconds if args.timing else 0.0
-            rows.append(",".join([
-                _fmt(weight), str(rank), _fmt(quality), _fmt(stats.cr),
-                str(stats.nnz), str(report.sweeps), _fmt(seconds)]))
-            if args.save_activations:
-                _write_activations(out_dir, f"point{point}", activations)
-            point += 1
+    for point, (weight, cfg) in enumerate(points):
+        activations, report = lrd_fit(signal, dictionary, cfg)
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        recon = forward_model(dictionary, activations)
+        quality = psnr(signal, recon, peak=args.peak)
+        stats = compression_ratio(activations, signal.shape,
+                                  eps_rel=args.eps_rel)
+        seconds = report.seconds if args.timing else 0.0
+        rows.append(",".join([
+            _fmt(weight), str(cfg.rank), _fmt(quality), _fmt(stats.cr),
+            str(stats.nnz), str(report.sweeps), _fmt(seconds)]))
+        if args.save_activations:
+            _write_activations(out_dir, f"point{point}", activations)
 
     csv = "\n".join(rows) + "\n"
     if out_dir is not None:

@@ -71,7 +71,8 @@ vectors stack the mode-n unfoldings over channels, giving length
 
 import numpy as np
 
-from .tensor import _as_real, co_size, kruskal_reconstruct, KruskalTensor
+from .tensor import (_activation_factors, _as_real, co_size,
+                     kruskal_reconstruct)
 
 __all__ = [
     "Dictionary",
@@ -157,17 +158,6 @@ class Dictionary:
                 f"support={self.support})")
 
 
-def _activation_factors(activations):
-    """Normalize a list of activations to per-filter factor lists."""
-    out = []
-    for a in activations:
-        if isinstance(a, KruskalTensor):
-            out.append(a.factors)
-        else:
-            out.append([np.asarray(f) for f in a])
-    return out
-
-
 def forward_model(dictionary, activations):
     """Synthesize the signal ``sum_m d_m (*) K_m``.
 
@@ -211,8 +201,6 @@ def forward_model(dictionary, activations):
             raise ValueError(f"activation {m} shape mismatch")
         if any(f.shape[1] != rank for f in fs):
             raise ValueError(f"activation {m} rank mismatch")
-        if any(np.iscomplexobj(f) for f in fs):
-            raise ValueError(f"activation {m} has complex factors")
     dictionary.check_signal_shape(shape)
 
     spatial, spec = tuple(range(len(shape))), 0

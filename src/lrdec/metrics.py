@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _as_real, KruskalTensor
+from .tensor import _activation_factors, _as_real
 
 __all__ = [
     "mse",
@@ -57,17 +57,6 @@ class CompressionStats:
     nnz: int
 
 
-def _factor_arrays(activations):
-    out = []
-    for m, a in enumerate(activations):
-        factors = [np.asarray(f) for f in
-                   (a.factors if isinstance(a, KruskalTensor) else a)]
-        if any(np.iscomplexobj(f) for f in factors):
-            raise ValueError(f"activation {m} has complex factors")
-        out.extend(f.astype(float, copy=False) for f in factors)
-    return out
-
-
 def compression_ratio(activations, signal_shape, eps_rel=1e-6):
     """Compression ratio of a factored representation.
 
@@ -90,7 +79,7 @@ def compression_ratio(activations, signal_shape, eps_rel=1e-6):
     if not (np.isfinite(eps_rel) and 0 <= eps_rel < 1):
         raise ValueError(f"eps_rel must be finite and in [0, 1), got "
                          f"{eps_rel}")
-    factors = _factor_arrays(activations)
+    factors = [f for fs in _activation_factors(activations) for f in fs]
     total = int(np.prod(tuple(signal_shape)))
     peak = max((float(np.max(np.abs(f))) for f in factors), default=0.0)
     nnz = sum(int(np.sum(np.abs(f) > eps_rel * peak)) for f in factors) \

@@ -2,12 +2,16 @@
 
 The fit decomposes a signal as ``sum_m d_m (*) K_m`` by cycling over the
 tensor modes and, for each mode, minimizing over that mode's stacked
-factors while the others stay fixed.  One sweep loop runs every fit: a
-mode visit builds the mode's :class:`SpectralOperator`, calls one of three
-mode solvers on it and scores the objective on that same operator.  Each
-solver is the code its fit runs, on the fit's real ``(C, *shape)`` signal
-stack, and the code the acceptance criteria check.  With the inner work a
-visit adds to ``SolveReport.inner_iters``:
+factors while the others stay fixed.  One sweep loop, :func:`_sweep`,
+runs every fit: a mode visit builds the mode's :class:`SpectralOperator`,
+calls the fit's mode solver on it, chosen by the sweep itself from the
+fit's mask and ``cfg.reg``, and scores the objective on that same
+operator.  Each solver is the code its fit runs, on the fit's real
+``(C, *shape)`` signal stack, and the code the acceptance criteria check.
+A visit yields only what the sweep reads: its inner work, and, when an
+ADMM or CG visit ends with its tolerance unmet, its final residuals,
+which the sweep formats into one budget warning.  The solvers, with the
+inner work a visit adds to ``SolveReport.inner_iters``:
 
 * :func:`solve_mode_l2`, the closed-form ridge solve (squared-norm penalty
   on the factors), one LU of the half Gram stack plus ``alpha I``: 1;
@@ -128,8 +132,9 @@ class AdmmState:
 
     ``x``, ``y`` and ``u`` are the primary, auxiliary and scaled dual
     stacks, all real of shape ``(M, I_n, R)``; ``u`` is rescaled whenever
-    the penalty ``rho`` adapts.  ``iterations`` and the residual lists
-    accumulate over every warm-started solve of the mode.
+    the penalty ``rho`` adapts.  ``iterations`` accumulates over every
+    warm-started solve of the mode; ``primal`` and ``dual`` are the
+    relative residuals of the last step run (``inf`` before any).
     """
 
     x: np.ndarray
@@ -137,8 +142,8 @@ class AdmmState:
     u: np.ndarray
     rho: float
     iterations: int = 0
-    primal_residuals: list = field(default_factory=list)
-    dual_residuals: list = field(default_factory=list)
+    primal: float = np.inf
+    dual: float = np.inf
 
     @classmethod
     def cold(cls, x0, rho):
@@ -156,7 +161,9 @@ class SolveReport:
     observed entries for a masked fit, and 0 for an all-zero signal, which
     the first visit's zero factors fit exactly.  ``inner_iters`` sums a
     sweep's inner work over its mode visits: 1 per ridge solve, else the
-    ADMM or CG iterations run.
+    ADMM or CG iterations run.  ``warnings`` holds one budget warning per
+    ADMM or CG visit whose tolerance went unmet, with its final residuals,
+    and, for an unmasked l2 fit, any rise of the objective.
     """
 
     objectives: list = field(default_factory=list)
@@ -260,7 +267,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
     y, u = factors_to_rows(state.y), factors_to_rows(state.u)
     rho = state.rho
     base, shift = steps(rho)
-    for _ in range(cfg.admm_iters):
+    for k in range(cfg.admm_iters):
         zhat = rdft_factor(y - u)[..., None]
         x = irdft_factor((v @ (base + shift * (vh @ zhat)))[..., 0], length)
         y_prev, y, gamma = y, x + u, cfg.lam / rho
@@ -272,9 +279,6 @@ def solve_mode_admm(op, signal, cfg, state=None):
         dual = rho * _norm(y - y_prev)
         primal_rel = primal / max(_norm(x), _norm(y), _TINY)
         dual_rel = dual / max(rho * _norm(u), _TINY)
-        state.iterations += 1
-        state.primal_residuals.append(primal_rel)
-        state.dual_residuals.append(dual_rel)
         if primal_rel <= cfg.tol_primal and dual_rel <= cfg.tol_dual:
             break
         if cfg.rho_adaptive and max(primal, dual) > 10.0 * min(primal, dual):
@@ -286,7 +290,8 @@ def solve_mode_admm(op, signal, cfg, state=None):
 
     state.x, state.y, state.u = (rows_to_factors(s, op.num_filters)
                                  for s in (x, y, u))
-    state.rho = rho
+    state.rho, state.primal, state.dual = rho, primal_rel, dual_rel
+    state.iterations += k + 1
     return state.y.copy(), state
 
 
@@ -374,31 +379,37 @@ def _finish(factors):
             for m in range(m_count)]
 
 
-def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
-           check_l2):
+def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     """Run the alternating sweep of a fit, updating `factors` in place.
 
-    ``solve_mode(op, x, sweep)`` returns mode ``op.mode``'s new stack, its
-    inner iterations and a list of warnings.  Each stack is scored on the
-    visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask stack
-    (1.0 for an unmasked fit).  `check_l2` flags a rising objective.  A
+    Each visit calls the fit's mode solver on the visit's operator:
+    :func:`_solve_mode_masked_cg` when a `mask_stack` is given, else
+    :func:`solve_mode_l2` or :func:`solve_mode_admm` by ``cfg.reg``, with
+    one warm-started :class:`AdmmState` per mode.  A visit that ends with
+    its tolerance unmet leaves a budget warning.  Each stack is scored on
+    the visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask
+    stack of a masked fit; an unmasked l2 fit flags a rising objective.  A
     ridge solve whose blocks are singular raises a ``ValueError`` naming
     the sweep, mode and ``alpha``.  Returns the report and the operator of
     the last visit."""
     report = SolveReport()
     modes = range(len(shape))
+    masked = mask_stack is not None
     s_rows = [stack_to_rows(s_obs, n).ravel() for n in modes]
     mask_rows = [stack_to_rows(mask_stack, n).ravel()
-                 if np.ndim(mask_stack) else None for n in modes]
+                 for n in modes] if masked else None
     signal_norm = float(np.linalg.norm(s_obs))
     # the regularizer's sum per mode, added in mode order; a visit redoes
     # only its own mode's
     reg_sums = [_reg_sum(f, cfg) for f in factors]
     scale = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
+    # each l1 mode warm-starts from its own AdmmState, not from its factors
+    states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
+              for f in factors] if cfg.reg == "l1" else None
 
     def data_term(forward, n, x):
         r = forward(factors_to_rows(x)).ravel()
-        if mask_rows[n] is not None:
+        if masked:
             r *= mask_rows[n]
         r -= s_rows[n]
         return 0.5 * float(r @ r)
@@ -412,8 +423,30 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
             if prev_obj is None:  # score the start on the first operator
                 prev_obj = obj = (data_term(forward, n, factors[n])
                                   + scale * float(sum(reg_sums)))
+            # unmet: the final residuals against their tolerances, when the
+            # inner budget ran out first
+            unmet = None
             try:
-                factors[n], iters, warnings = solve_mode(op, factors[n], sweep)
+                if masked:
+                    factors[n], iters, residual = _solve_mode_masked_cg(
+                        op, mask_stack, s_obs, cfg.alpha, factors[n], cfg)
+                    if residual is not None:
+                        cmp = ">" if residual > cfg.cg_tol else "<="
+                        unmet = (f"relative residual {residual:.3e} {cmp} "
+                                 f"cg_tol {cfg.cg_tol:.1e}")
+                elif cfg.reg == "l2":
+                    factors[n], iters = solve_mode_l2(op, s_obs, cfg.alpha), 1
+                else:
+                    done = states[n].iterations
+                    factors[n], state = solve_mode_admm(op, s_obs, cfg,
+                                                        states[n])
+                    iters = state.iterations - done
+                    if state.primal > cfg.tol_primal or \
+                            state.dual > cfg.tol_dual:
+                        unmet = (f"relative primal {state.primal:.3e} "
+                                 f"(tol_primal {cfg.tol_primal:.1e}), dual "
+                                 f"{state.dual:.3e} (tol_dual "
+                                 f"{cfg.tol_dual:.1e})")
             except np.linalg.LinAlgError:
                 if cfg.reg != "l2":
                     raise
@@ -425,14 +458,18 @@ def _sweep(dictionary, shape, factors, cfg, solve_mode, mask_stack, s_obs,
                     f"with alpha={cfg.alpha:g}: {need} alpha is needed"
                 ) from None
             inner += iters
-            report.warnings.extend(warnings)
+            if unmet:
+                report.warnings.append(
+                    f"{'cg' if masked else 'admm'} budget exhausted at sweep "
+                    f"{sweep} mode {n}: {iters} iterations, {unmet}")
             last_obj = obj
             data = data_term(forward, n, factors[n])
             reg_sums[n] = _reg_sum(factors[n], cfg)
             reg = scale * float(sum(reg_sums))
             obj = data + reg
             report.mode_objectives.append(obj)
-            if check_l2 and obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):
+            if cfg.reg == "l2" and not masked and \
+                    obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):
                 report.warnings.append(
                     f"l2 objective increased at mode {n}: "
                     f"{last_obj:.6e} -> {obj:.6e}")
@@ -477,31 +514,7 @@ def lrd_fit(signal, dictionary, cfg, init=None):
     """
     t0 = time.perf_counter()
     s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg, init)
-
-    if cfg.reg == "l2":
-        def solve_mode(op, x, sweep):
-            return solve_mode_l2(op, s_stack, cfg.alpha), 1, []
-    else:
-        # each mode warm-starts from its own AdmmState, not from x
-        states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
-                  for f in factors]
-
-        def solve_mode(op, x, sweep):
-            done = states[op.mode].iterations
-            y, state = solve_mode_admm(op, s_stack, cfg, states[op.mode])
-            iters = state.iterations - done
-            primal, dual = state.primal_residuals[-1], state.dual_residuals[-1]
-            warnings = []
-            if primal > cfg.tol_primal or dual > cfg.tol_dual:
-                warnings.append(
-                    f"admm budget exhausted at sweep {sweep} mode {op.mode}: "
-                    f"{iters} iterations, relative primal {primal:.3e} "
-                    f"(tol_primal {cfg.tol_primal:.1e}), dual {dual:.3e} "
-                    f"(tol_dual {cfg.tol_dual:.1e})")
-            return y, iters, warnings
-
-    report, _ = _sweep(dictionary, shape, factors, cfg, solve_mode, 1.0,
-                       s_stack, check_l2=cfg.reg == "l2")
+    report, _ = _sweep(dictionary, shape, factors, cfg, s_stack)
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
@@ -632,19 +645,7 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
                                    dictionary.num_channels)[0]
     s_obs = s_full * mask_stack
 
-    def solve_mode(op, x, sweep):
-        x, iters, residual = _solve_mode_masked_cg(op, mask_stack, s_obs,
-                                                   cfg.alpha, x, cfg)
-        if residual is None:
-            return x, iters, []
-        cmp = ">" if residual > cfg.cg_tol else "<="
-        return x, iters, [
-            f"cg budget exhausted at sweep {sweep} mode {op.mode}: "
-            f"{iters} iterations, relative residual {residual:.3e} "
-            f"{cmp} cg_tol {cfg.cg_tol:.1e}"]
-
-    report, op = _sweep(dictionary, shape, factors, cfg, solve_mode,
-                        mask_stack, s_obs, check_l2=False)
+    report, op = _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack)
 
     # the last visit's map of its final factors is the model output
     out = rows_to_stack(op.tap_maps()[0](factors_to_rows(factors[-1])),

@@ -225,3 +225,16 @@ class KruskalTensor:
 
     def __repr__(self):
         return f"KruskalTensor(shape={self.shape}, rank={self.rank})"
+
+
+def _activation_factors(activations):
+    """Per-filter lists of real float factor arrays from activations, each
+    a :class:`KruskalTensor` or a factor list; complex factors raise."""
+    out = []
+    for m, a in enumerate(activations):
+        fs = [np.asarray(f) for f in
+              (a.factors if isinstance(a, KruskalTensor) else a)]
+        if any(np.iscomplexobj(f) for f in fs):
+            raise ValueError(f"activation {m} has complex factors")
+        out.append([f.astype(float, copy=False) for f in fs])
+    return out

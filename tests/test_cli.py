@@ -469,3 +469,31 @@ class TestSubcommandFlags:
         assert captured.err.startswith(
             "error: --eps-rel must be finite and in [0, 1)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--tol", "-1"], "tol_outer must be finite and positive"),
+        (["--rank", "2,0"], "rank must be >= 1"),
+        (["--alpha", "1e-3,-1"], "alpha must be finite and >= 0"),
+        (["--reg", "l1", "--lambda", "0.1,nan"], "lam must be finite"),
+        (["--reg", "l1", "--rho", "0"], "rho_init must be finite"),
+    ], ids=["tol", "rank", "alpha", "lambda", "rho"])
+    def test_bad_sweep_point_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        # reconstruct used to create --out, then check each point's config
+        # only when the sweep reached it, after fitting and saving the
+        # points before it
+        src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "lrd_fit", no_fit)
+        out = tmp_path / "out"
+        assert run_cli("reconstruct", "--signal", src / "signal.lrt",
+                       "--filters", src / "dictionary.lrd", "--out", out,
+                       "--save-activations", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert not out.exists()

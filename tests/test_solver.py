@@ -223,8 +223,8 @@ class TestSolveModeAdmm:
                            tol_primal=1e-8, tol_dual=1e-8)
         _, state = solve_mode_admm(op, signal[None], cfg)
         assert state.iterations < 2000
-        assert state.primal_residuals[-1] <= 1e-8
-        assert state.dual_residuals[-1] <= 1e-8
+        assert state.primal <= 1e-8
+        assert state.dual <= 1e-8
 
     def test_warm_start_preserves_solution(self):
         _, _, signal, op, _ = tiny_problem((4, 3), 2, 2, seed=17)
@@ -292,9 +292,9 @@ class TestSolveModeAdmm:
                                            atol=1e-10)
             assert state.rho == ref["rho"]
             assert state.iterations == ref["iterations"]
-            np.testing.assert_allclose(state.primal_residuals, ref["primal"],
+            np.testing.assert_allclose(state.primal, ref["primal"][-1],
                                        rtol=0, atol=1e-10)
-            np.testing.assert_allclose(state.dual_residuals, ref["dual"],
+            np.testing.assert_allclose(state.dual, ref["dual"][-1],
                                        rtol=0, atol=1e-10)
         steps = np.divide(ref["rhos"][1:], ref["rhos"][:-1])
         assert np.any(steps == 2.0) and np.any(steps == 0.5)
@@ -898,13 +898,23 @@ class TestSolveReport:
                    for r, t in zip(report.relative_residuals,
                                    report.data_terms))
 
-    def test_admm_budget_warning_reports_residuals(self):
+    def test_admm_budget_warning_reports_residuals(self, monkeypatch):
+        original = lrdec.solver.solve_mode_admm
+        residuals = []
+
+        def recorded(op, *args):
+            y, state = original(op, *args)
+            residuals.append((state.primal, state.dual))
+            return y, state
+
+        monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
         d, _, signal = make_problem((6, 5, 4), (2, 2, 2), m_count=2, rank=2,
                                     seed=77)
         cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=3,
                            admm_iters=2, tol_primal=1e-14, tol_dual=1e-14,
                            tol_outer=1e-300, seed=19)
         _, report = lrd_fit(signal, d, cfg)
+        assert len(residuals) == len(report.warnings)
         pattern = re.compile(
             r"admm budget exhausted at sweep (\d+) mode (\d+): (\d+) "
             r"iterations, relative primal (\S+) \(tol_primal (\S+)\), "
@@ -918,6 +928,10 @@ class TestSolveReport:
             assert iters == cfg.admm_iters
             assert (tol_p, tol_d) == (cfg.tol_primal, cfg.tol_dual)
             assert primal > tol_p or dual > tol_d
+            # the printed residuals are that visit's AdmmState's
+            state_primal, state_dual = residuals[len(visits)]
+            assert match.group(4) == f"{state_primal:.3e}"
+            assert match.group(6) == f"{state_dual:.3e}"
             visits.append((sweep, mode))
         assert visits == [(s, n) for s in range(report.sweeps)
                           for n in range(signal.ndim)]
