@@ -6,11 +6,11 @@ N-dimensional circular convolution, ``d_m`` small-support filters and
 from the stacked mode-n factors to the model output is linear; that map
 is :class:`SpectralOperator`.  The operator never materializes its matrix.
 
-The operator has two forms, each made on first use and cached: the Gram
-blocks of its normal equations, which the unitary DFT along mode ``n``
-splits into one small Hermitian block per mode-n frequency, and the real
-mode-n convolution taps, on which the map itself runs.  Filters and
-factors are real, so along mode ``n`` every spectrum is
+The operator builds the real mode-n convolution taps, on which the map
+itself runs, when it is made.  Only the Gram blocks of its normal
+equations, which the unitary DFT along mode ``n`` splits into one small
+Hermitian block per mode-n frequency, are made on first use and cached.
+Filters and factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
 ``0..I_n//2`` (the half spectrum) only.  No operator makes filter spectra;
 :func:`forward_model`, the FFT reference for the taps, multiplies them into
@@ -36,7 +36,8 @@ modes in ascending order, the last fastest (not the order of ``unfold``):
 the row layout of :func:`stack_to_rows`.  They are built in place: one
 batched matrix product over ``(M, R)`` per other mode contracts its
 filter lags, and the last writes the taps through a view.  The fits call
-these row maps (:meth:`SpectralOperator.tap_maps`); the vector API,
+these row maps (:meth:`SpectralOperator.forward` and
+:meth:`SpectralOperator.adjoint`); the vector API,
 :meth:`SpectralOperator.apply` and :meth:`SpectralOperator.apply_adjoint`,
 wraps them in unitary DFTs of arbitrary complex spectra.
 
@@ -265,12 +266,13 @@ class SpectralOperator:
     both under the unitary DFT.  :meth:`apply` runs the real mode-n taps
     between an inverse DFT along mode ``n`` and a forward N-D DFT in
     ``unfold`` order; :meth:`apply_adjoint` runs them back.  The fits skip
-    these spectral vectors and call the row maps of :meth:`tap_maps`.
+    these spectral vectors and call the row maps :meth:`forward` and
+    :meth:`adjoint`.
 
-    Two forms, each made on first use and cached: the mode-n taps and,
-    from them, the half-spectrum Gram blocks of its normal equations.
-    Immutable otherwise; reuse one instance for all solves of the same
-    mode while the other factors are fixed.
+    The mode-n taps are built with the operator; only the half-spectrum
+    Gram blocks of its normal equations, made from them, wait for first
+    use and are cached.  Immutable otherwise; reuse one instance for all
+    solves of the same mode while the other factors are fixed.
 
     Parameters
     ----------
@@ -310,8 +312,12 @@ class SpectralOperator:
         self._factors = factors
         self._dictionary = dictionary
         self._gram = None
-        self._taps = None
-        self._tap_maps = None
+        self._taps = self.conv_taps()
+        tau = np.arange(dictionary.support[mode])
+        rows = np.arange(self.mode_length)[:, None]
+        self._lagged = (rows - tau) % self.mode_length
+        # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
+        self._leading = (rows + tau) % self.mode_length * len(tau) + tau
 
     @property
     def factor_size(self):
@@ -327,7 +333,7 @@ class SpectralOperator:
         xhat = vec_to_factor(np.asarray(xhat_vec, dtype=complex),
                              self.num_filters, self.mode_length, self.rank)
         x = factors_to_rows(np.fft.ifft(xhat, axis=1, norm="ortho"))
-        y = rows_to_stack(self.tap_maps()[0](x), self.signal_shape, self.mode)
+        y = rows_to_stack(self.forward(x), self.signal_shape, self.mode)
         yhat = np.fft.fftn(y, axes=tuple(range(1, y.ndim)), norm="ortho")
         # unfold order: the other modes ascending, the first fastest
         return signal_to_vec(np.moveaxis(yhat, 1 + self.mode, 1).reshape(
@@ -342,7 +348,7 @@ class SpectralOperator:
             yhat, [self.num_channels, self.mode_length] + rest, order="F"),
             1, 1 + self.mode)
         y = np.fft.ifftn(yhat, axes=tuple(range(1, yhat.ndim)), norm="ortho")
-        x = self.tap_maps()[1](stack_to_rows(y, self.mode))
+        x = self.adjoint(stack_to_rows(y, self.mode))
         return factor_to_vec(np.fft.fft(rows_to_factors(x, self.num_filters),
                                         axis=1, norm="ortho"))
 
@@ -359,7 +365,7 @@ class SpectralOperator:
         """
         if self._gram is not None:
             return self._gram
-        taps, size = self.conv_taps(), self.num_filters * self.rank
+        taps, size = self._taps, self.num_filters * self.rank
         count, length = len(taps) // size, self.mode_length
         # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into P[tau' - tau],
         # stored at lag + L_n - 1
@@ -381,11 +387,9 @@ class SpectralOperator:
         return self._gram
 
     def conv_taps(self):
-        """The real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps ``B`` of
-        the module docstring, built in place, the last mode first, and
-        cached."""
-        if self._taps is not None:
-            return self._taps
+        """Build the real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps
+        ``B`` of the module docstring in place, the last mode first; the
+        operator builds them once, when it is made."""
         d, n = self._dictionary.filters, self.mode
         lead = (d.shape[2 + n], self.num_filters, self.rank, d.shape[1])
         others = [k for k in range(len(self.signal_shape)) if k != n]
@@ -414,27 +418,15 @@ class SpectralOperator:
             # the product's axes after (m, r, c, tau)
             out = written((t.shape[2:-2] + core)[2:]) if j == 0 else None
             t = np.matmul(*((t, s) if first else (s, t)), out=out)
-        self._taps = taps
-        return self._taps
+        return taps
 
-    def tap_maps(self):
-        """The taps' forward map and its adjoint, cached: ``(I_n, M*R)``
-        factor rows to and from :func:`stack_to_rows` output rows."""
-        if self._tap_maps is not None:
-            return self._tap_maps
-        taps, length = self.conv_taps(), self.mode_length
-        tau = np.arange(taps.shape[0] // (self.num_filters * self.rank))
-        rows = np.arange(length)[:, None]
-        lagged = (rows - tau) % length
-        # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
-        leading = (rows + tau) % length * len(tau) + tau
+    def forward(self, x):
+        """The taps' forward map: ``(I_n, M*R)`` factor rows to the
+        :func:`stack_to_rows` output rows."""
+        return np.take(x, self._lagged, axis=0).reshape(
+            self.mode_length, -1) @ self._taps
 
-        def forward(x):
-            return np.take(x, lagged, axis=0).reshape(length, -1) @ taps
-
-        def adjoint(z):
-            w = (z @ taps.T).reshape(length * len(tau), -1)
-            return np.take(w, leading, axis=0).sum(axis=1)
-
-        self._tap_maps = forward, adjoint
-        return self._tap_maps
+    def adjoint(self, z):
+        """Adjoint of :meth:`forward`: output rows to factor rows."""
+        w = (z @ self._taps.T).reshape(self._leading.size, -1)
+        return np.take(w, self._leading, axis=0).sum(axis=1)

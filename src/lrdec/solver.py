@@ -29,9 +29,10 @@ inner work a visit adds to ``SolveReport.inner_iters``:
   follows scipy's ``cg`` step for step; the runtime imports numpy only.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
-convolution taps (``SpectralOperator.tap_maps``), built in place with
-no FFT: the right-hand side ``W^H s`` is one real product with the taps
-and ``L_n`` shifted row sums (the MTTKRP of CP-ALS); the objective
+convolution taps (``SpectralOperator.forward`` and ``.adjoint``), which
+the operator builds in place, with no FFT, when it is made: the
+right-hand side ``W^H s`` is one real product with the taps and ``L_n``
+shifted row sums (the MTTKRP of CP-ALS); the objective
 ``0.5 ||P W x - s||^2``, with ``P`` the mask of a masked fit, is one
 gather, one real product and one dot, plus the visited mode's share of
 the regularizer; the CG matvec (:func:`_masked_normal`) is the product
@@ -49,7 +50,7 @@ rows: real-input transforms in and out (the inverse stays real however
 ill-conditioned the blocks are), half-spectrum Gram blocks in between.
 The visit builds those blocks from the same taps: ``B B^T`` added into
 the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
-no FFT; no fit makes filter spectra.
+no FFT; no mode visit makes filter spectra.
 """
 
 import time
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convmodel import (SpectralOperator, factor_to_vec, factors_to_rows,
-                        rows_to_factors, rows_to_stack, stack_to_rows,
+                        forward_model, rows_to_factors, stack_to_rows,
                         vec_to_factor)
 from .tensor import _as_real, KruskalTensor
 from .transform import dft_factor, irdft_factor, rdft_factor
@@ -184,7 +185,7 @@ def _half_rhs(op, signal):
     if np.shape(signal) != (op.num_channels,) + op.signal_shape:
         raise ValueError(f"signal stack of shape {np.shape(signal)}, "
                          f"expected {(op.num_channels,) + op.signal_shape}")
-    return rdft_factor(op.tap_maps()[1](stack_to_rows(signal, op.mode)))
+    return rdft_factor(op.adjoint(stack_to_rows(signal, op.mode)))
 
 
 def _norm(v):
@@ -332,44 +333,13 @@ def _init_factors(shape, m_count, rank, seed, signal_norm):
             for s in shape]
 
 
-def _factors_from_init(init, shape, m_count, rank):
-    init = [k.factors if isinstance(k, KruskalTensor) else list(k)
-            for k in init]
-    if len(init) != m_count:
-        raise ValueError(f"init has {len(init)} activations for {m_count} "
-                         f"filters")
-    for m, fs in enumerate(init):
-        if len(fs) != len(shape):
-            raise ValueError(f"init activation {m} has {len(fs)} factors for "
-                             f"an order-{len(shape)} signal")
-    stacks = []
-    for n, s in enumerate(shape):
-        stack = np.empty((m_count, s, rank))
-        for m, fs in enumerate(init):
-            f = np.asarray(fs[n])
-            if f.shape != (s, rank):
-                raise ValueError(f"init activation {m} factor {n} has shape "
-                                 f"{f.shape}, expected {(s, rank)}")
-            if np.iscomplexobj(f) or not np.all(np.isfinite(f)):
-                what = ("is complex" if np.iscomplexobj(f)
-                        else "has non-finite values")
-                raise ValueError(f"init activation {m} factor {n} {what}")
-            stack[m] = f
-        stacks.append(stack)
-    return stacks
-
-
-def _prepare_fit(signal, dictionary, cfg, init):
+def _prepare_fit(signal, dictionary, cfg):
     s_stack, shape = _as_channel_stack(signal, dictionary.num_channels)
     if not np.all(np.isfinite(s_stack)):
         raise ValueError("signal contains non-finite values")
     dictionary.check_signal_shape(shape)
-    m_count = dictionary.num_filters
-    if init is None:
-        factors = _init_factors(shape, m_count, cfg.rank, cfg.seed,
-                                float(np.linalg.norm(s_stack)))
-    else:
-        factors = _factors_from_init(init, shape, m_count, cfg.rank)
+    factors = _init_factors(shape, dictionary.num_filters, cfg.rank,
+                            cfg.seed, float(np.linalg.norm(s_stack)))
     return s_stack, shape, factors
 
 
@@ -390,8 +360,7 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     the visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask
     stack of a masked fit; an unmasked l2 fit flags a rising objective.  A
     ridge solve whose blocks are singular raises a ``ValueError`` naming
-    the sweep, mode and ``alpha``.  Returns the report and the operator of
-    the last visit."""
+    the sweep, mode and ``alpha``.  Returns the report."""
     report = SolveReport()
     modes = range(len(shape))
     masked = mask_stack is not None
@@ -407,8 +376,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
               for f in factors] if cfg.reg == "l1" else None
 
-    def data_term(forward, n, x):
-        r = forward(factors_to_rows(x)).ravel()
+    def data_term(op, n, x):
+        r = op.forward(factors_to_rows(x)).ravel()
         if masked:
             r *= mask_rows[n]
         r -= s_rows[n]
@@ -419,9 +388,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
         inner = 0
         for n in modes:
             op = SpectralOperator(dictionary, shape, factors, n)
-            forward = op.tap_maps()[0]
             if prev_obj is None:  # score the start on the first operator
-                prev_obj = obj = (data_term(forward, n, factors[n])
+                prev_obj = obj = (data_term(op, n, factors[n])
                                   + scale * float(sum(reg_sums)))
             # unmet: the final residuals against their tolerances, when the
             # inner budget ran out first
@@ -463,7 +431,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
                     f"{'cg' if masked else 'admm'} budget exhausted at sweep "
                     f"{sweep} mode {n}: {iters} iterations, {unmet}")
             last_obj = obj
-            data = data_term(forward, n, factors[n])
+            data = data_term(op, n, factors[n])
+            del op  # free its taps and Gram blocks before the next visit's
             reg_sums[n] = _reg_sum(factors[n], cfg)
             reg = scale * float(sum(reg_sums))
             obj = data + reg
@@ -486,10 +455,10 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
             report.converged = True
             break
         prev_obj = obj
-    return report, op
+    return report
 
 
-def lrd_fit(signal, dictionary, cfg, init=None):
+def lrd_fit(signal, dictionary, cfg):
     """Decompose `signal` into filters convolved with rank-R activations.
 
     Sweeps the tensor modes in ascending order; each visit solves that
@@ -504,17 +473,15 @@ def lrd_fit(signal, dictionary, cfg, init=None):
         be the channel axis.
     dictionary : Dictionary
     cfg : SolverConfig
-    init : sequence of KruskalTensor or factor lists, optional
-        Initial activations, one per filter.  Seeded random factors are
-        used when omitted.
+        The fit starts from seeded random factors drawn from ``cfg.seed``.
 
     Returns
     -------
     (list of KruskalTensor, SolveReport)
     """
     t0 = time.perf_counter()
-    s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg, init)
-    report, _ = _sweep(dictionary, shape, factors, cfg, s_stack)
+    s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg)
+    report = _sweep(dictionary, shape, factors, cfg, s_stack)
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
@@ -523,8 +490,7 @@ def _masked_normal(op, mask_rows, alpha, x):
     """Masked normal map ``(W^H P W + alpha I) x`` of ``(I_n, M*R)`` factor
     rows, with ``P`` the spatial mask as :func:`stack_to_rows` output rows:
     the CG matvec."""
-    forward, adjoint = op.tap_maps()
-    return adjoint(forward(x) * mask_rows) + alpha * x
+    return op.adjoint(op.forward(x) * mask_rows) + alpha * x
 
 
 def _pcg(matvec, precondition, b, x0, rtol, maxiter):
@@ -586,7 +552,7 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
         xhat = rdft_factor(v.reshape(length, -1, 1))
         return irdft_factor(inv @ xhat, length).ravel()
 
-    rhs = op.tap_maps()[1](stack_to_rows(s_obs, op.mode) * mask_rows)
+    rhs = op.adjoint(stack_to_rows(s_obs, op.mode) * mask_rows)
     sol, iterations, converged = _pcg(matvec, precondition, rhs.ravel(),
                                       factors_to_rows(x0).ravel(),
                                       cfg.cg_tol, cfg.cg_max_iters)
@@ -599,14 +565,15 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     return rows_to_factors(x, op.num_filters), iterations, residual
 
 
-def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
+def lrd_fit_masked(signal, mask, dictionary, cfg):
     """Fit the model to the observed entries only and complete the signal.
 
     The spatial mask couples the mode-n frequencies, so each mode solve runs
     preconditioned conjugate gradients on the masked normal equations,
     applied through the visit's mode-n convolution taps, instead of the
-    per-frequency closed form.  The completed signal is the last visit's
-    taps applied to the final factors.  Requires ``cfg.reg == "l2"``.
+    per-frequency closed form.  The completed signal is
+    :func:`forward_model` of the final activations.  Requires
+    ``cfg.reg == "l2"``.
 
     Parameters
     ----------
@@ -616,7 +583,6 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
         True marks observed entries; same shape as `signal`.
     dictionary : Dictionary
     cfg : SolverConfig
-    init : optional initial activations, as in :func:`lrd_fit`.
 
     Returns
     -------
@@ -639,18 +605,13 @@ def lrd_fit_masked(signal, mask, dictionary, cfg, init=None):
     if not mask.any():
         raise ValueError("mask has no observed entries")
 
-    s_full, shape, factors = _prepare_fit(
-        np.where(mask, signal, 0.0), dictionary, cfg, init)
+    # zero where unobserved, so the stack needs no masking
+    s_obs, shape, factors = _prepare_fit(
+        np.where(mask, signal, 0.0), dictionary, cfg)
     mask_stack = _as_channel_stack(mask.astype(float),
                                    dictionary.num_channels)[0]
-    s_obs = s_full * mask_stack
-
-    report, op = _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack)
-
-    # the last visit's map of its final factors is the model output
-    out = rows_to_stack(op.tap_maps()[0](factors_to_rows(factors[-1])),
-                        shape, op.mode)
-    completed = np.ascontiguousarray(
-        out[0] if dictionary.num_channels == 1 else np.moveaxis(out, 0, -1))
+    report = _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack)
+    activations = _finish(factors)
+    completed = forward_model(dictionary, activations)
     report.seconds = time.perf_counter() - t0
-    return _finish(factors), completed, report
+    return activations, completed, report

@@ -231,8 +231,11 @@ class TestSolveModeAdmm:
         cfg = SolverConfig(reg="l1", lam=0.05, admm_iters=2000,
                            tol_primal=1e-10, tol_dual=1e-10)
         y1, state = solve_mode_admm(op, signal[None], cfg)
-        y2, state2 = solve_mode_admm(op, signal[None], cfg, state)
-        assert state2.iterations - state.iterations <= state.iterations
+        cold = state.iterations
+        y2, state = solve_mode_admm(op, signal[None], cfg, state)
+        # a running total: the warm solve ran at least one step and fewer
+        # than the cold one
+        assert cold < state.iterations < 2 * cold
         assert np.max(np.abs(y1 - y2)) < 1e-8 * max(1.0, np.max(np.abs(y1)))
 
     @pytest.mark.parametrize("rho_init", [1e-8, 1e-15, 1e-17])
@@ -534,38 +537,6 @@ class TestLrdFit:
                            r"alpha is needed$"):
             lrd_fit_masked(signal, mask, d, cfg)
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_init_activations_need_one_factor_per_mode(self, count):
-        # one factor per activation used to raise IndexError and three
-        # dropped the extra factor silently
-        d = unit_norm_dictionary((2, 2), 2, seed=44)
-        init = [[np.ones((5, 2))] * count for _ in range(2)]
-        cfg = SolverConfig(reg="l2", rank=2, outer_iters=2)
-        message = (f"^init activation 0 has {count} factors for an order-2 "
-                   f"signal$")
-        with pytest.raises(ValueError, match=message):
-            lrd_fit(np.ones((5, 5)), d, cfg, init=init)
-        with pytest.raises(ValueError, match=message):
-            lrd_fit_masked(np.ones((5, 5)), np.ones((5, 5), bool), d, cfg,
-                           init=[KruskalTensor(f) for f in init])
-
-    @pytest.mark.parametrize("bad,what", [
-        (1j, "is complex"), (np.nan, "has non-finite values"),
-        (np.inf, "has non-finite values")])
-    def test_init_factors_must_be_real_and_finite(self, bad, what):
-        # a complex init kept only its real part, and a NaN one failed a
-        # sweep later as a non-finite objective that did not name init
-        d = unit_norm_dictionary((2, 2), 2, seed=45)
-        init = [[np.ones((5, 2)), np.ones((4, 2))] for _ in range(2)]
-        init[1][0] = init[1][0] + bad
-        cfg = SolverConfig(reg="l2", rank=2, outer_iters=2)
-        message = f"^init activation 1 factor 0 {what}$"
-        with pytest.raises(ValueError, match=message):
-            lrd_fit(np.ones((5, 4)), d, cfg, init=init)
-        with pytest.raises(ValueError, match=message):
-            lrd_fit_masked(np.ones((5, 4)), np.ones((5, 4), bool), d, cfg,
-                           init=init)
-
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fits_run_the_public_solvers_once_per_visit(self, reg,
                                                         monkeypatch):
@@ -640,11 +611,10 @@ class TestMaskedPath:
             x = rng.standard_normal((2, shape[mode], 2))
             y = rng.standard_normal((channels,) + shape)
             # on the taps' rows: <P W x, y> = <x, W^T P y>
-            forward, adjoint = op.tap_maps()
             x_rows = x.transpose(1, 0, 2).reshape(shape[mode], -1)
             mask_rows, y_rows = (stack_to_rows(a, mode) for a in (mask, y))
-            lhs = np.sum(forward(x_rows) * mask_rows * y_rows)
-            rhs = np.sum(x_rows * adjoint(y_rows * mask_rows))
+            lhs = np.sum(op.forward(x_rows) * mask_rows * y_rows)
+            rhs = np.sum(x_rows * op.adjoint(y_rows * mask_rows))
             assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
     MASKED_NORMAL_CASES = [
@@ -722,38 +692,6 @@ class TestMaskedPath:
         assert np.linalg.norm(xhat - dense) / max(
             1.0, np.linalg.norm(dense)) < 1e-8
 
-    def test_fit_runs_on_taps_built_once_per_visit(self, monkeypatch):
-        calls = {"spectral": 0, "nd_transforms": 0, "taps_built": 0}
-
-        def spectral(self, vec):
-            calls["spectral"] += 1
-
-        def nd_transform(original):
-            def counted(*args, **kwargs):
-                calls["nd_transforms"] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        original = SpectralOperator.conv_taps
-
-        def conv_taps(op):
-            calls["taps_built"] += op._taps is None
-            return original(op)
-
-        monkeypatch.setattr(SpectralOperator, "apply", spectral)
-        monkeypatch.setattr(SpectralOperator, "apply_adjoint", spectral)
-        monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, nd_transform(getattr(np.fft,
-                                                                   name)))
-        d = unit_norm_dictionary((2, 2, 2), 2, seed=63, channels=2)
-        signal = RNG(64).standard_normal((5, 4, 3, 2))
-        mask = RNG(65).random(signal.shape) < 0.7
-        cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
-        report = lrd_fit_masked(signal, mask, d, cfg)[-1]
-        assert report.sweeps == 3
-        assert calls == {"spectral": 0, "nd_transforms": 0, "taps_built": 9}
-
     @pytest.mark.parametrize("shape,support,channels", [
         ((7, 6), (3, 2), 1), ((6, 5, 4), (2, 3, 2), 2)])
     def test_completed_signal_is_the_model_output(self, shape, support,
@@ -765,10 +703,7 @@ class TestMaskedPath:
         mask = rng.random(signal.shape) < 0.7
         cfg = SolverConfig(reg="l2", rank=2, outer_iters=3)
         acts, completed, _ = lrd_fit_masked(signal, mask, d, cfg)
-        want = forward_model(d, acts)
-        assert completed.shape == want.shape
-        assert np.max(np.abs(completed - want)) <= 1e-12 * np.max(
-            np.abs(want))
+        assert np.array_equal(completed, forward_model(d, acts))
 
     def test_all_true_mask_matches_plain_fit(self):
         d, _, signal = synthesize((5, 4), (2, 2), 2, 2, seed=56)
