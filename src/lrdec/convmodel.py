@@ -7,9 +7,9 @@ from the stacked mode-n factors to the model output is linear; that map
 is :class:`SpectralOperator`.  The operator never materializes its matrix.
 
 The operator builds the real mode-n convolution taps, on which the map
-itself runs, when it is made.  Only the Gram blocks of its normal
-equations, which the unitary DFT along mode ``n`` splits into one small
-Hermitian block per mode-n frequency, are made on first use and cached.
+itself runs, when it is made.  The Gram blocks of its normal equations,
+which the unitary DFT along mode ``n`` splits into one small Hermitian
+block per mode-n frequency, are built from them on each request.
 Filters and factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
 ``0..I_n//2`` (the half spectrum) only.  No operator makes filter spectra;
@@ -84,7 +84,6 @@ __all__ = [
     "signal_to_vec",
     "vec_to_signal",
     "stack_to_rows",
-    "rows_to_stack",
     "factors_to_rows",
     "rows_to_factors",
 ]
@@ -241,12 +240,6 @@ def stack_to_rows(stack, mode):
     return np.moveaxis(stack, 1 + mode, 0).reshape(stack.shape[1 + mode], -1)
 
 
-def rows_to_stack(rows, shape, mode):
-    """Inverse of :func:`stack_to_rows` for a signal of spatial `shape`."""
-    rest = [s for k, s in enumerate(shape) if k != mode]
-    return np.moveaxis(rows.reshape([shape[mode], -1] + rest), 0, 1 + mode)
-
-
 def factors_to_rows(x):
     """An ``(M, I_n, R)`` factor stack as the taps' ``(I_n, M*R)`` rows."""
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
@@ -269,10 +262,10 @@ class SpectralOperator:
     these spectral vectors and call the row maps :meth:`forward` and
     :meth:`adjoint`.
 
-    The mode-n taps are built with the operator; only the half-spectrum
-    Gram blocks of its normal equations, made from them, wait for first
-    use and are cached.  Immutable otherwise; reuse one instance for all
-    solves of the same mode while the other factors are fixed.
+    The mode-n taps are built with the operator, and each call of
+    :meth:`gram_blocks` builds the half-spectrum Gram blocks of its normal
+    equations from them.  Immutable; reuse one instance for all solves of
+    the same mode while the other factors are fixed.
 
     Parameters
     ----------
@@ -311,7 +304,6 @@ class SpectralOperator:
         self.lam = co_size(shape, mode)
         self._factors = factors
         self._dictionary = dictionary
-        self._gram = None
         self._taps = self.conv_taps()
         tau = np.arange(dictionary.support[mode])
         rows = np.arange(self.mode_length)[:, None]
@@ -333,10 +325,13 @@ class SpectralOperator:
         xhat = vec_to_factor(np.asarray(xhat_vec, dtype=complex),
                              self.num_filters, self.mode_length, self.rank)
         x = factors_to_rows(np.fft.ifft(xhat, axis=1, norm="ortho"))
-        y = rows_to_stack(self.forward(x), self.signal_shape, self.mode)
-        yhat = np.fft.fftn(y, axes=tuple(range(1, y.ndim)), norm="ortho")
+        rest = [s for k, s in enumerate(self.signal_shape) if k != self.mode]
+        # the forward rows as (I_n, C, *other modes)
+        y = self.forward(x).reshape([self.mode_length, self.num_channels]
+                                    + rest)
+        yhat = np.fft.fftn(y, axes=[0, *range(2, y.ndim)], norm="ortho")
         # unfold order: the other modes ascending, the first fastest
-        return signal_to_vec(np.moveaxis(yhat, 1 + self.mode, 1).reshape(
+        return signal_to_vec(yhat.swapaxes(0, 1).reshape(
             self.num_channels, self.mode_length, -1, order="F"))
 
     def apply_adjoint(self, yhat_vec):
@@ -360,11 +355,9 @@ class SpectralOperator:
         ``i``.  The blocks are one phase product of the unfolded lag
         products of the taps (see the module docstring).  Returns the
         ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
-        ``0..I_n//2``, cached; each mode solver shifts it by a multiple of
-        the identity.
+        ``0..I_n//2``, built anew on each call; each mode solver shifts it
+        by a multiple of the identity.
         """
-        if self._gram is not None:
-            return self._gram
         taps, size = self._taps, self.num_filters * self.rank
         count, length = len(taps) // size, self.mode_length
         # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into P[tau' - tau],
@@ -381,10 +374,9 @@ class SpectralOperator:
                  % length - length // 2) * (2 * np.pi / length)
         parts = np.concatenate([np.cos(angle), -np.sin(angle)]) @ (
             lagged.reshape(2 * count - 1, -1))
-        self._gram = np.empty((len(angle), size, size), dtype=complex)
-        self._gram.real, self._gram.imag = parts.reshape(2, len(angle),
-                                                         size, size)
-        return self._gram
+        gram = np.empty((len(angle), size, size), dtype=complex)
+        gram.real, gram.imag = parts.reshape(2, len(angle), size, size)
+        return gram
 
     def conv_taps(self):
         """Build the real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps

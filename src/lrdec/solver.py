@@ -25,7 +25,7 @@ inner work a visit adds to ``SolveReport.inner_iters``:
   signals, where the spatial mask breaks the per-frequency decoupling,
   preconditioned by the unmasked per-frequency blocks with the mask taken
   as its observed fraction: the CG iterations it counts.  The CG is
-  :func:`_pcg`, a short numpy loop on flat vectors whose arithmetic
+  :func:`_pcg`, a short numpy loop on the factor rows whose arithmetic
   follows scipy's ``cg`` step for step; the runtime imports numpy only.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
@@ -131,25 +131,20 @@ class SolverConfig:
 class AdmmState:
     """Warm-startable state of one mode's ADMM loop.
 
-    ``x``, ``y`` and ``u`` are the primary, auxiliary and scaled dual
-    stacks, all real of shape ``(M, I_n, R)``; ``u`` is rescaled whenever
-    the penalty ``rho`` adapts.  ``iterations`` accumulates over every
-    warm-started solve of the mode; ``primal`` and ``dual`` are the
-    relative residuals of the last step run (``inf`` before any).
+    ``y`` and ``u`` are the auxiliary and scaled dual iterates as the real
+    ``(I_n, M*R)`` mode-n factor rows the loop runs on; ``u`` is rescaled
+    whenever the penalty ``rho`` adapts.  Scaled ADMM restarts from these
+    and ``rho`` alone.  ``iterations`` accumulates over every warm-started
+    solve of the mode; ``primal`` and ``dual`` are the relative residuals
+    of the last step run (``inf`` before any).
     """
 
-    x: np.ndarray
     y: np.ndarray
     u: np.ndarray
     rho: float
     iterations: int = 0
     primal: float = np.inf
     dual: float = np.inf
-
-    @classmethod
-    def cold(cls, x0, rho):
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x=x0.copy(), y=x0.copy(), u=np.zeros_like(x0), rho=rho)
 
 
 @dataclass
@@ -179,13 +174,13 @@ class SolveReport:
     warnings: list = field(default_factory=list)
 
 
-def _half_rhs(op, signal):
+def _rhs(op, signal):
     """``W^H s`` of a real ``(C, *shape)`` signal stack through the visit's
-    mode-n taps, on the half spectrum: ``(I_n//2 + 1, M*R)`` rows."""
+    mode-n taps, as ``(I_n, M*R)`` factor rows."""
     if np.shape(signal) != (op.num_channels,) + op.signal_shape:
         raise ValueError(f"signal stack of shape {np.shape(signal)}, "
                          f"expected {(op.num_channels,) + op.signal_shape}")
-    return rdft_factor(op.adjoint(stack_to_rows(signal, op.mode)))
+    return op.adjoint(stack_to_rows(signal, op.mode))
 
 
 def _norm(v):
@@ -219,7 +214,7 @@ def solve_mode_l2(op, signal, alpha):
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     gram = op.gram_blocks()
     blocks = gram + alpha * np.eye(gram.shape[1])
-    rows = np.linalg.solve(blocks, _half_rhs(op, signal)[..., None])
+    rows = np.linalg.solve(blocks, rdft_factor(_rhs(op, signal))[..., None])
     return rows_to_factors(irdft_factor(rows[..., 0], op.mode_length),
                            op.num_filters)
 
@@ -230,9 +225,8 @@ def solve_mode_admm(op, signal, cfg, state=None):
     Alternates the frequency-domain quadratic step with spatial shrinkage
     and a scaled dual update; the auxiliary (sparse) stack is returned as
     the solution.  Residual-balancing adaptation of the penalty is applied
-    when ``cfg.rho_adaptive``.  The loop runs on the ``(I_n, M*R)`` mode-n
-    factor rows of the taps and the masked CG; `state` keeps its
-    ``(M, I_n, R)`` stacks, converted once per call.
+    when ``cfg.rho_adaptive``.  The loop, and `state`, keep the iterates as
+    the ``(I_n, M*R)`` mode-n factor rows of the taps and the masked CG.
 
     Parameters
     ----------
@@ -243,30 +237,30 @@ def solve_mode_admm(op, signal, cfg, state=None):
         Uses ``lam``, ``rho_init``, ``rho_adaptive``, ``admm_iters``,
         ``tol_primal`` and ``tol_dual``.
     state : AdmmState, optional
-        Warm start; a cold zero-dual state is created when omitted.
+        Warm start; when omitted the loop starts from zero rows at
+        ``cfg.rho_init``.
 
     Returns
     -------
     (ndarray, AdmmState)
         The sparse factor stack ``(M, I_n, R)`` and the updated state.
     """
-    dims = (op.num_filters, op.mode_length, op.rank)
     if state is None:
-        state = AdmmState.cold(np.zeros(dims), cfg.rho_init)
+        zero = np.zeros((op.mode_length, op.num_filters * op.rank))
+        state = AdmmState(y=zero, u=zero, rho=cfg.rho_init)
     length = op.mode_length
     # one eigendecomposition G = V diag(w) V^H serves every rho:
     # (G + rho I)^-1 = V diag(1 / (w + rho)) V^H; the blocks are PSD by
     # construction, so a negative w is roundoff
     w, v = np.linalg.eigh(op.gram_blocks())
     w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
-    proj = vh @ _half_rhs(op, signal)[..., None]
+    proj = vh @ rdft_factor(_rhs(op, signal))[..., None]
 
     def steps(rho):  # the step's scales, made again only when rho moves
         inv = 1.0 / (w + rho)
         return proj * inv, rho * inv
 
-    y, u = factors_to_rows(state.y), factors_to_rows(state.u)
-    rho = state.rho
+    y, u, rho = state.y, state.u, state.rho
     base, shift = steps(rho)
     for k in range(cfg.admm_iters):
         zhat = rdft_factor(y - u)[..., None]
@@ -289,11 +283,10 @@ def solve_mode_admm(op, signal, cfg, state=None):
             rho, u = rho * scale, u / scale
             base, shift = steps(rho)
 
-    state.x, state.y, state.u = (rows_to_factors(s, op.num_filters)
-                                 for s in (x, y, u))
-    state.rho, state.primal, state.dual = rho, primal_rel, dual_rel
+    state.y, state.u, state.rho = y, u, rho
+    state.primal, state.dual = primal_rel, dual_rel
     state.iterations += k + 1
-    return state.y.copy(), state
+    return rows_to_factors(y, op.num_filters).copy(), state
 
 
 def data_term_gradient(op, shat_vec, x_factor):
@@ -338,8 +331,14 @@ def _prepare_fit(signal, dictionary, cfg):
     if not np.all(np.isfinite(s_stack)):
         raise ValueError("signal contains non-finite values")
     dictionary.check_signal_shape(shape)
+    norm = float(np.linalg.norm(s_stack))
+    if norm * norm < np.finfo(float).tiny and s_stack.any():
+        # below it the objective's and residuals' sums of squares lose bits
+        raise ValueError(f"signal too small: its squared norm {norm * norm:.3g}"
+                         f" underflows below {np.finfo(float).tiny:.3g}; "
+                         f"rescale the signal")
     factors = _init_factors(shape, dictionary.num_filters, cfg.rank,
-                            cfg.seed, float(np.linalg.norm(s_stack)))
+                            cfg.seed, norm)
     return s_stack, shape, factors
 
 
@@ -373,8 +372,7 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     reg_sums = [_reg_sum(f, cfg) for f in factors]
     scale = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
     # each l1 mode warm-starts from its own AdmmState, not from its factors
-    states = [AdmmState.cold(np.zeros_like(f), cfg.rho_init)
-              for f in factors] if cfg.reg == "l1" else None
+    states = [None] * len(shape)
 
     def data_term(op, n, x):
         r = op.forward(factors_to_rows(x)).ravel()
@@ -405,10 +403,10 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
                 elif cfg.reg == "l2":
                     factors[n], iters = solve_mode_l2(op, s_obs, cfg.alpha), 1
                 else:
-                    done = states[n].iterations
+                    done = states[n].iterations if states[n] else 0
                     factors[n], state = solve_mode_admm(op, s_obs, cfg,
                                                         states[n])
-                    iters = state.iterations - done
+                    states[n], iters = state, state.iterations - done
                     if state.primal > cfg.tol_primal or \
                             state.dual > cfg.tol_dual:
                         unmet = (f"relative primal {state.primal:.3e} "
@@ -494,33 +492,34 @@ def _masked_normal(op, mask_rows, alpha, x):
 
 
 def _pcg(matvec, precondition, b, x0, rtol, maxiter):
-    """Preconditioned conjugate gradients on flat real vectors.
+    """Preconditioned conjugate gradients on real arrays.
 
     Solves ``A x = b`` for an SPD ``A`` applied by `matvec`, with
     `precondition` applying an SPD approximation of ``A^-1``.  Stops when
     the running residual is below ``rtol ||b||``, tested before each
     iteration.  Every step repeats the arithmetic of scipy's ``cg``, so
-    the two return the same bits.  Returns the solution (a copy of ``b``
-    when it is zero), the iterations run and whether the tolerance was met.
+    the two return the same bits (scipy skips ``A x0`` for a zero `x0`, and
+    ``A 0`` is exactly 0).  Returns the solution (a copy of ``b`` when it
+    is zero), the iterations run and whether the tolerance was met.
     """
     x = np.array(x0, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return b.copy(), 0, True
     atol = rtol * bnorm
-    r = b - matvec(x) if x.any() else b.copy()
+    r = b - matvec(x)
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, iteration, True
         z = precondition(r)
-        rho = np.dot(r, z)
+        rho = np.vdot(r, z)
         if iteration:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
         q = matvec(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / np.vdot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
@@ -533,10 +532,11 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     The preconditioner replaces the mask by ``p I``, with ``p`` the observed
     fraction, and applies ``(p W^H W + alpha I)^-1`` exactly per mode-n
     frequency; with nothing masked it is the inverse of the system.
-    Returns the factor stack, the CG iterations run and, when the budget
-    ran out, the true relative residual of the normal equations (CG stops
-    on its running residual, updated by recurrence, which can drift from
-    the true one); ``None`` when the relative tolerance was met."""
+    `s_obs` is zero where unobserved.  Returns the factor stack, the CG
+    iterations run and, when the budget ran out, the true relative residual
+    of the normal equations (CG stops on its running residual, updated by
+    recurrence, which can drift from the true one); ``None`` when the
+    relative tolerance was met."""
     length = op.mode_length
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
@@ -545,18 +545,15 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     mask_rows = stack_to_rows(mask_stack, op.mode)
 
     def matvec(v):
-        return _masked_normal(op, mask_rows, alpha,
-                              v.reshape(length, -1)).ravel()
+        return _masked_normal(op, mask_rows, alpha, v)
 
     def precondition(v):
-        xhat = rdft_factor(v.reshape(length, -1, 1))
-        return irdft_factor(inv @ xhat, length).ravel()
+        return irdft_factor((inv @ rdft_factor(v)[..., None])[..., 0], length)
 
-    rhs = op.adjoint(stack_to_rows(s_obs, op.mode) * mask_rows)
-    sol, iterations, converged = _pcg(matvec, precondition, rhs.ravel(),
-                                      factors_to_rows(x0).ravel(),
-                                      cfg.cg_tol, cfg.cg_max_iters)
-    x = sol.reshape(length, -1)
+    rhs = _rhs(op, s_obs)
+    x, iterations, converged = _pcg(matvec, precondition, rhs,
+                                    factors_to_rows(x0), cfg.cg_tol,
+                                    cfg.cg_max_iters)
     residual = None
     if not converged:
         residual = float(np.linalg.norm(

@@ -8,10 +8,10 @@ import lrdec.solver
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              forward_model, signal_to_vec, vec_to_factor,
                              vec_to_signal)
-from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _half_rhs
+from lrdec.solver import SolverConfig, lrd_fit, lrd_fit_masked, _rhs
 from lrdec.synth import make_activations, make_filters
 from lrdec.tensor import KruskalTensor, unfold
-from lrdec.transform import dft_factor, dft_nd
+from lrdec.transform import dft_factor, dft_nd, rdft_factor
 
 from oracles import (circular_convolve_by_sums, gram_blocks_by_pairs,
                      kruskal_by_outer_sums, materialize_w, mirror_half_blocks,
@@ -458,7 +458,7 @@ class TestHalfSpectrum:
             1, 0, 2).reshape(half, -1)
         # the right-hand side the fits build on the taps, from the signal,
         # as (I_n//2 + 1, M*R) half-spectrum rows
-        got = _half_rhs(op, signal)
+        got = rdft_factor(_rhs(op, signal))
         assert got.shape == (half, m_count * rank)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))

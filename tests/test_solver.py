@@ -8,7 +8,8 @@ from scipy.linalg import block_diag
 import lrdec.solver
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
-                             forward_model, signal_to_vec, stack_to_rows)
+                             forward_model, rows_to_factors, signal_to_vec,
+                             stack_to_rows)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, solve_mode_admm, solve_mode_l2,
                           _masked_normal, _solve_mode_masked_cg)
@@ -110,15 +111,15 @@ def spectral_factor_vec(x):
     return factor_to_vec(dft_factor(x, axis=1))
 
 
-class TestSolveModeQuadratic:
-    """The quadratic (ridge) mode solve, :func:`solve_mode_l2`, checked on
-    the spectral vector API."""
+class TestSolveModeL2:
+    """The ridge mode solve, :func:`solve_mode_l2`, checked on the spectral
+    vector API and against dense solves."""
 
     def test_normal_equation_residual(self):
         _, _, signal, op, shat = tiny_problem((5, 4), 2, 2, seed=5)
-        rho = 0.8
-        xhat = spectral_factor_vec(solve_mode_l2(op, signal[None], rho))
-        lhs = op.apply_adjoint(op.apply(xhat)) + rho * xhat
+        alpha = 0.8
+        xhat = spectral_factor_vec(solve_mode_l2(op, signal[None], alpha))
+        lhs = op.apply_adjoint(op.apply(xhat)) + alpha * xhat
         rhs = op.apply_adjoint(shat)
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
 
@@ -132,7 +133,7 @@ class TestSolveModeQuadratic:
         x = solve_mode_l2(op, signal, 2.5)
         assert np.max(np.abs(x)) < 1e-12
 
-    def test_small_rho_recovers_least_squares(self):
+    def test_small_alpha_recovers_least_squares(self):
         d, factors, _, op, _ = tiny_problem((4, 3), 1, 1, seed=8)
         a_mat = materialize_spatial_forward(d.filters, (4, 3), factors, 0)
         xstar = RNG(9).standard_normal((1, 4, 1))
@@ -140,7 +141,7 @@ class TestSolveModeQuadratic:
         x = solve_mode_l2(op, signal[None], 1e-10)
         assert np.linalg.norm(x - xstar) / np.linalg.norm(xstar) < 1e-4
 
-    def test_rho_must_be_positive(self):
+    def test_alpha_must_be_non_negative(self):
         # the ridge weight may be 0, where the blocks are non-singular, but
         # not negative or NaN
         _, _, signal, op, _ = tiny_problem()
@@ -148,8 +149,6 @@ class TestSolveModeQuadratic:
             with pytest.raises(ValueError, match="^alpha must be >= 0"):
                 solve_mode_l2(op, signal[None], alpha)
 
-
-class TestSolveModeL2:
     def test_zero_signal_zero_solution(self):
         _, _, _, op, _ = tiny_problem((4, 3), 2, 2, seed=10)
         x = solve_mode_l2(op, np.zeros((1, 4, 3)), 0.5)
@@ -288,11 +287,12 @@ class TestSolveModeAdmm:
                                  cfg.tol_primal, cfg.tol_dual, adaptive=True)
             assert y.shape == zero.shape
             np.testing.assert_allclose(y, ref["y"], rtol=0, atol=1e-10)
-            for name in ("x", "y", "u"):
+            # x is implied: u_new = u_prev + x - y
+            for name in ("y", "u"):
                 got = getattr(state, name)
-                assert got.shape == zero.shape
-                np.testing.assert_allclose(got, ref[name], rtol=0,
-                                           atol=1e-10)
+                assert got.shape == (length, m_count * rank)
+                np.testing.assert_allclose(rows_to_factors(got, m_count),
+                                           ref[name], rtol=0, atol=1e-10)
             assert state.rho == ref["rho"]
             assert state.iterations == ref["iterations"]
             np.testing.assert_allclose(state.primal, ref["primal"][-1],
@@ -481,6 +481,23 @@ class TestLrdFit:
                                        want.relative_residuals, rtol=1e-6,
                                        atol=0, err_msg=f"c={c}")
 
+    @pytest.mark.parametrize("c", [1e-160, 1e-170, 1e-200])
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_refuses_a_signal_whose_squared_norm_underflows(self, reg, c):
+        # the squared norm is subnormal at 1e-160 and 0 below; unrefused, the
+        # fit at 1e-170 returned zero factors as converged with a relative
+        # residual of 0 (the true one is 1), and at 1e-160 it misreported it
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=1e-4 * c,
+                           alpha=1e-4 * c, rank=2, outer_iters=3)
+        with pytest.raises(ValueError, match="^signal too small: .* rescale"):
+            if reg == "masked":
+                mask = RNG(2).uniform(size=signal.shape) > 0.3
+                lrd_fit_masked(c * signal, mask, d, cfg)
+            else:
+                lrd_fit(c * signal, d, cfg)
+
     @pytest.mark.parametrize("reg", ["l1", "l2", "masked"])
     def test_zero_signal_reports_zero_relative_residual(self, reg):
         d = unit_norm_dictionary((2, 2), 2, seed=31)
@@ -571,31 +588,39 @@ class TestLrdFit:
 
     def test_l1_factors_gram_once_per_visit_and_l2_solves_once(
             self, monkeypatch):
-        calls = {"eigh": 0, "solve": 0}
+        # every fit builds each visit's Gram blocks once and factors them
+        # once: eigh for l1, an LU solve for l2, the CG preconditioner's inv
+        # for the masked fit
+        calls = dict.fromkeys(["eigh", "solve", "inv", "gram_blocks"], 0)
 
-        def counted(name):
-            original = getattr(np.linalg, name)
+        def count(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(lrdec.solver.np.linalg, name, counted(name))
+        for name in ("eigh", "solve", "inv"):
+            count(lrdec.solver.np.linalg, name)
+        count(SpectralOperator, "gram_blocks")
         d, _, signal = synthesize((5, 4, 3), (2, 2, 2), 2, 2, seed=43)
-        cfg = SolverConfig(reg="l1", lam=0.05, rank=2, outer_iters=3,
-                           admm_iters=50, tol_outer=1e-15)
-        _, report = lrd_fit(signal, d, cfg)
-        assert report.sweeps == 3
-        assert sum(report.inner_iters) > 9  # more ADMM steps than visits
-        assert calls == {"eigh": 9, "solve": 0}
-
-        calls.update(eigh=0, solve=0)
-        cfg = SolverConfig(reg="l2", rank=2, outer_iters=3, tol_outer=1e-15)
-        _, report = lrd_fit(signal, d, cfg)
-        assert report.sweeps == 3
-        assert calls == {"eigh": 0, "solve": 9}
+        mask = RNG(46).uniform(size=signal.shape) > 0.3
+        for reg, factored in [("l1", "eigh"), ("l2", "solve"),
+                              ("masked", "inv")]:
+            calls.update(dict.fromkeys(calls, 0))
+            cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                               rank=2, outer_iters=3, admm_iters=50,
+                               tol_outer=1e-15)
+            if reg == "masked":
+                report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+            else:
+                report = lrd_fit(signal, d, cfg)[-1]
+            assert report.sweeps == 3
+            if reg == "l1":  # more ADMM steps than visits
+                assert sum(report.inner_iters) > 9
+            want = dict(eigh=0, solve=0, inv=0, gram_blocks=9)
+            assert calls == dict(want, **{factored: 9}), reg
 
 
 class TestMaskedPath:
