@@ -301,7 +301,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     _add_fit_flags(p)
     p.add_argument("--cg-tol", type=float, default=SolverConfig.cg_tol,
-                   help="CG relative tolerance")
+                   help="CG relative tolerance, which a converged fit's "
+                   "visits meet; early visits run up to 30x looser, and a "
+                   "budget warning means a visit missed its loosened one")
     p.add_argument("--cg-iters", type=_positive_int,
                    default=SolverConfig.cg_max_iters,
                    help="CG budget per mode visit")

@@ -10,8 +10,15 @@ operator.  Each solver is the code its fit runs, on the fit's real
 ``(C, *shape)`` signal stack, and the code the acceptance criteria check.
 A visit yields only what the sweep reads: its inner work, and, when an
 ADMM or CG visit ends with its tolerance unmet, its final residuals,
-which the sweep formats into one budget warning.  The solvers, with the
-inner work a visit adds to ``SolveReport.inner_iters``:
+which the sweep formats into one budget warning.  The sweep hands each
+ADMM or CG visit a copy of the config whose inner tolerances carry a
+forcing term (Eisenstat & Walker, "Choosing the forcing terms in an
+inexact Newton method", 1996): ``max(tol, min(30 tol, 1e-3 change))``,
+with ``change`` the last sweep's relative objective change, so the first
+sweep runs 30x looser, a converged fit's visits meet the configured
+tolerances, and a budget warning means a visit missed its forced one.
+The solvers, with the inner work a visit adds to
+``SolveReport.inner_iters``:
 
 * :func:`solve_mode_l2`, the closed-form ridge solve (squared-norm penalty
   on the factors), one LU of the half Gram stack plus ``alpha I``: 1;
@@ -54,7 +61,7 @@ no FFT; no mode visit makes filter spectra.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +91,11 @@ class SolverConfig:
 
     ``reg`` selects the penalty on the activation factors: ``"l1"`` with
     weight ``lam`` (solved by ADMM) or ``"l2"`` with weight ``alpha``
-    (closed form).  The dictionary fixes the number of filters.
+    (closed form).  The dictionary fixes the number of filters.  The
+    inner tolerances ``cg_tol``, ``tol_primal`` and ``tol_dual`` are what
+    a converged fit's visits meet; a fit's early visits run up to 30x
+    looser, by the sweep's forcing term, and a fit converges only on a
+    sweep run at these.
     """
 
     reg: str = "l2"
@@ -157,9 +168,11 @@ class SolveReport:
     observed entries for a masked fit, and 0 for an all-zero signal, which
     the first visit's zero factors fit exactly.  ``inner_iters`` sums a
     sweep's inner work over its mode visits: 1 per ridge solve, else the
-    ADMM or CG iterations run.  ``warnings`` holds one budget warning per
-    ADMM or CG visit whose tolerance went unmet, with its final residuals,
-    and, for an unmasked l2 fit, any rise of the objective.
+    ADMM or CG iterations run, a cold redo's included.  ``warnings``
+    holds one budget warning per ADMM or CG visit that missed its forced
+    tolerance (up to 30x the configured one on early sweeps), with its
+    final residuals against the configured tolerances, and, for an
+    unmasked l2 fit, any rise of the objective.
     """
 
     objectives: list = field(default_factory=list)
@@ -348,16 +361,24 @@ def _finish(factors):
             for m in range(m_count)]
 
 
+def _forced(tol, change):
+    """An inner tolerance `tol` forced by the last sweep's relative
+    objective `change`: ``max(tol, min(30 tol, 1e-3 change))``."""
+    return max(tol, min(30.0 * tol, 1e-3 * change))
+
+
 def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     """Run the alternating sweep of a fit, updating `factors` in place.
 
     Each visit calls the fit's mode solver on the visit's operator:
     :func:`_solve_mode_masked_cg` when a `mask_stack` is given, else
     :func:`solve_mode_l2` or :func:`solve_mode_admm` by ``cfg.reg``, with
-    one warm-started :class:`AdmmState` per mode.  A visit that ends with
-    its tolerance unmet leaves a budget warning.  Each stack is scored on
-    the visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask
-    stack of a masked fit; an unmasked l2 fit flags a rising objective.  A
+    one warm-started :class:`AdmmState` per mode.  Each ADMM or CG visit
+    runs at its forced tolerances (:func:`_forced`), and one that ends
+    with them unmet leaves a budget warning.  Each stack is scored on the
+    visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask
+    stack of a masked fit; an unmasked l2 fit flags a rising objective,
+    and a warm-started l1 visit whose objective rises is redone cold.  A
     ridge solve whose blocks are singular raises a ``ValueError`` naming
     the sweep, mode and ``alpha``.  Returns the report."""
     report = SolveReport()
@@ -374,28 +395,54 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     # each l1 mode warm-starts from its own AdmmState, not from its factors
     states = [None] * len(shape)
 
-    def data_term(op, n, x):
-        r = op.forward(factors_to_rows(x)).ravel()
+    def score(op, n):
+        """Mode n's regularizer sum, redone, and the objective with its
+        data and regularizer terms."""
+        r = op.forward(factors_to_rows(factors[n])).ravel()
         if masked:
             r *= mask_rows[n]
         r -= s_rows[n]
-        return 0.5 * float(r @ r)
+        reg_sums[n] = _reg_sum(factors[n], cfg)
+        data = 0.5 * float(r @ r)
+        reg = scale * float(sum(reg_sums))
+        return data, reg, data + reg
 
-    prev_obj = None
+    def admm(op, n, tols):
+        """Mode n's l1 visit from its AdmmState: the ADMM iterations run
+        and, when the tolerances `tols` went unmet, its residuals."""
+        done = states[n].iterations if states[n] else 0
+        factors[n], state = solve_mode_admm(op, s_obs, tols, states[n])
+        states[n] = state
+        unmet = None
+        if state.primal > tols.tol_primal or state.dual > tols.tol_dual:
+            unmet = (f"relative primal {state.primal:.3e} (tol_primal "
+                     f"{cfg.tol_primal:.1e}), dual {state.dual:.3e} "
+                     f"(tol_dual {cfg.tol_dual:.1e})")
+        return state.iterations - done, unmet
+
+    # the forcing term: the visits run at the inner tolerances of their
+    # solver loosened by the last sweep's relative objective change, at
+    # most 30x, and the first sweep at 30x
+    tol_names = ("cg_tol",) if masked else ("tol_primal", "tol_dual") \
+        if cfg.reg == "l1" else ()
+    prev_obj, change = None, np.inf
     for sweep in range(cfg.outer_iters):
+        tols = replace(cfg, **{name: _forced(getattr(cfg, name), change)
+                               for name in tol_names})
         inner = 0
         for n in modes:
             op = SpectralOperator(dictionary, shape, factors, n)
             if prev_obj is None:  # score the start on the first operator
-                prev_obj = obj = (data_term(op, n, factors[n])
-                                  + scale * float(sum(reg_sums)))
-            # unmet: the final residuals against their tolerances, when the
-            # inner budget ran out first
+                prev_obj = obj = score(op, n)[2]
+            last_obj, warm = obj, states[n] is not None
+            ceiling = last_obj + 1e-9 * max(1.0, abs(last_obj))
+            # unmet: the final residuals against the configured tolerances,
+            # when the inner budget ran out before the forced ones were met
             unmet = None
             try:
                 if masked:
                     factors[n], iters, residual = _solve_mode_masked_cg(
-                        op, mask_stack, s_obs, cfg.alpha, factors[n], cfg)
+                        op, mask_stack, s_obs, cfg.alpha, factors[n], tols)
                     if residual is not None:
                         cmp = ">" if residual > cfg.cg_tol else "<="
                         unmet = (f"relative residual {residual:.3e} {cmp} "
@@ -403,16 +450,7 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
                 elif cfg.reg == "l2":
                     factors[n], iters = solve_mode_l2(op, s_obs, cfg.alpha), 1
                 else:
-                    done = states[n].iterations if states[n] else 0
-                    factors[n], state = solve_mode_admm(op, s_obs, cfg,
-                                                        states[n])
-                    states[n], iters = state, state.iterations - done
-                    if state.primal > cfg.tol_primal or \
-                            state.dual > cfg.tol_dual:
-                        unmet = (f"relative primal {state.primal:.3e} "
-                                 f"(tol_primal {cfg.tol_primal:.1e}), dual "
-                                 f"{state.dual:.3e} (tol_dual "
-                                 f"{cfg.tol_dual:.1e})")
+                    iters, unmet = admm(op, n, tols)
             except np.linalg.LinAlgError:
                 if cfg.reg != "l2":
                     raise
@@ -423,20 +461,22 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
                     f"ridge blocks are singular at sweep {sweep} mode {n} "
                     f"with alpha={cfg.alpha:g}: {need} alpha is needed"
                 ) from None
+            data, reg, obj = score(op, n)
+            if warm and obj > ceiling:
+                # a warm ADMM state carried onto singular blocks can leave
+                # a stale null-space part that grows; redo the visit cold
+                states[n] = None
+                cold, unmet = admm(op, n, tols)
+                iters += cold
+                data, reg, obj = score(op, n)
+            del op  # free its taps and Gram blocks before the next visit's
             inner += iters
             if unmet:
                 report.warnings.append(
                     f"{'cg' if masked else 'admm'} budget exhausted at sweep "
                     f"{sweep} mode {n}: {iters} iterations, {unmet}")
-            last_obj = obj
-            data = data_term(op, n, factors[n])
-            del op  # free its taps and Gram blocks before the next visit's
-            reg_sums[n] = _reg_sum(factors[n], cfg)
-            reg = scale * float(sum(reg_sums))
-            obj = data + reg
             report.mode_objectives.append(obj)
-            if cfg.reg == "l2" and not masked and \
-                    obj > last_obj + 1e-9 * max(1.0, abs(last_obj)):
+            if cfg.reg == "l2" and not masked and obj > ceiling:
                 report.warnings.append(
                     f"l2 objective increased at mode {n}: "
                     f"{last_obj:.6e} -> {obj:.6e}")
@@ -449,9 +489,12 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
             float(np.sqrt(2.0 * data)) / signal_norm if signal_norm else 0.0)
         report.inner_iters.append(inner)
         report.sweeps += 1
-        if abs(prev_obj - obj) <= cfg.tol_outer * abs(prev_obj):
+        # only a sweep solved to the configured tolerances ends the fit
+        if tols == cfg and abs(prev_obj - obj) <= cfg.tol_outer * abs(
+                prev_obj):
             report.converged = True
             break
+        change = abs(prev_obj - obj) / abs(prev_obj) if prev_obj else 0.0
         prev_obj = obj
     return report
 

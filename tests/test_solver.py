@@ -8,11 +8,11 @@ from scipy.linalg import block_diag
 import lrdec.solver
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
-                             forward_model, rows_to_factors, signal_to_vec,
-                             stack_to_rows)
+                             factors_to_rows, forward_model, rows_to_factors,
+                             signal_to_vec, stack_to_rows)
 from lrdec.solver import (SolverConfig, data_term_gradient, lrd_fit,
                           lrd_fit_masked, solve_mode_admm, solve_mode_l2,
-                          _masked_normal, _solve_mode_masked_cg)
+                          _masked_normal, _rhs, _solve_mode_masked_cg)
 from lrdec.synth import make_filters, make_problem, smooth_low_rank
 from lrdec.tensor import KruskalTensor, unfold
 from lrdec.transform import dft_factor, dft_nd
@@ -526,6 +526,31 @@ class TestLrdFit:
         recon = forward_model(d, acts)
         assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
 
+    def test_l1_warm_start_on_singular_blocks_is_redone_cold(self,
+                                                             monkeypatch):
+        # M*R = 12 > C*Lambda = 1 on a 1-D signal: every block is singular.
+        # The warm state carried into the next visit used to grow without
+        # bound (relative residuals 1e-15, 0.94, 1e15, 1e30, 1e45); the
+        # visit whose objective rises is now redone cold
+        original = lrdec.solver.solve_mode_admm
+        calls = []
+
+        def recorded(op, signal, cfg, state=None):
+            done = state.iterations if state else 0
+            y, state_out = original(op, signal, cfg, state)
+            calls.append((state is None, state_out.iterations - done))
+            return y, state_out
+
+        monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
+        signal = RNG(0).standard_normal(20)
+        d = make_filters((5,), 6, seed=0)
+        cfg = SolverConfig(reg="l1", lam=0.0, rank=2, outer_iters=5)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.converged
+        assert max(report.relative_residuals) < 1e-12
+        assert [cold for cold, _ in calls].count(True) > 1
+        assert sum(report.inner_iters) == sum(iters for _, iters in calls)
+
     def test_l2_singular_ridge_blocks_ask_for_positive_alpha(self):
         # M*R = 8 > C*Lambda = 1 on a 1-D signal: alpha = 0 leaves every
         # ridge block singular
@@ -924,6 +949,111 @@ class TestSolveReport:
         _, _, report = lrd_fit_masked(signal, mask, d, cfg)
         assert len(report.inner_iters) == report.sweeps
         assert all(count > signal.ndim for count in report.inner_iters)
+
+
+class TestForcingTerm:
+    """The sweep hands each visit its inner tolerances forced by the last
+    sweep's relative objective change: 30x the configured ones on the
+    first sweep, the configured ones again as the fit converges."""
+
+    @pytest.mark.parametrize("reg", ["masked", "l1"])
+    def test_schedule_ends_at_the_configured_tolerances(self, reg,
+                                                        monkeypatch):
+        visits = []  # (tolerances, true CG residual or None) per visit
+        if reg == "masked":
+            original = lrdec.solver._solve_mode_masked_cg
+
+            def recorded(op, mask_stack, s_obs, alpha, x0, cfg):
+                result = original(op, mask_stack, s_obs, alpha, x0, cfg)
+                # the normal-equation residual, as the CG solve reports it
+                rhs = _rhs(op, s_obs)
+                x = factors_to_rows(result[0])
+                mask_rows = stack_to_rows(mask_stack, op.mode)
+                residual = np.linalg.norm(
+                    rhs - _masked_normal(op, mask_rows, alpha, x)) \
+                    / np.linalg.norm(rhs)
+                visits.append(((cfg.cg_tol,), residual))
+                return result
+
+            monkeypatch.setattr(lrdec.solver, "_solve_mode_masked_cg",
+                                recorded)
+        else:
+            original = lrdec.solver.solve_mode_admm
+
+            def recorded(op, signal, cfg, state=None):
+                visits.append(((cfg.tol_primal, cfg.tol_dual), None))
+                return original(op, signal, cfg, state)
+
+            monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
+        seed = 72 if reg == "masked" else 70
+        d, _, signal = make_problem((6, 5), (2, 2), m_count=2, rank=2,
+                                    seed=seed)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.3,
+                           alpha=1.0, rank=2, outer_iters=300,
+                           admm_iters=2000, tol_outer=1e-12, seed=seed)
+        if reg == "masked":
+            mask = RNG(seed + 1).uniform(size=signal.shape) > 0.3
+            report = lrd_fit_masked(signal, mask, d, cfg)[2]
+            tols = (cfg.cg_tol,)
+        else:
+            report = lrd_fit(signal, d, cfg)[1]
+            tols = (cfg.tol_primal, cfg.tol_dual)
+        assert report.converged and report.sweeps > 2
+        assert len(visits) == 2 * report.sweeps
+        sweeps = [[v for v, _ in visits[2 * s:2 * s + 2]]
+                  for s in range(report.sweeps)]
+        assert sweeps[0] == [tuple(30 * t for t in tols)] * 2
+        objectives = report.objectives
+        for s in range(2, report.sweeps):
+            change = abs(objectives[s - 2] - objectives[s - 1]) \
+                / abs(objectives[s - 2])
+            want = tuple(max(t, min(30 * t, 1e-3 * change)) for t in tols)
+            assert sweeps[s] == [want] * 2, s
+        for visit in sweeps:
+            for got in visit:
+                assert all(t <= g <= 30 * t for g, t in zip(got, tols))
+        assert sweeps[-1] == [tols] * 2
+        if reg == "masked":
+            assert visits[-1][1] <= 10 * cfg.cg_tol
+
+    def test_a_loose_sweep_does_not_end_the_fit(self, monkeypatch):
+        # one mode: the first visits nearly solve the fit, so the second
+        # sweep, still at 30x, changes the objective by under tol_outer
+        original = lrdec.solver.solve_mode_admm
+        visits = []
+
+        def recorded(op, signal, cfg, state=None):
+            visits.append((cfg.tol_primal, cfg.tol_dual))
+            return original(op, signal, cfg, state)
+
+        monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
+        d, _, signal = make_problem((12,), (3,), m_count=2, rank=2, seed=70)
+        cfg = SolverConfig(reg="l1", lam=0.3, rank=2, admm_iters=2000,
+                           tol_primal=1e-9, tol_dual=1e-9, tol_outer=1e-12,
+                           seed=70)
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.converged
+        tols = (cfg.tol_primal, cfg.tol_dual)
+        assert visits[:2] == [(30 * tols[0], 30 * tols[1])] * 2
+        assert visits[-1] == tols
+        change = abs(report.objectives[-2] - report.objectives[-3]) \
+            / abs(report.objectives[-3])
+        assert change <= cfg.tol_outer
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_masked_objective_never_rises(self, seed):
+        # CG from the warm start lowers the visit's quadratic, at any
+        # tolerance
+        channels = 2 if seed == 3 else 1
+        d, _, signal = make_problem((8, 7), (3, 3), m_count=2, rank=2,
+                                    seed=90 + seed, channels=channels)
+        mask = RNG(seed).uniform(size=signal.shape) > 0.3 + 0.1 * seed
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=8,
+                           seed=seed)
+        trace = lrd_fit_masked(signal, mask, d, cfg)[2].mode_objectives
+        assert len(trace) == 8 * 2
+        for a, b in zip(trace, trace[1:]):
+            assert b <= a + 1e-12 * max(1.0, abs(a))
 
 
 def masked_dense_solve(d, shape, factors, mode, mask_stack, s_obs, alpha):
