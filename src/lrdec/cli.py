@@ -302,7 +302,7 @@ def build_parser():
     _add_fit_flags(p)
     p.add_argument("--cg-tol", type=float, default=SolverConfig.cg_tol,
                    help="CG relative tolerance, which a converged fit's "
-                   "visits meet; early visits run up to 30x looser, and a "
+                   "visits meet; early visits run up to 100x looser, and a "
                    "budget warning means a visit missed its loosened one")
     p.add_argument("--cg-iters", type=_positive_int,
                    default=SolverConfig.cg_max_iters,

@@ -302,6 +302,34 @@ class TestInpaint:
             "error: --truth shape (9, 8) != signal shape (8, 8)\n")
         assert not out.exists()
 
+    def test_cg_budget_warnings_go_to_stderr(self, tmp_path, capsys):
+        # one CG iteration per visit meets no tolerance, so every visit of
+        # the 3 sweeps over 2 modes warns, in visit order
+        src = synth_dir(tmp_path, "src", shape="8,8", support="3,3")
+        capsys.readouterr()
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = run_cli("inpaint", "--signal", src / "signal.lrt",
+                           "--filters", src / "dictionary.lrd",
+                           "--missing", "0.4", "--alpha", "1e-3",
+                           "--rank", "2", "--max-outer", "3",
+                           "--cg-iters", "1", "--out", out)
+            assert code == 0
+            runs.append((capsys.readouterr(), dir_bytes(out)))
+        (first, files), (second, again) = runs
+        lines = first.err.splitlines()
+        assert len(lines) == 3 * 2
+        for line, (sweep, mode) in zip(lines, [(s, n) for s in range(3)
+                                               for n in range(2)]):
+            head = (f"warning: cg budget exhausted at sweep {sweep} mode "
+                    f"{mode}: 1 iterations, relative residual ")
+            assert line.startswith(head), line
+            assert line.endswith(" > cg_tol 1.0e-08"), line
+        assert first.out.startswith("psnr_db=")
+        assert (second.out, second.err) == (first.out, first.err)
+        assert again == files
+
     def test_fraction_out_of_range(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
         code = run_cli("inpaint", "--signal", src / "signal.lrt",

@@ -953,11 +953,13 @@ class TestSolveReport:
 
 class TestForcingTerm:
     """The sweep hands each visit its inner tolerances forced by the last
-    sweep's relative objective change: 30x the configured ones on the
-    first sweep, the configured ones again as the fit converges."""
+    sweep's relative objective change: the solver's cap (100x for CG, 30x
+    for ADMM) times the configured ones on the first sweep, the configured
+    ones again as the fit converges."""
 
-    @pytest.mark.parametrize("reg", ["masked", "l1"])
-    def test_schedule_ends_at_the_configured_tolerances(self, reg,
+    @pytest.mark.parametrize("reg,cap", [("masked", 100), ("l1", 30)],
+                             ids=["masked", "l1"])
+    def test_schedule_ends_at_the_configured_tolerances(self, reg, cap,
                                                         monkeypatch):
         visits = []  # (tolerances, true CG residual or None) per visit
         if reg == "masked":
@@ -1002,16 +1004,16 @@ class TestForcingTerm:
         assert len(visits) == 2 * report.sweeps
         sweeps = [[v for v, _ in visits[2 * s:2 * s + 2]]
                   for s in range(report.sweeps)]
-        assert sweeps[0] == [tuple(30 * t for t in tols)] * 2
+        assert sweeps[0] == [tuple(cap * t for t in tols)] * 2
         objectives = report.objectives
         for s in range(2, report.sweeps):
             change = abs(objectives[s - 2] - objectives[s - 1]) \
                 / abs(objectives[s - 2])
-            want = tuple(max(t, min(30 * t, 1e-3 * change)) for t in tols)
+            want = tuple(max(t, min(cap * t, 1e-3 * change)) for t in tols)
             assert sweeps[s] == [want] * 2, s
         for visit in sweeps:
             for got in visit:
-                assert all(t <= g <= 30 * t for g, t in zip(got, tols))
+                assert all(t <= g <= cap * t for g, t in zip(got, tols))
         assert sweeps[-1] == [tols] * 2
         if reg == "masked":
             assert visits[-1][1] <= 10 * cfg.cg_tol
