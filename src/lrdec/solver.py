@@ -18,7 +18,14 @@ with ``change`` the last sweep's relative objective change and ``cap``
 100 for the CG's ``cg_tol`` and 30 for the ADMM's ``tol_primal`` and
 ``tol_dual``, so the first sweep runs that much looser, a converged fit's
 visits meet the configured tolerances, and a budget warning means a visit
-missed its forced one.
+missed its forced one.  Between two sweeps the factors are extrapolated
+with restart (Ang, Cohen, Hien & Gillis, "Extrapolated alternating
+algorithms for approximate canonical polyadic decomposition", 2020):
+every mode's factors move to ``x_k + beta (x_k - x_{k-1})``, from the
+factors at the ends of the last two sweeps, and the next sweep starts
+there if the objective does not rise, else from ``x_k``; ``beta`` starts
+at 0.5, grows by 1.1 (at most to 1) on an accepted step and shrinks by
+1.5 on a rejected one.
 The solvers, with the inner work a visit adds to
 ``SolveReport.inner_iters``:
 
@@ -175,7 +182,10 @@ class SolveReport:
     holds one budget warning per ADMM or CG visit that missed its forced
     tolerance (on early sweeps up to 100x the configured one for CG, 30x
     for ADMM), with its final residuals against the configured
-    tolerances, and, for an unmasked l2 fit, any rise of the objective.
+    tolerances, for an unmasked l2 fit, any rise of the objective, and
+    one warning when the fit of a nonzero signal ends at all-zero
+    factors.  ``extrapolations`` holds, for every sweep after the first,
+    the ``(beta, accepted)`` pair of the step that sweep started with.
     """
 
     objectives: list = field(default_factory=list)
@@ -188,6 +198,7 @@ class SolveReport:
     converged: bool = False
     seconds: float = 0.0
     warnings: list = field(default_factory=list)
+    extrapolations: list = field(default_factory=list)
 
 
 def _rhs(op, signal):
@@ -369,6 +380,11 @@ def _finish(factors):
 # l1 fit 2.46 dB, while the CG at 100x lost about 0.001 dB on average
 _CG_CAP = 100.0
 _ADMM_CAP = 30.0
+# the extrapolation's step beta: its start, its growth on an accepted step
+# (at most to 1) and its shrink on a rejected one
+_BETA_START = 0.5
+_BETA_GROW = 1.1
+_BETA_SHRINK = 1.5
 
 
 def _forced(tol, cap, change):
@@ -391,7 +407,15 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     stack of a masked fit; an unmasked l2 fit flags a rising objective,
     and a warm-started l1 visit whose objective rises is redone cold.  A
     ridge solve whose blocks are singular raises a ``ValueError`` naming
-    the sweep, mode and ``alpha``.  Returns the report."""
+    the sweep, mode and ``alpha``, and a failed ADMM eigendecomposition
+    one naming the sweep and mode.  Every sweep after the first starts
+    from ``x_k + beta (x_k - x_{k-1})``, with ``x_{k-1}`` and ``x_k`` the
+    factors at the ends of the last two sweeps (the start before the
+    second), when its first operator, built on that point, scores it no
+    higher than the last sweep's objective; ``beta`` then grows.
+    Otherwise the sweep restarts from ``x_k`` and its regularizer sums,
+    bit for bit, on a rebuilt first operator, and ``beta`` shrinks.  The
+    ADMM states stay as they were.  Returns the report."""
     report = SolveReport()
     modes = range(len(shape))
     masked = mask_stack is not None
@@ -438,15 +462,36 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     tol_names = ("cg_tol",) if masked else ("tol_primal", "tol_dual") \
         if cfg.reg == "l1" else ()
     cap = _CG_CAP if masked else _ADMM_CAP
-    prev_obj, change = None, np.inf
+    change = np.inf
+    # the factors at the end of the last sweep; before the first, the start
+    beta, ends = _BETA_START, list(factors)
     for sweep in range(cfg.outer_iters):
+        # an l2 fit forces nothing, and skips the config's copy and checks
         tols = replace(cfg, **{name: _forced(getattr(cfg, name), cap, change)
-                               for name in tol_names})
+                               for name in tol_names}) if tol_names else cfg
         inner = 0
+        if sweep:
+            # extrapolate along the last sweep's step; the solves return
+            # new arrays, so the lists hold x_{k-1} and x_k as they were
+            last, ends, sums = ends, list(factors), list(reg_sums)
+            factors[:] = [x + beta * (x - y) for x, y in zip(ends, last)]
+            reg_sums[1:] = [_reg_sum(f, cfg) for f in factors[1:]]
+        # the first operator scores the start, or the extrapolated point
+        op = SpectralOperator(dictionary, shape, factors, 0)
+        trial = score(op, 0)[2]
+        if not sweep:
+            prev_obj = obj = trial
+        elif trial <= obj:
+            report.extrapolations.append((beta, True))
+            obj, beta = trial, min(1.0, _BETA_GROW * beta)
+        else:  # restart from x_k, its sums and its first operator
+            report.extrapolations.append((beta, False))
+            factors[:], reg_sums[:] = ends, sums
+            op = SpectralOperator(dictionary, shape, factors, 0)
+            beta /= _BETA_SHRINK
         for n in modes:
-            op = SpectralOperator(dictionary, shape, factors, n)
-            if prev_obj is None:  # score the start on the first operator
-                prev_obj = obj = score(op, n)[2]
+            if n:
+                op = SpectralOperator(dictionary, shape, factors, n)
             last_obj, warm = obj, states[n] is not None
             ceiling = last_obj + 1e-9 * max(1.0, abs(last_obj))
             # unmet: the final residuals against the configured tolerances,
@@ -465,8 +510,10 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
                 else:
                     iters, unmet = admm(op, n, tols)
             except np.linalg.LinAlgError:
-                if cfg.reg != "l2":
-                    raise
+                if cfg.reg != "l2":  # eigh of blocks overflowed to inf/nan
+                    raise ValueError(
+                        f"the ADMM's eigendecomposition failed at sweep "
+                        f"{sweep} mode {n}: rescale the signal") from None
                 # the l2 and masked fits' ridge blocks G + alpha I (or
                 # alpha / p) round to singular
                 need = "a positive" if cfg.alpha == 0 else "a larger"
@@ -509,6 +556,10 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
             break
         change = abs(prev_obj - obj) / abs(prev_obj) if prev_obj else 0.0
         prev_obj = obj
+    if signal_norm and not any(f.any() for f in factors):
+        report.warnings.append(
+            "the fit of a nonzero signal ended at all-zero factors: try a "
+            "smaller regularizer weight or rescale the signal")
     return report
 
 

@@ -6,6 +6,7 @@ run with the earliest mode varying fastest, which matches Fortran-order
 storage and makes the mode-0 unfolding a pure reshape.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -35,8 +36,7 @@ def co_size(shape, mode):
     shape = tuple(int(s) for s in shape)
     if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for shape {shape}")
-    total = int(np.prod(shape, dtype=np.int64))
-    return total // shape[mode]
+    return math.prod(shape) // shape[mode]
 
 
 def unfold(t, mode):

@@ -220,6 +220,23 @@ class TestInpaint:
         value = float(printed.split("psnr_db=")[1].split()[0])
         assert value >= 30.0
 
+    def test_sub_floor_benchmark_image_reaches_21db(self, tmp_path, capsys):
+        # the benchmark's inpaint_cli image at --seed 44, problem 4, which
+        # the alternating sweep alone left at 16.93 dB after 8 sweeps
+        seed = 1851209551
+        img_path = tmp_path / "image.pgm"
+        write_image(img_path, smooth_low_rank((64, 64), 3, seed))
+        dict_path = tmp_path / "filters.lrd"
+        write_dictionary(dict_path, make_filters((5, 5), 8, seed=7,
+                                                 style="smooth"))
+        code = run_cli("inpaint", "--signal", img_path, "--filters", dict_path,
+                       "--missing", "0.5", "--alpha", "3e-3", "--rank", "3",
+                       "--max-outer", "8", "--seed", seed,
+                       "--out", tmp_path / "inp")
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert float(printed.split("psnr_db=")[1].split()[0]) >= 21.0
+
     def test_image_round_trip(self, tmp_path, capsys):
         img = smooth_low_rank((20, 20), 2, seed=13)
         img_path = tmp_path / "image.pgm"

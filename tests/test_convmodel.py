@@ -488,7 +488,9 @@ class TestHalfSpectrum:
             calls["taps_built"] += 1
             return original(op)
 
-        # every fit runs on the mode-n taps, built once per visit
+        # every fit runs on the mode-n taps, built once per visit and once
+        # more for each rejected extrapolation, which rebuilds the first
+        # visit's operator on the restored factors
         monkeypatch.setattr(SpectralOperator, "apply", spectral)
         monkeypatch.setattr(SpectralOperator, "apply_adjoint", spectral)
         monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
@@ -506,8 +508,9 @@ class TestHalfSpectrum:
         # the sweeps make none; a masked fit's completion is one model
         # synthesis: M filter spectra and one inverse
         synthesis = 3 + 1 if reg == "masked" else 0
+        rejected = sum(not accepted for _, accepted in report.extrapolations)
         assert calls == {"spectral": 0, "nd_transforms": synthesis,
-                         "taps_built": 9}
+                         "taps_built": 9 + rejected}
         # the counter sees the model's FFT synthesis
         forward_model(d, [[rng.standard_normal((s, 2)) for s in (5, 4, 3)]
                           for rng in map(RNG, range(3))])

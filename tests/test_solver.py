@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -510,6 +511,41 @@ class TestLrdFit:
             report = lrd_fit(np.zeros((5, 4)), d, cfg)[1]
         assert report.converged
         assert report.relative_residuals == [0.0] * report.sweeps
+
+    def test_l1_eigendecomposition_failure_asks_to_rescale(self):
+        # at this scale the squared norm overflows (the fit's start is then
+        # not finite) and the first visit's eigh fails; it used to escape
+        # as a bare LinAlgError
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        c = 1e153
+        cfg = SolverConfig(reg="l1", lam=1e-3 * c ** 1.5, rank=2,
+                           outer_iters=20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^the ADMM's eigendecomposition failed at "
+                                  "sweep 0 mode 0: rescale the signal$"):
+            lrd_fit(c * signal, d, cfg)
+
+    def test_all_zero_factors_of_a_nonzero_signal_warn(self):
+        # lam scaled with the signal as the model's scaling says, but rho
+        # starts at 1 and the ADMM shrinks every factor to 0, reported as
+        # converged at a relative residual of 1
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        c = 1e20
+        cfg = SolverConfig(reg="l1", lam=1e-3 * c ** 1.5, rank=2,
+                           outer_iters=20)
+        acts, report = lrd_fit(c * signal, d, cfg)
+        assert not any(f.any() for a in acts for f in a.factors)
+        assert report.relative_residuals[-1] == pytest.approx(1.0)
+        zero = [w for w in report.warnings if "all-zero factors" in w]
+        assert zero == ["the fit of a nonzero signal ended at all-zero "
+                        "factors: try a smaller regularizer weight or "
+                        "rescale the signal"]
+        # at c = 1 the same fit keeps its factors and does not warn
+        cfg = replace(cfg, lam=1e-3)
+        acts, report = lrd_fit(signal, d, cfg)
+        assert not [w for w in report.warnings if "all-zero" in w]
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("alpha", [1e-6, 1e-8])
@@ -1056,6 +1092,67 @@ class TestForcingTerm:
         assert len(trace) == 8 * 2
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-12 * max(1.0, abs(a))
+
+
+class TestExtrapolation:
+    """The step between sweeps, x_k + beta (x_k - x_{k-1}), kept only when
+    it does not raise the objective."""
+
+    @staticmethod
+    def fit(kind, seed=1, outer_iters=12):
+        d, _, signal = make_problem((8, 7, 4), (3, 3, 2), m_count=2, rank=2,
+                                    seed=seed)
+        weight = {"lam": 0.01} if kind == "l1" else {"alpha": 1e-3}
+        cfg = SolverConfig(reg="l1" if kind == "l1" else "l2", rank=2,
+                           outer_iters=outer_iters, seed=seed, **weight)
+        if kind == "masked":
+            mask = RNG(seed).uniform(size=signal.shape) > 0.4
+            return lrd_fit_masked(signal, mask, d, cfg)[2]
+        return lrd_fit(signal, d, cfg)[1]
+
+    @pytest.mark.parametrize("kind", ["l2", "l1", "masked"])
+    def test_one_step_per_sweep_after_the_first(self, monkeypatch, kind):
+        builds = []
+        original = SpectralOperator.conv_taps
+
+        def conv_taps(op):
+            builds.append(op.mode)
+            return original(op)
+
+        monkeypatch.setattr(SpectralOperator, "conv_taps", conv_taps)
+        report = self.fit(kind)
+        steps = report.extrapolations
+        assert len(steps) == report.sweeps - 1 == 11
+        beta = 0.5
+        for got, accepted in steps:
+            assert got == beta
+            beta = min(1.0, 1.1 * beta) if accepted else beta / 1.5
+        rejected = sum(not accepted for _, accepted in steps)
+        assert 0 < rejected < len(steps)
+        # an independent count: one taps build per visit, and a rejected
+        # step builds the first visit's operator again on the restored x_k
+        assert len(builds) == len(report.mode_objectives) + rejected
+        assert builds.count(0) == report.sweeps + rejected
+
+    @pytest.mark.parametrize("kind", ["l2", "masked"])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_sweep_objectives_never_rise(self, kind, seed):
+        report = self.fit(kind, seed=seed, outer_iters=20)
+        assert {accepted for _, accepted in report.extrapolations} == {
+            True, False}
+        for trace in (report.objectives, report.mode_objectives):
+            for a, b in zip(trace, trace[1:]):
+                assert b <= a + 1e-12 * max(1.0, abs(a))
+        assert not report.warnings
+
+    def test_stalled_l2_fit_recovers(self):
+        # this l2_cube-sized problem stalled near 30 dB without the step
+        d, _, signal = make_problem((32, 32, 16), (5, 5, 5), 8, 3, seed=6)
+        cfg = SolverConfig(reg="l2", alpha=1e-4, rank=3, outer_iters=30,
+                           seed=6)
+        activations, _ = lrd_fit(signal, d, cfg)
+        recon = forward_model(d, activations)
+        assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
 
 
 def masked_dense_solve(d, shape, factors, mode, mask_stack, s_obs, alpha):
