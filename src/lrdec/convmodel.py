@@ -12,7 +12,13 @@ which the unitary DFT along mode ``n`` splits into one small Hermitian
 block per mode-n frequency, are built from them on each request.
 Filters and factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
-``0..I_n//2`` (the half spectrum) only.  No operator makes filter spectra;
+``0..I_n//2`` (the half spectrum) only.  A mode visit builds only what
+depends on the factors: the taps and the Gram blocks.  The arrays that
+depend on the mode length ``I_n`` and support ``L_n`` alone (the taps'
+row index maps, the lag index arrays of the taps build and the cos/sin
+phase matrix of the Gram blocks) are made once per ``(I_n, L_n)`` and
+kept read-only in small bounded caches keyed by those two ints; no cache
+holds factor or filter data.  No operator makes filter spectra;
 :func:`forward_model`, the FFT reference for the taps, multiplies them into
 activation spectra built from the factors' 1-D DFTs, never dense tensors.
 
@@ -69,6 +75,8 @@ Both sides use one layout: the column-major vec of each leading slice
 vectors stack the mode-n unfoldings over channels, giving length
 ``C * I_n * Lambda``.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,6 +258,46 @@ def rows_to_factors(rows, num_filters):
     return rows.reshape(len(rows), num_filters, -1).transpose(1, 0, 2)
 
 
+# The index and phase arrays below depend only on a mode's length I and
+# filter support L, never on factors or filters: each is made once per
+# (I, L) and kept read-only in a small bounded cache.
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=32)
+def _row_maps(length, count):
+    """The taps' row maps: forward row ``i`` gathers rows ``i - tau`` of the
+    factors, adjoint row ``i`` sums row ``(i + tau) mod I`` of ``z B_tau^T``
+    (flat index ``row * L + tau``) over ``tau < L``."""
+    tau = np.arange(count)
+    rows = np.arange(length)[:, None]
+    return (_frozen((rows - tau) % length),
+            _frozen((rows + tau) % length * count + tau))
+
+
+@lru_cache(maxsize=32)
+def _lags(length, count):
+    """``(I, L)`` rows ``(i - sigma) mod I``, the factor rows a mode's filter
+    lag ``sigma`` reads in :meth:`SpectralOperator.conv_taps`."""
+    return _frozen(np.subtract.outer(np.arange(length), np.arange(count))
+                   % length)
+
+
+@lru_cache(maxsize=32)
+def _phases(length, count):
+    """The ``(2 (I//2 + 1), 2 L - 1)`` stacked cos/sin phase matrix of
+    :meth:`SpectralOperator.gram_blocks`: ``exp(-2 pi j i d / I)`` for
+    frequencies ``i <= I//2`` and lags ``|d| < L``.  It has period ``I`` in
+    ``d``, so the product folds the aliased lags by itself; ``i d`` is
+    reduced to ``|i d| <= I / 2``."""
+    angle = ((np.outer(np.arange(length // 2 + 1),
+                       np.arange(1 - count, count)) + length // 2)
+             % length - length // 2) * (2 * np.pi / length)
+    return _frozen(np.concatenate([np.cos(angle), -np.sin(angle)]))
+
+
 class SpectralOperator:
     """Linear map from one mode's factors to the model output.
 
@@ -264,8 +312,10 @@ class SpectralOperator:
 
     The mode-n taps are built with the operator, and each call of
     :meth:`gram_blocks` builds the half-spectrum Gram blocks of its normal
-    equations from them.  Immutable; reuse one instance for all solves of
-    the same mode while the other factors are fixed.
+    equations from them; the row maps and the phase matrix are shared,
+    read-only, by every operator of the same ``(I_n, L_n)``.  Immutable;
+    reuse one instance for all solves of the same mode while the other
+    factors are fixed.
 
     Parameters
     ----------
@@ -305,11 +355,8 @@ class SpectralOperator:
         self._factors = factors
         self._dictionary = dictionary
         self._taps = self.conv_taps()
-        tau = np.arange(dictionary.support[mode])
-        rows = np.arange(self.mode_length)[:, None]
-        self._lagged = (rows - tau) % self.mode_length
-        # adjoint row i sums row (i + tau) mod I_n of (z B_tau^T) over tau
-        self._leading = (rows + tau) % self.mode_length * len(tau) + tau
+        self._lagged, self._leading = _row_maps(self.mode_length,
+                                                dictionary.support[mode])
 
     @property
     def factor_size(self):
@@ -367,15 +414,9 @@ class SpectralOperator:
         for tau in range(count):
             lagged[count - 1 - tau:2 * count - 1 - tau] += (
                 pairs[tau].transpose(1, 0, 2))
-        # exp(-2 pi j i d / I_n) has period I_n in d, so the product folds
-        # the aliased lags by itself; i d is reduced to |i d| <= I_n / 2
-        angle = ((np.outer(np.arange(length // 2 + 1),
-                           np.arange(1 - count, count)) + length // 2)
-                 % length - length // 2) * (2 * np.pi / length)
-        parts = np.concatenate([np.cos(angle), -np.sin(angle)]) @ (
-            lagged.reshape(2 * count - 1, -1))
-        gram = np.empty((len(angle), size, size), dtype=complex)
-        gram.real, gram.imag = parts.reshape(2, len(angle), size, size)
+        parts = _phases(length, count) @ lagged.reshape(2 * count - 1, -1)
+        gram = np.empty((length // 2 + 1, size, size), dtype=complex)
+        gram.real, gram.imag = parts.reshape((2,) + gram.shape)
         return gram
 
     def conv_taps(self):
@@ -398,14 +439,13 @@ class SpectralOperator:
             written(())[...] = t
         for j in reversed(range(len(others))):
             f = self._factors[others[j]].transpose(0, 2, 1)  # (M, R, I_k)
-            lags = np.subtract.outer(np.arange(f.shape[2]), np.arange(
-                d.shape[2 + others[j]])) % f.shape[2]
+            lags = _lags(f.shape[2], d.shape[2 + others[j]])
             first = j == len(others) - 1
             if first:  # sigma_k is the last axis: t @ S, S (L_k, I_k)
-                s, core = np.take(f, lags.T, 2), (t.shape[-2], f.shape[2])
+                s, core = f.take(lags.T, 2), (t.shape[-2], f.shape[2])
             else:  # sigma_k precedes the i axes: S^T @ t, S^T (I_k, L_k)
                 t = t.reshape(t.shape[:5 + j] + (-1,))
-                s, core = np.take(f, lags, 2), (f.shape[2], t.shape[-1])
+                s, core = f.take(lags, 2), (f.shape[2], t.shape[-1])
             s = s.reshape(s.shape[:2] + (1,) * (t.ndim - 4) + s.shape[2:])
             # the product's axes after (m, r, c, tau)
             out = written((t.shape[2:-2] + core)[2:]) if j == 0 else None
@@ -415,10 +455,10 @@ class SpectralOperator:
     def forward(self, x):
         """The taps' forward map: ``(I_n, M*R)`` factor rows to the
         :func:`stack_to_rows` output rows."""
-        return np.take(x, self._lagged, axis=0).reshape(
+        return x.take(self._lagged, axis=0).reshape(
             self.mode_length, -1) @ self._taps
 
     def adjoint(self, z):
         """Adjoint of :meth:`forward`: output rows to factor rows."""
         w = (z @ self._taps.T).reshape(self._leading.size, -1)
-        return np.take(w, self._leading, axis=0).sum(axis=1)
+        return np.add.reduce(w.take(self._leading, axis=0), axis=1)

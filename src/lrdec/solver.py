@@ -66,7 +66,13 @@ rows: real-input transforms in and out (the inverse stays real however
 ill-conditioned the blocks are), half-spectrum Gram blocks in between.
 The visit builds those blocks from the same taps: ``B B^T`` added into
 the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
-no FFT; no mode visit makes filter spectra.
+no FFT; no mode visit makes filter spectra.  So a visit builds only the
+operator's taps, its Gram blocks and the solve.  The fit copies the signal
+stack, and a masked fit's mask stack, once per mode into mode-major order
+(:func:`_mode_major`): the scoring reads each copy as rows, and the
+solvers get ``(C, *shape)`` views of it whose :func:`stack_to_rows` is a
+view too.  The operator's row maps and phase matrix are made once per
+``(I_n, L_n)`` (see :mod:`lrdec.convmodel`).
 """
 
 import time
@@ -216,6 +222,13 @@ def _norm(v):
     return np.sqrt(v.dot(v))
 
 
+def _shifted(gram, shift):
+    """A Gram stack `gram` plus ``shift I``, added to its diagonals in
+    place."""
+    gram.reshape(len(gram), -1)[:, ::gram.shape[1] + 1] += shift
+    return gram
+
+
 def solve_mode_l2(op, signal, alpha):
     """Ridge mode solve ``(W^H W + alpha I) x = W^H s``, the l2 fit's.
 
@@ -239,8 +252,7 @@ def solve_mode_l2(op, signal, alpha):
     """
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    gram = op.gram_blocks()
-    blocks = gram + alpha * np.eye(gram.shape[1])
+    blocks = _shifted(op.gram_blocks(), alpha)
     rows = np.linalg.solve(blocks, rdft_factor(_rhs(op, signal))[..., None])
     return rows_to_factors(irdft_factor(rows[..., 0], op.mode_length),
                            op.num_filters)
@@ -358,7 +370,13 @@ def _prepare_fit(signal, dictionary, cfg):
     if not np.all(np.isfinite(s_stack)):
         raise ValueError("signal contains non-finite values")
     dictionary.check_signal_shape(shape)
-    norm = float(np.linalg.norm(s_stack))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(s_stack))
+    if not np.isfinite(norm * norm):
+        # the start, the objective and the residuals all square it
+        raise ValueError(f"signal too large: its squared norm overflows "
+                         f"above {np.finfo(float).max:.3g}; rescale the "
+                         f"signal")
     if norm * norm < np.finfo(float).tiny and s_stack.any():
         # below it the objective's and residuals' sums of squares lose bits
         raise ValueError(f"signal too small: its squared norm {norm * norm:.3g}"
@@ -366,7 +384,7 @@ def _prepare_fit(signal, dictionary, cfg):
                          f"rescale the signal")
     factors = _init_factors(shape, dictionary.num_filters, cfg.rank,
                             cfg.seed, norm)
-    return s_stack, shape, factors
+    return s_stack, shape, factors, norm
 
 
 def _finish(factors):
@@ -394,7 +412,18 @@ def _forced(tol, cap, change):
     return max(tol, min(cap * tol, 1e-3 * change))
 
 
-def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
+def _mode_major(stack, modes):
+    """One mode-major copy of a ``(C, *shape)`` stack per mode ``n``: as the
+    flat :func:`stack_to_rows` rows of mode ``n``, and as a ``(C, *shape)``
+    view of them, whose :func:`stack_to_rows` is a view too."""
+    copies = [np.ascontiguousarray(np.moveaxis(stack, 1 + n, 0))
+              for n in modes]
+    return ([c.reshape(-1) for c in copies],
+            [np.moveaxis(c, 0, 1 + n) for n, c in zip(modes, copies)])
+
+
+def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
+           mask_stack=None):
     """Run the alternating sweep of a fit, updating `factors` in place.
 
     Each visit calls the fit's mode solver on the visit's operator:
@@ -415,14 +444,18 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
     higher than the last sweep's objective; ``beta`` then grows.
     Otherwise the sweep restarts from ``x_k`` and its regularizer sums,
     bit for bit, on a rebuilt first operator, and ``beta`` shrinks.  The
-    ADMM states stay as they were.  Returns the report."""
+    ADMM states stay as they were.  `s_obs` and `mask_stack` are copied
+    once per mode into mode-major order, and the scoring and solvers read
+    views of those copies; `signal_norm`, the norm of `s_obs` that
+    :func:`_prepare_fit` took, scales the relative residuals.  Returns
+    the report."""
     report = SolveReport()
     modes = range(len(shape))
     masked = mask_stack is not None
-    s_rows = [stack_to_rows(s_obs, n).ravel() for n in modes]
-    mask_rows = [stack_to_rows(mask_stack, n).ravel()
-                 for n in modes] if masked else None
-    signal_norm = float(np.linalg.norm(s_obs))
+    # the scoring reads each mode's rows, the solvers its (C, *shape) view
+    s_rows, s_stacks = _mode_major(s_obs, modes)
+    if masked:
+        mask_rows, mask_stacks = _mode_major(mask_stack, modes)
     # the regularizer's sum per mode, added in mode order; a visit redoes
     # only its own mode's
     reg_sums = [_reg_sum(f, cfg) for f in factors]
@@ -446,7 +479,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
         """Mode n's l1 visit from its AdmmState: the ADMM iterations run
         and, when the tolerances `tols` went unmet, its residuals."""
         done = states[n].iterations if states[n] else 0
-        factors[n], state = solve_mode_admm(op, s_obs, tols, states[n])
+        factors[n], state = solve_mode_admm(op, s_stacks[n], tols,
+                                            states[n])
         states[n] = state
         unmet = None
         if state.primal > tols.tol_primal or state.dual > tols.tol_dual:
@@ -500,13 +534,15 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack=None):
             try:
                 if masked:
                     factors[n], iters, residual = _solve_mode_masked_cg(
-                        op, mask_stack, s_obs, cfg.alpha, factors[n], tols)
+                        op, mask_stacks[n], s_stacks[n], cfg.alpha,
+                        factors[n], tols)
                     if residual is not None:
                         cmp = ">" if residual > cfg.cg_tol else "<="
                         unmet = (f"relative residual {residual:.3e} {cmp} "
                                  f"cg_tol {cfg.cg_tol:.1e}")
                 elif cfg.reg == "l2":
-                    factors[n], iters = solve_mode_l2(op, s_obs, cfg.alpha), 1
+                    factors[n] = solve_mode_l2(op, s_stacks[n], cfg.alpha)
+                    iters = 1
                 else:
                     iters, unmet = admm(op, n, tols)
             except np.linalg.LinAlgError:
@@ -585,8 +621,8 @@ def lrd_fit(signal, dictionary, cfg):
     (list of KruskalTensor, SolveReport)
     """
     t0 = time.perf_counter()
-    s_stack, shape, factors = _prepare_fit(signal, dictionary, cfg)
-    report = _sweep(dictionary, shape, factors, cfg, s_stack)
+    s_stack, shape, factors, norm = _prepare_fit(signal, dictionary, cfg)
+    report = _sweep(dictionary, shape, factors, cfg, s_stack, norm)
     report.seconds = time.perf_counter() - t0
     return _finish(factors), report
 
@@ -595,7 +631,11 @@ def _masked_normal(op, mask_rows, alpha, x):
     """Masked normal map ``(W^H P W + alpha I) x`` of ``(I_n, M*R)`` factor
     rows, with ``P`` the spatial mask as :func:`stack_to_rows` output rows:
     the CG matvec."""
-    return op.adjoint(op.forward(x) * mask_rows) + alpha * x
+    y = op.forward(x)
+    y *= mask_rows
+    y = op.adjoint(y)
+    y += alpha * x
+    return y
 
 
 def _pcg(matvec, precondition, b, x0, rtol, maxiter):
@@ -610,13 +650,13 @@ def _pcg(matvec, precondition, b, x0, rtol, maxiter):
     is zero), the iterations run and whether the tolerance was met.
     """
     x = np.array(x0, dtype=float)
-    bnorm = np.linalg.norm(b)
+    bnorm = _norm(b)
     if bnorm == 0:
         return b.copy(), 0, True
     atol = rtol * bnorm
     r = b - matvec(x)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, iteration, True
         z = precondition(r)
         rho = np.vdot(r, z)
@@ -647,15 +687,16 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     length = op.mode_length
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
-    gram = op.gram_blocks()
-    inv = np.linalg.inv(gram + (alpha / p) * np.eye(gram.shape[1])) / p
+    inv = np.linalg.inv(_shifted(op.gram_blocks(), alpha / p)) / p
     mask_rows = stack_to_rows(mask_stack, op.mode)
 
     def matvec(v):
         return _masked_normal(op, mask_rows, alpha, v)
 
     def precondition(v):
-        return irdft_factor((inv @ rdft_factor(v)[..., None])[..., 0], length)
+        vhat = np.fft.rfft(v, axis=0, norm="ortho")[..., None]
+        return np.fft.irfft((inv @ vhat)[..., 0], n=length, axis=0,
+                            norm="ortho")
 
     rhs = _rhs(op, s_obs)
     x, iterations, converged = _pcg(matvec, precondition, rhs,
@@ -710,11 +751,11 @@ def lrd_fit_masked(signal, mask, dictionary, cfg):
         raise ValueError("mask has no observed entries")
 
     # zero where unobserved, so the stack needs no masking
-    s_obs, shape, factors = _prepare_fit(
+    s_obs, shape, factors, norm = _prepare_fit(
         np.where(mask, signal, 0.0), dictionary, cfg)
     mask_stack = _as_channel_stack(mask.astype(float),
                                    dictionary.num_channels)[0]
-    report = _sweep(dictionary, shape, factors, cfg, s_obs, mask_stack)
+    report = _sweep(dictionary, shape, factors, cfg, s_obs, norm, mask_stack)
     activations = _finish(factors)
     completed = forward_model(dictionary, activations)
     report.seconds = time.perf_counter() - t0

@@ -159,6 +159,24 @@ class TestReconstruct:
         assert captured.out == ""
         assert captured.err.startswith("error: alpha must be finite")
 
+    @pytest.mark.parametrize("command", ["reconstruct", "inpaint"])
+    def test_signal_whose_squared_norm_overflows_is_runtime_error(
+            self, tmp_path, capsys, command):
+        src = synth_dir(tmp_path, "src", shape="8,8", support="3,3")
+        huge = tmp_path / "huge.lrt"
+        write_tensor(huge, 1e200 * read_tensor(src / "signal.lrt"))
+        capsys.readouterr()
+        args = ["--missing", "0.3", "--out", tmp_path / "x"] \
+            if command == "inpaint" else []
+        code = run_cli(command, "--signal", huge, "--filters",
+                       src / "dictionary.lrd", "--rank", "2", *args)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: signal too large: its squared "
+                                       "norm overflows")
+        assert captured.err.endswith("; rescale the signal\n")
+
     def test_zero_alpha_on_singular_blocks_is_runtime_error(self, tmp_path,
                                                             capsys):
         # 4 filters at rank 2 on a 1-D signal: every ridge block is 8x8 of

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import lrdec.solver
+from lrdec import convmodel
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              factors_to_rows, forward_model, rows_to_factors,
@@ -499,6 +500,34 @@ class TestLrdFit:
             else:
                 lrd_fit(c * signal, d, cfg)
 
+    @pytest.mark.parametrize("c", [1e153, 1e200])
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_refuses_a_signal_whose_squared_norm_overflows(self, reg, c):
+        # unrefused, the norm overflowed in the first line of the fit and
+        # the start factors were scaled by inf: the l2 fit failed later with
+        # a non-finite objective, the l1 fit in its eigendecomposition
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=1e-3,
+                           alpha=1e-4, rank=2, outer_iters=3)
+        with pytest.raises(ValueError, match="^signal too large: its squared "
+                                             "norm overflows .* rescale"):
+            if reg == "masked":
+                mask = RNG(2).uniform(size=signal.shape) > 0.3
+                lrd_fit_masked(c * signal, mask, d, cfg)
+            else:
+                lrd_fit(c * signal, d, cfg)
+
+    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    def test_a_signal_just_below_the_overflow_is_fitted(self, reg):
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
+                                    seed=1)
+        c = 1e150
+        cfg = SolverConfig(reg=reg, lam=1e-3 * c ** 1.5, alpha=1e-4, rank=2,
+                           outer_iters=3)
+        report = lrd_fit(c * signal, d, cfg)[1]
+        assert np.all(np.isfinite(report.objectives))
+
     @pytest.mark.parametrize("reg", ["l1", "l2", "masked"])
     def test_zero_signal_reports_zero_relative_residual(self, reg):
         d = unit_norm_dictionary((2, 2), 2, seed=31)
@@ -513,18 +542,17 @@ class TestLrdFit:
         assert report.relative_residuals == [0.0] * report.sweeps
 
     def test_l1_eigendecomposition_failure_asks_to_rescale(self):
-        # at this scale the squared norm overflows (the fit's start is then
-        # not finite) and the first visit's eigh fails; it used to escape
-        # as a bare LinAlgError
+        # at this scale of the filters the Gram blocks overflow and the
+        # first visit's eigh fails; it used to escape as a bare LinAlgError
+        # (a signal whose squared norm overflows is refused before the fit)
         d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
                                     seed=1)
-        c = 1e153
-        cfg = SolverConfig(reg="l1", lam=1e-3 * c ** 1.5, rank=2,
-                           outer_iters=20)
+        c = 1e160
+        cfg = SolverConfig(reg="l1", lam=1e-3, rank=2, outer_iters=20)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match="^the ADMM's eigendecomposition failed at "
                                   "sweep 0 mode 0: rescale the signal$"):
-            lrd_fit(c * signal, d, cfg)
+            lrd_fit(signal, Dictionary(c * d.filters, channels=True), cfg)
 
     def test_all_zero_factors_of_a_nonzero_signal_warn(self):
         # lam scaled with the signal as the model's scaling says, but rho
@@ -1250,3 +1278,89 @@ class TestPreconditionedCg:
         assert visits == [(s, n) for s in range(report.sweeps)
                           for n in range(signal.ndim)]
         assert per_sweep == report.inner_iters
+
+
+# the operator's factor-independent arrays, each cached per (I_n, L_n)
+CACHES = (convmodel._row_maps, convmodel._lags, convmodel._phases)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+class TestInvariantCaches:
+    @staticmethod
+    def fit_bits(reg, shape, support, channels):
+        d, _, signal = make_problem(shape, support, m_count=2, rank=2,
+                                    seed=90, channels=channels)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                           alpha=1e-3, rank=2, outer_iters=3, tol_outer=1e-15)
+        if reg == "masked":
+            mask = RNG(91).uniform(size=signal.shape) > 0.3
+            acts, _, report = lrd_fit_masked(signal, mask, d, cfg)
+        else:
+            acts, report = lrd_fit(signal, d, cfg)
+        report.seconds = 0.0
+        # repr writes every float of the report exactly
+        return [f.tobytes() for a in acts for f in a.factors], repr(report)
+
+    def test_caches_do_not_leak_between_problems(self):
+        # mode 0 of the first problem has L = I, both fold lags (2L - 1 > I),
+        # and I = 5 meets L = 3 in one and L = 4 in the other
+        problems = [((6, 5), (6, 3), 1), ((5, 7, 4), (4, 2, 3), 2)]
+        runs = [(reg, problem) for reg in ("l2", "l1", "masked")
+                for problem in problems]
+        clear_caches()
+        interleaved = [self.fit_bits(reg, *problem) for reg, problem in runs]
+        for (reg, problem), bits in zip(runs, interleaved):
+            clear_caches()
+            assert self.fit_bits(reg, *problem) == bits, (reg, problem)
+
+    def test_cached_arrays_are_read_only_and_bounded(self):
+        for cache in CACHES:
+            assert cache.cache_info().maxsize is not None
+            arrays = cache(7, 3)
+            for a in arrays if isinstance(arrays, tuple) else (arrays,):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_fits_build_each_invariant_once(self, reg, monkeypatch):
+        # the solvers get (C, *shape) views of one mode-major copy per mode
+        # of the signal and mask stacks, whose rows are views too
+        name = {"l2": "solve_mode_l2", "l1": "solve_mode_admm",
+                "masked": "_solve_mode_masked_cg"}[reg]
+        original = getattr(lrdec.solver, name)
+        handed = []
+
+        def recorded(op, *args):
+            stacks = args[:2] if reg == "masked" else args[:1]
+            handed.append((op.mode, stacks))
+            return original(op, *args)
+
+        monkeypatch.setattr(lrdec.solver, name, recorded)
+        d, _, signal = synthesize((5, 4, 3), (2, 2, 2), 2, 2, seed=45)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                           rank=2, outer_iters=3, admm_iters=20,
+                           tol_outer=1e-15)
+        clear_caches()
+        if reg == "masked":
+            mask = RNG(46).uniform(size=signal.shape) > 0.3
+            report = lrd_fit_masked(signal, mask, d, cfg)[-1]
+        else:
+            report = lrd_fit(signal, d, cfg)[-1]
+        assert report.sweeps == 3
+        # three (I_n, L_n) keys: (5, 2), (4, 2) and (3, 2)
+        for cache in CACHES:
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (3, 3), cache
+            assert info.hits > 0
+        assert [mode for mode, _ in handed] == [0, 1, 2] * 3
+        first = {}
+        for mode, stacks in handed:
+            for k, stack in enumerate(stacks):
+                assert stack.shape == (1,) + signal.shape
+                assert np.shares_memory(stack_to_rows(stack, mode), stack)
+                copy = first.setdefault((mode, k), stack)
+                assert np.shares_memory(stack, copy)
