@@ -180,9 +180,6 @@ def cmd_inpaint(args):
     if (args.missing is None) == (args.mask is None):
         raise ValueError("exactly one of --missing or --mask is required")
     if args.missing is not None:
-        if not 0.0 <= args.missing < 1.0:
-            raise ValueError(f"--missing must be in [0, 1), got "
-                             f"{args.missing}")
         mask = generate_mask(signal.shape, args.missing, args.seed)
         truth = signal  # the input is pristine; hiding happens here
     else:

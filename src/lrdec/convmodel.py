@@ -14,11 +14,11 @@ Filters and factors are real, so along mode ``n`` every spectrum is
 conjugate-symmetric and the Gram blocks are built for frequencies
 ``0..I_n//2`` (the half spectrum) only.  A mode visit builds only what
 depends on the factors: the taps and the Gram blocks.  The arrays that
-depend on the mode length ``I_n`` and support ``L_n`` alone (the taps'
-row index maps, the lag index arrays of the taps build and the cos/sin
-phase matrix of the Gram blocks) are made once per ``(I_n, L_n)`` and
-kept read-only in small bounded caches keyed by those two ints; no cache
-holds factor or filter data.  No operator makes filter spectra;
+depend on the mode length ``I_n`` and support ``L_n`` alone (the gather
+rows, which the taps build reads too, the adjoint's indices and the
+cos/sin phase matrix of the Gram blocks) are made once per ``(I_n, L_n)``
+and kept read-only in one small bounded cache keyed by those two ints,
+which holds no factor or filter data.  No operator makes filter spectra;
 :func:`forward_model`, the FFT reference for the taps, multiplies them into
 activation spectra built from the factors' 1-D DFTs, never dense tensors.
 
@@ -258,44 +258,29 @@ def rows_to_factors(rows, num_filters):
     return rows.reshape(len(rows), num_filters, -1).transpose(1, 0, 2)
 
 
-# The index and phase arrays below depend only on a mode's length I and
-# filter support L, never on factors or filters: each is made once per
-# (I, L) and kept read-only in a small bounded cache.
-def _frozen(a):
-    a.setflags(write=False)
-    return a
-
-
 @lru_cache(maxsize=32)
-def _row_maps(length, count):
-    """The taps' row maps: forward row ``i`` gathers rows ``i - tau`` of the
-    factors, adjoint row ``i`` sums row ``(i + tau) mod I`` of ``z B_tau^T``
-    (flat index ``row * L + tau``) over ``tau < L``."""
+def _mode_maps(length, count):
+    """The read-only arrays of a mode of length ``I`` and filter support
+    ``L``, which depend on no factors or filters: the ``(I, L)`` gather
+    rows ``(i - tau) mod I`` of :meth:`SpectralOperator.forward`, which
+    :meth:`SpectralOperator.conv_taps` reads for a mode's filter lags; the
+    flat indices ``(i + tau) mod I * L + tau`` of the rows of
+    ``z B_tau^T`` that adjoint row ``i`` sums over ``tau < L``; and the
+    ``(2 (I//2 + 1), 2 L - 1)`` stacked cos/sin phase matrix
+    ``exp(-2 pi j i d / I)`` of :meth:`SpectralOperator.gram_blocks`, for
+    frequencies ``i <= I//2`` and lags ``|d| < L``.  It has period ``I``
+    in ``d``, so the product folds the aliased lags by itself; ``i d`` is
+    reduced to ``|i d| <= I / 2``."""
     tau = np.arange(count)
     rows = np.arange(length)[:, None]
-    return (_frozen((rows - tau) % length),
-            _frozen((rows + tau) % length * count + tau))
-
-
-@lru_cache(maxsize=32)
-def _lags(length, count):
-    """``(I, L)`` rows ``(i - sigma) mod I``, the factor rows a mode's filter
-    lag ``sigma`` reads in :meth:`SpectralOperator.conv_taps`."""
-    return _frozen(np.subtract.outer(np.arange(length), np.arange(count))
-                   % length)
-
-
-@lru_cache(maxsize=32)
-def _phases(length, count):
-    """The ``(2 (I//2 + 1), 2 L - 1)`` stacked cos/sin phase matrix of
-    :meth:`SpectralOperator.gram_blocks`: ``exp(-2 pi j i d / I)`` for
-    frequencies ``i <= I//2`` and lags ``|d| < L``.  It has period ``I`` in
-    ``d``, so the product folds the aliased lags by itself; ``i d`` is
-    reduced to ``|i d| <= I / 2``."""
     angle = ((np.outer(np.arange(length // 2 + 1),
                        np.arange(1 - count, count)) + length // 2)
              % length - length // 2) * (2 * np.pi / length)
-    return _frozen(np.concatenate([np.cos(angle), -np.sin(angle)]))
+    maps = ((rows - tau) % length, (rows + tau) % length * count + tau,
+            np.concatenate([np.cos(angle), -np.sin(angle)]))
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
 class SpectralOperator:
@@ -312,10 +297,10 @@ class SpectralOperator:
 
     The mode-n taps are built with the operator, and each call of
     :meth:`gram_blocks` builds the half-spectrum Gram blocks of its normal
-    equations from them; the row maps and the phase matrix are shared,
-    read-only, by every operator of the same ``(I_n, L_n)``.  Immutable;
-    reuse one instance for all solves of the same mode while the other
-    factors are fixed.
+    equations from them; the index arrays and the phase matrix are
+    shared, read-only, by every operator of the same ``(I_n, L_n)``.
+    Immutable; reuse one instance for all solves of the same mode while
+    the other factors are fixed.
 
     Parameters
     ----------
@@ -355,8 +340,8 @@ class SpectralOperator:
         self._factors = factors
         self._dictionary = dictionary
         self._taps = self.conv_taps()
-        self._lagged, self._leading = _row_maps(self.mode_length,
-                                                dictionary.support[mode])
+        self._lagged, self._leading, self._phase_matrix = _mode_maps(
+            self.mode_length, dictionary.support[mode])
 
     @property
     def factor_size(self):
@@ -414,7 +399,7 @@ class SpectralOperator:
         for tau in range(count):
             lagged[count - 1 - tau:2 * count - 1 - tau] += (
                 pairs[tau].transpose(1, 0, 2))
-        parts = _phases(length, count) @ lagged.reshape(2 * count - 1, -1)
+        parts = self._phase_matrix @ lagged.reshape(2 * count - 1, -1)
         gram = np.empty((length // 2 + 1, size, size), dtype=complex)
         gram.real, gram.imag = parts.reshape((2,) + gram.shape)
         return gram
@@ -439,7 +424,7 @@ class SpectralOperator:
             written(())[...] = t
         for j in reversed(range(len(others))):
             f = self._factors[others[j]].transpose(0, 2, 1)  # (M, R, I_k)
-            lags = _lags(f.shape[2], d.shape[2 + others[j]])
+            lags = _mode_maps(f.shape[2], d.shape[2 + others[j]])[0]
             first = j == len(others) - 1
             if first:  # sigma_k is the last axis: t @ S, S (L_k, I_k)
                 s, core = f.take(lags.T, 2), (t.shape[-2], f.shape[2])

@@ -15,17 +15,17 @@ ADMM or CG visit a copy of the config whose inner tolerances carry a
 forcing term (Eisenstat & Walker, "Choosing the forcing terms in an
 inexact Newton method", 1996): ``max(tol, min(cap tol, 1e-3 change))``,
 with ``change`` the last sweep's relative objective change and ``cap``
-100 for the CG's ``cg_tol`` and 30 for the ADMM's ``tol_primal`` and
-``tol_dual``, so the first sweep runs that much looser, a converged fit's
-visits meet the configured tolerances, and a budget warning means a visit
-missed its forced one.  Between two sweeps the factors are extrapolated
-with restart (Ang, Cohen, Hien & Gillis, "Extrapolated alternating
-algorithms for approximate canonical polyadic decomposition", 2020):
-every mode's factors move to ``x_k + beta (x_k - x_{k-1})``, from the
-factors at the ends of the last two sweeps, and the next sweep starts
-there if the objective does not rise, else from ``x_k``; ``beta`` starts
-at 0.5, grows by 1.1 (at most to 1) on an accepted step and shrinks by
-1.5 on a rejected one.
+``_CG_CAP`` for the CG's ``cg_tol`` and ``_ADMM_CAP`` for the ADMM's
+``tol_primal`` and ``tol_dual``, so the first sweep runs that much
+looser, a converged fit's visits meet the configured tolerances, and a
+budget warning means a visit missed its forced one.  Between two sweeps
+the factors are extrapolated with restart (Ang, Cohen, Hien & Gillis,
+"Extrapolated alternating algorithms for approximate canonical polyadic
+decomposition", 2020): every mode's factors move to
+``x_k + beta (x_k - x_{k-1})``, from the factors at the ends of the last
+two sweeps, and the next sweep starts there if the objective does not
+rise, else from ``x_k``; ``beta`` starts at 0.5, grows by 1.1 (at most
+to 1) on an accepted step and shrinks by 1.5 on a rejected one.
 The solvers, with the inner work a visit adds to
 ``SolveReport.inner_iters``:
 
@@ -55,8 +55,8 @@ the regularizer; the CG matvec (:func:`_masked_normal`) is the product
 and its adjoint.  Known limit: that work grows with the mode-n filter
 support ``L_n``, and the Gram blocks, built from the taps' ``B B^T``,
 grow as ``L_n**2``.  For the masked matvec on a 64x64 image (M=8, R=3)
-it matched the FFT-based map it replaced near ``L_n = 20`` taps and runs
-3x slower at ``L_n = I_n``; the l2 and l1 fits pay it too.
+it costs about as much as an FFT-based matvec near ``L_n = 20`` taps and
+3x as much at ``L_n = I_n``; the l2 and l1 fits pay it too.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
@@ -69,10 +69,10 @@ the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
 no FFT; no mode visit makes filter spectra.  So a visit builds only the
 operator's taps, its Gram blocks and the solve.  The fit copies the signal
 stack, and a masked fit's mask stack, once per mode into mode-major order
-(:func:`_mode_major`): the scoring reads each copy as rows, and the
-solvers get ``(C, *shape)`` views of it whose :func:`stack_to_rows` is a
-view too.  The operator's row maps and phase matrix are made once per
-``(I_n, L_n)`` (see :mod:`lrdec.convmodel`).
+(:func:`_mode_major`), and the scoring and the solvers read ``(C, *shape)``
+views of that copy whose :func:`stack_to_rows` rows are views too.  The
+operator's index arrays and phase matrix are made once per ``(I_n, L_n)``
+(see :mod:`lrdec.convmodel`).
 """
 
 import time
@@ -186,12 +186,12 @@ class SolveReport:
     sweep's inner work over its mode visits: 1 per ridge solve, else the
     ADMM or CG iterations run, a cold redo's included.  ``warnings``
     holds one budget warning per ADMM or CG visit that missed its forced
-    tolerance (on early sweeps up to 100x the configured one for CG, 30x
-    for ADMM), with its final residuals against the configured
-    tolerances, for an unmasked l2 fit, any rise of the objective, and
-    one warning when the fit of a nonzero signal ends at all-zero
-    factors.  ``extrapolations`` holds, for every sweep after the first,
-    the ``(beta, accepted)`` pair of the step that sweep started with.
+    tolerance (see :class:`SolverConfig`), with its final residuals
+    against the configured tolerances, for an unmasked l2 fit, any rise
+    of the objective, and one warning when the fit of a nonzero signal
+    ends at all-zero factors.  ``extrapolations`` holds, for every sweep
+    after the first, the ``(beta, accepted)`` pair of the step that sweep
+    started with.
     """
 
     objectives: list = field(default_factory=list)
@@ -413,13 +413,10 @@ def _forced(tol, cap, change):
 
 
 def _mode_major(stack, modes):
-    """One mode-major copy of a ``(C, *shape)`` stack per mode ``n``: as the
-    flat :func:`stack_to_rows` rows of mode ``n``, and as a ``(C, *shape)``
-    view of them, whose :func:`stack_to_rows` is a view too."""
-    copies = [np.ascontiguousarray(np.moveaxis(stack, 1 + n, 0))
-              for n in modes]
-    return ([c.reshape(-1) for c in copies],
-            [np.moveaxis(c, 0, 1 + n) for n, c in zip(modes, copies)])
+    """One mode-major copy of a ``(C, *shape)`` stack per mode ``n``, as a
+    ``(C, *shape)`` view whose mode-n :func:`stack_to_rows` is a view too."""
+    return [np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 1 + n, 0)),
+                        0, 1 + n) for n in modes]
 
 
 def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
@@ -442,42 +439,50 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
     factors at the ends of the last two sweeps (the start before the
     second), when its first operator, built on that point, scores it no
     higher than the last sweep's objective; ``beta`` then grows.
-    Otherwise the sweep restarts from ``x_k`` and its regularizer sums,
-    bit for bit, on a rebuilt first operator, and ``beta`` shrinks.  The
-    ADMM states stay as they were.  `s_obs` and `mask_stack` are copied
-    once per mode into mode-major order, and the scoring and solvers read
-    views of those copies; `signal_norm`, the norm of `s_obs` that
-    :func:`_prepare_fit` took, scales the relative residuals.  Returns
-    the report."""
+    Otherwise the sweep restarts from ``x_k``, bit for bit, on a rebuilt
+    first operator, and ``beta`` shrinks.  The ADMM states stay as they
+    were.  `s_obs` and `mask_stack` are copied once per mode into
+    mode-major order, and the scoring and solvers read views of those
+    copies; `signal_norm`, the norm of `s_obs` that :func:`_prepare_fit`
+    took, scales the relative residuals.  Returns the report."""
     report = SolveReport()
     modes = range(len(shape))
     masked = mask_stack is not None
-    # the scoring reads each mode's rows, the solvers its (C, *shape) view
-    s_rows, s_stacks = _mode_major(s_obs, modes)
+    s_stacks = _mode_major(s_obs, modes)
     if masked:
-        mask_rows, mask_stacks = _mode_major(mask_stack, modes)
-    # the regularizer's sum per mode, added in mode order; a visit redoes
-    # only its own mode's
-    reg_sums = [_reg_sum(f, cfg) for f in factors]
+        mask_stacks = _mode_major(mask_stack, modes)
     scale = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
     # each l1 mode warm-starts from its own AdmmState, not from its factors
     states = [None] * len(shape)
 
     def score(op, n):
-        """Mode n's regularizer sum, redone, and the objective with its
-        data and regularizer terms."""
-        r = op.forward(factors_to_rows(factors[n])).ravel()
+        """The objective on mode n's operator, with its data and
+        regularizer terms."""
+        r = op.forward(factors_to_rows(factors[n]))
         if masked:
-            r *= mask_rows[n]
-        r -= s_rows[n]
-        reg_sums[n] = _reg_sum(factors[n], cfg)
+            r *= stack_to_rows(mask_stacks[n], n)
+        r -= stack_to_rows(s_stacks[n], n)
+        r = r.ravel()
         data = 0.5 * float(r @ r)
-        reg = scale * float(sum(reg_sums))
+        reg = scale * float(sum(_reg_sum(f, cfg) for f in factors))
         return data, reg, data + reg
 
-    def admm(op, n, tols):
-        """Mode n's l1 visit from its AdmmState: the ADMM iterations run
-        and, when the tolerances `tols` went unmet, its residuals."""
+    def visit(op, n, tols):
+        """Mode n's solve on `op` by the fit's solver, an l1 one from its
+        AdmmState: the inner work run and, when the tolerances `tols` went
+        unmet, the final residuals against the configured ones."""
+        if masked:
+            factors[n], iters, residual = _solve_mode_masked_cg(
+                op, mask_stacks[n], s_stacks[n], cfg.alpha, factors[n], tols)
+            if residual is None:
+                return iters, None
+            # a nan residual must not read as met
+            cmp = "<=" if residual <= cfg.cg_tol else ">"
+            return iters, (f"relative residual {residual:.3e} {cmp} cg_tol "
+                           f"{cfg.cg_tol:.1e}")
+        if cfg.reg == "l2":
+            factors[n] = solve_mode_l2(op, s_stacks[n], cfg.alpha)
+            return 1, None
         done = states[n].iterations if states[n] else 0
         factors[n], state = solve_mode_admm(op, s_stacks[n], tols,
                                             states[n])
@@ -491,8 +496,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
 
     # the forcing term: the visits run at the inner tolerances of their
     # solver loosened by the last sweep's relative objective change, at
-    # most by the solver's cap (100x for CG, 30x for ADMM), and the first
-    # sweep at the cap
+    # most by the solver's cap (_CG_CAP or _ADMM_CAP), and the first sweep
+    # at the cap
     tol_names = ("cg_tol",) if masked else ("tol_primal", "tol_dual") \
         if cfg.reg == "l1" else ()
     cap = _CG_CAP if masked else _ADMM_CAP
@@ -507,9 +512,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
         if sweep:
             # extrapolate along the last sweep's step; the solves return
             # new arrays, so the lists hold x_{k-1} and x_k as they were
-            last, ends, sums = ends, list(factors), list(reg_sums)
+            last, ends = ends, list(factors)
             factors[:] = [x + beta * (x - y) for x, y in zip(ends, last)]
-            reg_sums[1:] = [_reg_sum(f, cfg) for f in factors[1:]]
         # the first operator scores the start, or the extrapolated point
         op = SpectralOperator(dictionary, shape, factors, 0)
         trial = score(op, 0)[2]
@@ -518,9 +522,9 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
         elif trial <= obj:
             report.extrapolations.append((beta, True))
             obj, beta = trial, min(1.0, _BETA_GROW * beta)
-        else:  # restart from x_k, its sums and its first operator
+        else:  # restart from x_k and its first operator
             report.extrapolations.append((beta, False))
-            factors[:], reg_sums[:] = ends, sums
+            factors[:] = ends
             op = SpectralOperator(dictionary, shape, factors, 0)
             beta /= _BETA_SHRINK
         for n in modes:
@@ -528,23 +532,8 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
                 op = SpectralOperator(dictionary, shape, factors, n)
             last_obj, warm = obj, states[n] is not None
             ceiling = last_obj + 1e-9 * max(1.0, abs(last_obj))
-            # unmet: the final residuals against the configured tolerances,
-            # when the inner budget ran out before the forced ones were met
-            unmet = None
             try:
-                if masked:
-                    factors[n], iters, residual = _solve_mode_masked_cg(
-                        op, mask_stacks[n], s_stacks[n], cfg.alpha,
-                        factors[n], tols)
-                    if residual is not None:
-                        cmp = ">" if residual > cfg.cg_tol else "<="
-                        unmet = (f"relative residual {residual:.3e} {cmp} "
-                                 f"cg_tol {cfg.cg_tol:.1e}")
-                elif cfg.reg == "l2":
-                    factors[n] = solve_mode_l2(op, s_stacks[n], cfg.alpha)
-                    iters = 1
-                else:
-                    iters, unmet = admm(op, n, tols)
+                iters, unmet = visit(op, n, tols)
             except np.linalg.LinAlgError:
                 if cfg.reg != "l2":  # eigh of blocks overflowed to inf/nan
                     raise ValueError(
@@ -562,7 +551,7 @@ def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
                 # a warm ADMM state carried onto singular blocks can leave
                 # a stale null-space part that grows; redo the visit cold
                 states[n] = None
-                cold, unmet = admm(op, n, tols)
+                cold, unmet = visit(op, n, tols)
                 iters += cold
                 data, reg, obj = score(op, n)
             del op  # free its taps and Gram blocks before the next visit's
@@ -627,12 +616,12 @@ def lrd_fit(signal, dictionary, cfg):
     return _finish(factors), report
 
 
-def _masked_normal(op, mask_rows, alpha, x):
+def _masked_normal(op, mask, alpha, x):
     """Masked normal map ``(W^H P W + alpha I) x`` of ``(I_n, M*R)`` factor
-    rows, with ``P`` the spatial mask as :func:`stack_to_rows` output rows:
-    the CG matvec."""
+    rows, with ``P`` the spatial `mask` as :func:`stack_to_rows` output
+    rows: the CG matvec."""
     y = op.forward(x)
-    y *= mask_rows
+    y *= mask
     y = op.adjoint(y)
     y += alpha * x
     return y
@@ -683,15 +672,18 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
     iterations run and, when the budget ran out, the true relative residual
     of the normal equations (CG stops on its running residual, updated by
     recurrence, which can drift from the true one); ``None`` when the
-    relative tolerance was met."""
+    relative tolerance was met.  The CG runs on ``W^H s`` and `x0` scaled
+    by ``2**-e``, with ``e`` the binary exponent of ``max |W^H s|``, so no
+    squared norm overflows; a power of two scales exactly, so at an
+    ordinary scale every step keeps its bits."""
     length = op.mode_length
     p = float(mask_stack.mean())
     # p G + alpha I = p (G + (alpha / p) I), on the half spectrum
     inv = np.linalg.inv(_shifted(op.gram_blocks(), alpha / p)) / p
-    mask_rows = stack_to_rows(mask_stack, op.mode)
+    mask = stack_to_rows(mask_stack, op.mode)
 
     def matvec(v):
-        return _masked_normal(op, mask_rows, alpha, v)
+        return _masked_normal(op, mask, alpha, v)
 
     def precondition(v):
         vhat = np.fft.rfft(v, axis=0, norm="ortho")[..., None]
@@ -699,15 +691,16 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
                             norm="ortho")
 
     rhs = _rhs(op, s_obs)
+    e = int(np.frexp(np.max(np.abs(rhs)))[1])
+    rhs = np.ldexp(rhs, -e)
     x, iterations, converged = _pcg(matvec, precondition, rhs,
-                                    factors_to_rows(x0), cfg.cg_tol,
-                                    cfg.cg_max_iters)
+                                    np.ldexp(factors_to_rows(x0), -e),
+                                    cfg.cg_tol, cfg.cg_max_iters)
     residual = None
     if not converged:
-        residual = float(np.linalg.norm(
-            rhs - _masked_normal(op, mask_rows, alpha, x))
-            / np.linalg.norm(rhs))
-    return rows_to_factors(x, op.num_filters), iterations, residual
+        residual = float(_norm(rhs - matvec(x)) / _norm(rhs))
+    x = rows_to_factors(np.ldexp(x, e), op.num_filters)
+    return x, iterations, residual
 
 
 def lrd_fit_masked(signal, mask, dictionary, cfg):

@@ -367,10 +367,11 @@ class TestInpaint:
 
     def test_fraction_out_of_range(self, tmp_path):
         src = synth_dir(tmp_path, "src", shape="6,6", support="2,2")
-        code = run_cli("inpaint", "--signal", src / "signal.lrt",
-                       "--filters", src / "dictionary.lrd",
-                       "--missing", "1.0", "--out", tmp_path / "x")
-        assert code == 1
+        for fraction in ("1.0", "-0.1"):
+            code = run_cli("inpaint", "--signal", src / "signal.lrt",
+                           "--filters", src / "dictionary.lrd",
+                           "--missing", fraction, "--out", tmp_path / "x")
+            assert code == 1, fraction
 
 
 class TestMetrics:

@@ -518,15 +518,30 @@ class TestLrdFit:
             else:
                 lrd_fit(c * signal, d, cfg)
 
-    @pytest.mark.parametrize("reg", ["l2", "l1"])
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_a_signal_just_below_the_overflow_is_fitted(self, reg):
         d, _, signal = make_problem((16, 12), (5, 5), m_count=4, rank=2,
                                     seed=1)
         c = 1e150
-        cfg = SolverConfig(reg=reg, lam=1e-3 * c ** 1.5, alpha=1e-4, rank=2,
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2",
+                           lam=1e-3 * c ** 1.5, alpha=1e-4, rank=2,
                            outer_iters=3)
-        report = lrd_fit(c * signal, d, cfg)[1]
-        assert np.all(np.isfinite(report.objectives))
+        if reg != "masked":
+            report = lrd_fit(c * signal, d, cfg)[1]
+            assert np.all(np.isfinite(report.objectives))
+            return
+        # the CG's squared norms of W^H s overflowed although ||s||^2 does
+        # not: at 1e120 every visit spent its budget and the completion's
+        # residual was 1.8e23, at 1e150 the objective became nan.  Now each
+        # follows the fit at 1e10; at all three scales the ridge weight is
+        # negligible against the data term
+        mask = RNG(2).uniform(size=signal.shape) > 0.3
+        ordinary, *scaled = (lrd_fit_masked(scale * signal, mask, d, cfg)[2]
+                             for scale in (1e10, 1e120, c))
+        for report in scaled:
+            assert not report.warnings
+            np.testing.assert_allclose(report.relative_residuals,
+                                       ordinary.relative_residuals, rtol=1e-2)
 
     @pytest.mark.parametrize("reg", ["l1", "l2", "masked"])
     def test_zero_signal_reports_zero_relative_residual(self, reg):
@@ -1279,9 +1294,26 @@ class TestPreconditionedCg:
                           for n in range(signal.ndim)]
         assert per_sweep == report.inner_iters
 
+    def test_a_nan_residual_never_reads_as_met(self, monkeypatch):
+        original = lrdec.solver._solve_mode_masked_cg
 
-# the operator's factor-independent arrays, each cached per (I_n, L_n)
-CACHES = (convmodel._row_maps, convmodel._lags, convmodel._phases)
+        def nan_residual(*args):
+            return original(*args)[:2] + (float("nan"),)
+
+        monkeypatch.setattr(lrdec.solver, "_solve_mode_masked_cg",
+                            nan_residual)
+        d, _, signal = make_problem((8, 7), (3, 3), m_count=2, rank=2,
+                                    seed=79)
+        mask = RNG(80).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=2)
+        report = lrd_fit_masked(signal, mask, d, cfg)[2]
+        assert len(report.warnings) == 4
+        for warning in report.warnings:
+            assert warning.endswith("relative residual nan > cg_tol 1.0e-08")
+
+
+# the operator's factor-independent arrays, cached per (I_n, L_n)
+CACHES = (convmodel._mode_maps,)
 
 
 def clear_caches():
@@ -1324,6 +1356,27 @@ class TestInvariantCaches:
             for a in arrays if isinstance(arrays, tuple) else (arrays,):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
+
+    def test_the_taps_read_the_operators_gather_rows(self, monkeypatch):
+        # conv_taps contracts a mode's filter lags with the same cached
+        # (i - tau) mod I rows that the forward map of that mode gathers
+        read = {}
+        original = convmodel._mode_maps
+
+        def recorded(*key):
+            read.setdefault(key, []).append(original(*key)[0])
+            return original(*key)
+
+        monkeypatch.setattr(convmodel, "_mode_maps", recorded)
+        d, _, signal = make_problem((9, 7), (4, 3), m_count=2, rank=2,
+                                    seed=47)
+        factors = [RNG(48).normal(size=(2, s, 2)) for s in signal.shape]
+        forward_rows = SpectralOperator(d, signal.shape, factors, 0)._lagged
+        read.clear()
+        SpectralOperator(d, signal.shape, factors, 1)
+        # the mode-1 operator's taps read mode 0's rows, then its own maps
+        assert len(read[(9, 4)]) == 1
+        assert read[(9, 4)][0] is forward_rows
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fits_build_each_invariant_once(self, reg, monkeypatch):
