@@ -35,7 +35,9 @@ down by ``tau`` rows and row ``(m, r)`` of ``B_c[tau]`` the filter slice
 ``prod_{k != n} f_k[m][:, r]``: the output, seen through tap ``tau``, for a
 unit impulse at row 0 of factor column ``(m, r)``.  So the forward map is
 one gather and one real product ``[S_0 X ... S_{L_n-1} X] @ B``, and the
-adjoint ``Z B^T`` and ``L_n`` shifted row sums, with
+adjoint ``Z B^T`` and the sum of its ``L_n`` shifted ``(I_n, M*R)`` row
+blocks, gathered into one contiguous slab per tap and added in ``tau``
+order, with
 :meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
 the ``B_c[tau]``.  Its columns run over the channels and then the other
 modes in ascending order, the last fastest (not the order of ``unfold``):
@@ -264,19 +266,20 @@ def _mode_maps(length, count):
     ``L``, which depend on no factors or filters: the ``(I, L)`` gather
     rows ``(i - tau) mod I`` of :meth:`SpectralOperator.forward`, which
     :meth:`SpectralOperator.conv_taps` reads for a mode's filter lags; the
-    flat indices ``(i + tau) mod I * L + tau`` of the rows of
-    ``z B_tau^T`` that adjoint row ``i`` sums over ``tau < L``; and the
+    ``(L, I)`` flat indices ``(i + tau) mod I * L + tau`` of the rows of
+    ``z B_tau^T`` that adjoint row ``i`` sums over ``tau < L``, one
+    contiguous row of ``I`` indices per lag ``tau``; and the
     ``(2 (I//2 + 1), 2 L - 1)`` stacked cos/sin phase matrix
     ``exp(-2 pi j i d / I)`` of :meth:`SpectralOperator.gram_blocks`, for
     frequencies ``i <= I//2`` and lags ``|d| < L``.  It has period ``I``
     in ``d``, so the product folds the aliased lags by itself; ``i d`` is
     reduced to ``|i d| <= I / 2``."""
-    tau = np.arange(count)
-    rows = np.arange(length)[:, None]
+    tau, rows = np.arange(count), np.arange(length)
     angle = ((np.outer(np.arange(length // 2 + 1),
                        np.arange(1 - count, count)) + length // 2)
              % length - length // 2) * (2 * np.pi / length)
-    maps = ((rows - tau) % length, (rows + tau) % length * count + tau,
+    maps = ((rows[:, None] - tau) % length,
+            (rows + tau[:, None]) % length * count + tau[:, None],
             np.concatenate([np.cos(angle), -np.sin(angle)]))
     for a in maps:
         a.setflags(write=False)
@@ -444,6 +447,8 @@ class SpectralOperator:
             self.mode_length, -1) @ self._taps
 
     def adjoint(self, z):
-        """Adjoint of :meth:`forward`: output rows to factor rows."""
+        """Adjoint of :meth:`forward`: output rows to factor rows, ``z B^T``
+        gathered into one contiguous ``(I_n, M*R)`` slab per lag ``tau``
+        and the slabs added in ``tau`` order."""
         w = (z @ self._taps.T).reshape(self._leading.size, -1)
-        return np.add.reduce(w.take(self._leading, axis=0), axis=1)
+        return np.add.reduce(w.take(self._leading, axis=0), axis=0)

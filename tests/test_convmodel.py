@@ -256,6 +256,32 @@ class TestSpectralOperator:
         rhs = np.vdot(op.apply_adjoint(y), x)
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("shape,support,m_count,rank,channels,mode", [
+        ((5, 4), (5, 2), 2, 2, 1, 0),  # L_n = I_n
+        ((6, 5), (4, 3), 2, 3, 1, 0),  # folded lags, 2 L_n - 1 > I_n
+        ((4, 6), (2, 5), 2, 2, 2, 1),  # C = 2, folded lags
+        ((7,), (4,), 3, 2, 1, 0),  # N = 1
+        ((3, 2, 4, 3), (2, 2, 3, 2), 2, 2, 2, 2),  # N = 4, C = 2
+        # M*R = 1 with L_n >= 8: one column, which a strided reduction
+        # over the lags would add pairwise rather than in tau order
+        ((20,), (9,), 1, 1, 1, 0),
+        ((12, 9), (10, 3), 1, 1, 1, 0),
+    ])
+    def test_adjoint_adds_the_lags_in_tau_order(self, shape, support,
+                                                m_count, rank, channels,
+                                                mode):
+        d = random_dictionary(support, m_count, seed=32, channels=channels)
+        op = SpectralOperator(d, shape, factor_stacks(shape, m_count, rank,
+                                                      seed=33), mode)
+        length, count = shape[mode], support[mode]
+        z = RNG(34).standard_normal((length, op.signal_size // length))
+        w = (z @ op.conv_taps().T).reshape(length, count, m_count * rank)
+        # adjoint row i = w[i, 0] + w[(i+1) % I, 1] + ..., added left to right
+        expected = w[:, 0].copy()
+        for tau in range(1, count):
+            expected += np.roll(w[:, tau], -tau, axis=0)
+        assert np.array_equal(op.adjoint(z), expected)
+
     def test_consistency_with_spatial_forward(self):
         shape = (4, 3, 2)
         d = random_dictionary((2, 2, 1), 2, seed=23)
