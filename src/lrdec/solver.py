@@ -35,8 +35,9 @@ The solvers, with the inner work a visit adds to
   quadratic step is the ridge block solve with a proximal term ``rho``;
   one eigendecomposition of the visit's half Gram stack serves every
   ``rho`` the adaptive loop visits, so each step, on the ``(I_n, M*R)``
-  factor rows, is two real FFTs, two batched eigenbasis products and a
-  shrink: its ADMM iterations;
+  factor rows, is two half-spectrum transforms (two products with cached
+  DFT matrices for ``I_n <= 32``, see :mod:`lrdec.transform`), two
+  batched eigenbasis products and a shrink: its ADMM iterations;
 * :func:`_solve_mode_masked_cg`, a conjugate-gradient solve for masked
   signals, where the spatial mask breaks the per-frequency decoupling,
   preconditioned by the unmasked per-frequency blocks with the mask taken
@@ -62,7 +63,8 @@ The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
 per mode-n frequency.  Signal and factors are real, so these solves carry
 only frequencies ``0..I_n//2`` along mode ``n``, as ``(I_n//2 + 1, M*R)``
-rows: real-input transforms in and out (the inverse stays real however
+rows: :func:`~lrdec.transform.rdft_factor` in and
+:func:`~lrdec.transform.irdft_factor` out (the inverse stays real however
 ill-conditioned the blocks are), half-spectrum Gram blocks in between.
 The visit builds those blocks from the same taps: ``B B^T`` added into
 the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
@@ -686,9 +688,8 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg):
         return _masked_normal(op, mask, alpha, v)
 
     def precondition(v):
-        vhat = np.fft.rfft(v, axis=0, norm="ortho")[..., None]
-        return np.fft.irfft((inv @ vhat)[..., 0], n=length, axis=0,
-                            norm="ortho")
+        vhat = rdft_factor(v)[..., None]
+        return irdft_factor((inv @ vhat)[..., 0], length)
 
     rhs = _rhs(op, s_obs)
     e = int(np.frexp(np.max(np.abs(rhs)))[1])

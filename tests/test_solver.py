@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import block_diag
 
 import lrdec.solver
-from lrdec import convmodel
+from lrdec import convmodel, transform
 
 from lrdec.convmodel import (Dictionary, SpectralOperator, factor_to_vec,
                              factors_to_rows, forward_model, rows_to_factors,
@@ -1312,8 +1312,9 @@ class TestPreconditionedCg:
             assert warning.endswith("relative residual nan > cg_tol 1.0e-08")
 
 
-# the operator's factor-independent arrays, cached per (I_n, L_n)
-CACHES = (convmodel._mode_maps,)
+# the factor-independent arrays, with a key of each cache: the operator's,
+# cached per (I_n, L_n), and the half-spectrum pair's DFT matrices, per I_n
+CACHES = {convmodel._mode_maps: (7, 3), transform._dft_matrices: (7,)}
 
 
 def clear_caches():
@@ -1350,9 +1351,9 @@ class TestInvariantCaches:
             assert self.fit_bits(reg, *problem) == bits, (reg, problem)
 
     def test_cached_arrays_are_read_only_and_bounded(self):
-        for cache in CACHES:
+        for cache, key in CACHES.items():
             assert cache.cache_info().maxsize is not None
-            arrays = cache(7, 3)
+            arrays = cache(*key)
             for a in arrays if isinstance(arrays, tuple) else (arrays,):
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
@@ -1393,7 +1394,7 @@ class TestInvariantCaches:
             return original(op, *args)
 
         monkeypatch.setattr(lrdec.solver, name, recorded)
-        d, _, signal = synthesize((5, 4, 3), (2, 2, 2), 2, 2, seed=45)
+        d, _, signal = synthesize((5, 4, 5), (2, 2, 3), 2, 2, seed=45)
         cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
                            rank=2, outer_iters=3, admm_iters=20,
                            tol_outer=1e-15)
@@ -1404,10 +1405,11 @@ class TestInvariantCaches:
         else:
             report = lrd_fit(signal, d, cfg)[-1]
         assert report.sweeps == 3
-        # three (I_n, L_n) keys: (5, 2), (4, 2) and (3, 2)
+        # three (I_n, L_n) keys, (5, 2), (4, 2) and (5, 3), and two I_n
+        keys = {convmodel._mode_maps: 3, transform._dft_matrices: 2}
         for cache in CACHES:
             info = cache.cache_info()
-            assert (info.misses, info.currsize) == (3, 3), cache
+            assert (info.misses, info.currsize) == (keys[cache],) * 2, cache
             assert info.hits > 0
         assert [mode for mode, _ in handed] == [0, 1, 2] * 3
         first = {}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lrdec import transform
 from lrdec.tensor import kruskal_reconstruct
-from lrdec.transform import dft_factor, dft_nd
+from lrdec.transform import dft_factor, dft_nd, irdft_factor, rdft_factor
 
 RNG = np.random.default_rng
 
@@ -72,3 +73,63 @@ class TestFactorTransforms:
         spectral = kruskal_reconstruct([dft_factor(f) for f in factors])
         scale = max(1.0, np.max(np.abs(spatial)))
         assert np.max(np.abs(spatial - spectral)) < 1e-10 * scale
+
+
+LENGTHS = [1, 2, 3, 16, 31, 32, 33, 64]
+
+
+def half_spectrum(length, shape, seed):
+    """A random complex half spectrum of `length` with trailing `shape`,
+    every imaginary part nonzero."""
+    rng = RNG(seed)
+    size = (length // 2 + 1,) + shape
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class TestHalfSpectrumPair:
+    # up to the cut the pair is a product with cached DFT matrices, above
+    # it numpy's rfft and irfft, bit for bit
+    @staticmethod
+    def close(got, want, length):
+        if length <= transform._MATRIX_MAX_LENGTH:
+            return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        return np.array_equal(got, want)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_forward_matches_rfft(self, length, shape):
+        x = RNG(length).standard_normal((length,) + shape)
+        want = np.fft.rfft(x, axis=0, norm="ortho")
+        got = rdft_factor(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert self.close(got, want, length)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_inverse_matches_irfft(self, length, shape):
+        xhat = half_spectrum(length, shape, seed=length + 1)
+        want = np.fft.irfft(xhat, n=length, axis=0, norm="ortho")
+        got = irdft_factor(xhat, length)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert self.close(got, want, length)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_round_trip(self, length, shape):
+        x = RNG(length + 2).standard_normal((length,) + shape)
+        back = irdft_factor(rdft_factor(x), length)
+        assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("length", [n for n in LENGTHS
+                                        if n <= transform._MATRIX_MAX_LENGTH])
+    def test_self_conjugate_frequencies_are_real(self, length):
+        # frequency 0, and length/2 for an even length
+        real = [0, length // 2] if length % 2 == 0 else [0]
+        x = RNG(length + 3).standard_normal((length, 5))
+        xhat = rdft_factor(x)
+        assert np.all(xhat.imag[real] == 0)
+        # the inverse reads no imaginary part of those frequencies
+        dropped = xhat.copy()
+        dropped.imag[real] = RNG(length + 4).standard_normal((len(real), 5))
+        assert np.array_equal(irdft_factor(dropped, length),
+                              irdft_factor(xhat, length))
