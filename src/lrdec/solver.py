@@ -2,15 +2,15 @@
 
 The fit decomposes a signal as ``sum_m d_m (*) K_m`` by cycling over the
 tensor modes and, for each mode, minimizing over that mode's stacked
-factors while the others stay fixed.  One sweep loop, :func:`_sweep`,
-runs every fit: a mode visit builds the mode's :class:`SpectralOperator`,
-calls the fit's mode solver on it, chosen by the sweep itself from the
-fit's mask and ``cfg.reg``, and scores the objective on that same
-operator.  Each solver is the code its fit runs, on the fit's real
-``(C, *shape)`` signal stack, and the code the acceptance criteria check.
-A visit yields only what the sweep reads: its inner work, and, when an
-ADMM or CG visit ends with its tolerance unmet, its final residuals,
-which the sweep formats into one budget warning.  The sweep hands each
+factors while the others stay fixed.  One private object, :class:`_Fit`,
+runs every fit, and :meth:`_Fit.sweep` is its one sweep loop: a mode visit
+builds the mode's :class:`SpectralOperator`, and :meth:`_Fit.visit`, the
+one place that picks a solver from the fit's mask and ``cfg.reg``, calls
+it on that operator and scores the objective there.  Each solver is the
+code its fit runs, on the fit's real ``(C, *shape)`` signal stack, and
+the code the acceptance criteria check.  A visit hands the sweep its inner
+work and scores; its solver's branch writes any budget warning, applies
+its rise rule and names its failures.  The sweep hands each
 ADMM or CG visit a copy of the config whose inner tolerances carry a
 forcing term (Eisenstat & Walker, "Choosing the forcing terms in an
 inexact Newton method", 1996): ``max(tol, min(cap tol, 1e-3 change))``,
@@ -360,41 +360,6 @@ def _reg_sum(f, cfg):
     return np.sum(np.abs(f)) if cfg.reg == "l1" else np.sum(f * f)
 
 
-def _init_factors(shape, m_count, rank, seed, signal_norm):
-    rng = np.random.default_rng(seed)
-    scale = (signal_norm / (m_count * rank)) ** (1.0 / len(shape))
-    return [rng.uniform(-0.5, 0.5, size=(m_count, s, rank)) * scale
-            for s in shape]
-
-
-def _prepare_fit(signal, dictionary, cfg):
-    s_stack, shape = _as_channel_stack(signal, dictionary.num_channels)
-    if not np.all(np.isfinite(s_stack)):
-        raise ValueError("signal contains non-finite values")
-    dictionary.check_signal_shape(shape)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(s_stack))
-    if not np.isfinite(norm * norm):
-        # the start, the objective and the residuals all square it
-        raise ValueError(f"signal too large: its squared norm overflows "
-                         f"above {np.finfo(float).max:.3g}; rescale the "
-                         f"signal")
-    if norm * norm < np.finfo(float).tiny and s_stack.any():
-        # below it the objective's and residuals' sums of squares lose bits
-        raise ValueError(f"signal too small: its squared norm {norm * norm:.3g}"
-                         f" underflows below {np.finfo(float).tiny:.3g}; "
-                         f"rescale the signal")
-    factors = _init_factors(shape, dictionary.num_filters, cfg.rank,
-                            cfg.seed, norm)
-    return s_stack, shape, factors, norm
-
-
-def _finish(factors):
-    m_count = factors[0].shape[0]
-    return [KruskalTensor([f[m].copy() for f in factors])
-            for m in range(m_count)]
-
-
 # how far the forcing term may loosen each solver's inner tolerances; the
 # ADMM stays at 30x because an early 1e-4 (100x) ADMM tolerance cost one
 # l1 fit 2.46 dB, while the CG at 100x lost about 0.001 dB on average
@@ -421,173 +386,209 @@ def _mode_major(stack, modes):
                         0, 1 + n) for n in modes]
 
 
-def _sweep(dictionary, shape, factors, cfg, s_obs, signal_norm,
-           mask_stack=None):
-    """Run the alternating sweep of a fit, updating `factors` in place.
+class _Fit:
+    """One fit, from its checked signal to its activations.
 
-    Each visit calls the fit's mode solver on the visit's operator:
-    :func:`_solve_mode_masked_cg` when a `mask_stack` is given, else
-    :func:`solve_mode_l2` or :func:`solve_mode_admm` by ``cfg.reg``, with
-    one warm-started :class:`AdmmState` per mode.  Each ADMM or CG visit
-    runs at its forced tolerances (:func:`_forced`), and one that ends
-    with them unmet leaves a budget warning.  Each stack is scored on the
-    visit's taps as ``0.5 ||P W x - s_obs||^2``, with ``P`` the mask
-    stack of a masked fit; an unmasked l2 fit flags a rising objective,
-    and a warm-started l1 visit whose objective rises is redone cold.  A
-    ridge solve whose blocks are singular raises a ``ValueError`` naming
-    the sweep, mode and ``alpha``, and a failed ADMM eigendecomposition
-    one naming the sweep and mode.  Every sweep after the first starts
-    from ``x_k + beta (x_k - x_{k-1})``, with ``x_{k-1}`` and ``x_k`` the
-    factors at the ends of the last two sweeps (the start before the
-    second), when its first operator, built on that point, scores it no
-    higher than the last sweep's objective; ``beta`` then grows.
-    Otherwise the sweep restarts from ``x_k``, bit for bit, on a rebuilt
-    first operator, and ``beta`` shrinks.  The ADMM states stay as they
-    were.  `s_obs` and `mask_stack` are copied once per mode into
-    mode-major order, and the scoring and solvers read views of those
-    copies; `signal_norm`, the norm of `s_obs` that :func:`_prepare_fit`
-    took, scales the relative residuals.  Returns the report."""
-    report = SolveReport()
-    modes = range(len(shape))
-    masked = mask_stack is not None
-    s_stacks = _mode_major(s_obs, modes)
-    if masked:
-        mask_stacks = _mode_major(mask_stack, modes)
-    scale = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
-    # each l1 mode warm-starts from its own AdmmState, not from its factors
-    states = [None] * len(shape)
+    Construction checks the signal (zeroed where a masked fit's `mask` is
+    False), draws the seeded start and makes the mode-major signal and
+    mask copies (:func:`_mode_major`).  :meth:`visit` is the one place
+    that branches on the fit's kind.  The solvers and
+    :class:`SpectralOperator` are looked up in the module at each call,
+    so that rebinding those names reaches the fit.
+    """
 
-    def score(op, n):
-        """The objective on mode n's operator, with its data and
-        regularizer terms."""
-        r = op.forward(factors_to_rows(factors[n]))
-        if masked:
-            r *= stack_to_rows(mask_stacks[n], n)
-        r -= stack_to_rows(s_stacks[n], n)
+    def __init__(self, signal, dictionary, cfg, mask=None):
+        if mask is not None:  # zero where unobserved: no masking needed
+            signal = np.where(mask, signal, 0.0)
+        s_stack, shape = _as_channel_stack(signal, dictionary.num_channels)
+        if not np.all(np.isfinite(s_stack)):
+            raise ValueError("signal contains non-finite values")
+        dictionary.check_signal_shape(shape)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(s_stack))
+        if not np.isfinite(norm * norm):
+            # the start, the objective and the residuals all square it
+            raise ValueError(f"signal too large: its squared norm overflows "
+                             f"above {np.finfo(float).max:.3g}; rescale the "
+                             f"signal")
+        if norm * norm < np.finfo(float).tiny and s_stack.any():
+            # below it the objective's and residuals' sums of squares lose bits
+            raise ValueError(f"signal too small: its squared norm "
+                             f"{norm * norm:.3g} underflows below "
+                             f"{np.finfo(float).tiny:.3g}; rescale the signal")
+        m_count, rng = dictionary.num_filters, np.random.default_rng(cfg.seed)
+        scale = (norm / (m_count * cfg.rank)) ** (1.0 / len(shape))
+        self.factors = [rng.uniform(-0.5, 0.5, size=(m_count, s, cfg.rank))
+                        * scale for s in shape]
+        self.dictionary, self.cfg, self.shape, self.norm = (dictionary, cfg,
+                                                            shape, norm)
+        self.modes = range(len(shape))
+        self.s_stacks = _mode_major(s_stack, self.modes)
+        self.masks = None if mask is None else _mode_major(_as_channel_stack(
+            mask.astype(float), dictionary.num_channels)[0], self.modes)
+        self.reg_weight = cfg.lam if cfg.reg == "l1" else 0.5 * cfg.alpha
+        # the inner tolerances the forcing term loosens, and by at most how
+        # much; an l2 fit forces nothing
+        self.forced = (("cg_tol",), _CG_CAP) if mask is not None else (
+            ("tol_primal", "tol_dual"), _ADMM_CAP) if cfg.reg == "l1" else (
+            (), None)
+        # each l1 mode warm-starts from its own AdmmState, not its factors
+        self.states = [None] * len(shape)
+        # the factors at the last sweep's end; before the first, the start
+        self.beta, self.ends = _BETA_START, list(self.factors)
+        self.report = SolveReport()
+
+    def score(self, op, n):
+        """The objective on mode n's operator `op` as ``(data, reg, data +
+        reg)``, ``data`` ``0.5 ||P W x - s||^2``, ``P`` a masked fit's mask."""
+        r = op.forward(factors_to_rows(self.factors[n]))
+        if self.masks:
+            r *= stack_to_rows(self.masks[n], n)
+        r -= stack_to_rows(self.s_stacks[n], n)
         r = r.ravel()
         data = 0.5 * float(r @ r)
-        reg = scale * float(sum(_reg_sum(f, cfg) for f in factors))
+        reg = self.reg_weight * float(sum(_reg_sum(f, self.cfg)
+                                          for f in self.factors))
         return data, reg, data + reg
 
-    def visit(op, n, tols):
-        """Mode n's solve on `op` by the fit's solver, an l1 one from its
-        AdmmState: the inner work run and, when the tolerances `tols` went
-        unmet, the final residuals against the configured ones."""
-        if masked:
-            factors[n], iters, residual = _solve_mode_masked_cg(
-                op, mask_stacks[n], s_stacks[n], cfg.alpha, factors[n], tols)
-            if residual is None:
-                return iters, None
-            # a nan residual must not read as met
-            cmp = "<=" if residual <= cfg.cg_tol else ">"
-            return iters, (f"relative residual {residual:.3e} {cmp} cg_tol "
-                           f"{cfg.cg_tol:.1e}")
-        if cfg.reg == "l2":
-            factors[n] = solve_mode_l2(op, s_stacks[n], cfg.alpha)
-            return 1, None
-        done = states[n].iterations if states[n] else 0
-        factors[n], state = solve_mode_admm(op, s_stacks[n], tols,
-                                            states[n])
-        states[n] = state
-        unmet = None
-        if state.primal > tols.tol_primal or state.dual > tols.tol_dual:
-            unmet = (f"relative primal {state.primal:.3e} (tol_primal "
-                     f"{cfg.tol_primal:.1e}), dual {state.dual:.3e} "
-                     f"(tol_dual {cfg.tol_dual:.1e})")
-        return state.iterations - done, unmet
-
-    # the forcing term: the visits run at the inner tolerances of their
-    # solver loosened by the last sweep's relative objective change, at
-    # most by the solver's cap (_CG_CAP or _ADMM_CAP), and the first sweep
-    # at the cap
-    tol_names = ("cg_tol",) if masked else ("tol_primal", "tol_dual") \
-        if cfg.reg == "l1" else ()
-    cap = _CG_CAP if masked else _ADMM_CAP
-    change = np.inf
-    # the factors at the end of the last sweep; before the first, the start
-    beta, ends = _BETA_START, list(factors)
-    for sweep in range(cfg.outer_iters):
-        # an l2 fit forces nothing, and skips the config's copy and checks
-        tols = replace(cfg, **{name: _forced(getattr(cfg, name), cap, change)
-                               for name in tol_names}) if tol_names else cfg
-        inner = 0
-        if sweep:
-            # extrapolate along the last sweep's step; the solves return
-            # new arrays, so the lists hold x_{k-1} and x_k as they were
-            last, ends = ends, list(factors)
-            factors[:] = [x + beta * (x - y) for x, y in zip(ends, last)]
-        # the first operator scores the start, or the extrapolated point
-        op = SpectralOperator(dictionary, shape, factors, 0)
-        trial = score(op, 0)[2]
-        if not sweep:
-            prev_obj = obj = trial
-        elif trial <= obj:
-            report.extrapolations.append((beta, True))
-            obj, beta = trial, min(1.0, _BETA_GROW * beta)
-        else:  # restart from x_k and its first operator
-            report.extrapolations.append((beta, False))
-            factors[:] = ends
-            op = SpectralOperator(dictionary, shape, factors, 0)
-            beta /= _BETA_SHRINK
-        for n in modes:
-            if n:
-                op = SpectralOperator(dictionary, shape, factors, n)
-            last_obj, warm = obj, states[n] is not None
-            ceiling = last_obj + 1e-9 * max(1.0, abs(last_obj))
+    def visit(self, op, sweep, n, tols, obj):
+        """Mode n's solve on `op` at the inner tolerances `tols` by the
+        fit's solver, from `obj`, the objective before it: returns the
+        inner work run and the scores.  Each branch owns its solver's
+        budget warning, rise rule and failure message."""
+        cfg, warnings = self.cfg, self.report.warnings
+        s, where = self.s_stacks[n], f"sweep {sweep} mode {n}"
+        ceiling = obj + 1e-9 * max(1.0, abs(obj))
+        if self.masks:
             try:
-                iters, unmet = visit(op, n, tols)
-            except np.linalg.LinAlgError:
-                if cfg.reg != "l2":  # eigh of blocks overflowed to inf/nan
-                    raise ValueError(
-                        f"the ADMM's eigendecomposition failed at sweep "
-                        f"{sweep} mode {n}: rescale the signal") from None
-                # the l2 and masked fits' ridge blocks G + alpha I (or
-                # alpha / p) round to singular
+                self.factors[n], iters, residual = _solve_mode_masked_cg(
+                    op, self.masks[n], s, cfg.alpha, self.factors[n], tols)
+            except np.linalg.LinAlgError:  # G + (alpha / p) I is singular
+                raise ValueError(
+                    f"ridge blocks are singular at {where} with "
+                    f"alpha={cfg.alpha:g}: a larger alpha is needed"
+                ) from None
+            if residual is not None:
+                # a nan residual must not read as met
+                cmp = "<=" if residual <= cfg.cg_tol else ">"
+                warnings.append(
+                    f"cg budget exhausted at {where}: {iters} iterations, "
+                    f"relative residual {residual:.3e} {cmp} cg_tol "
+                    f"{cfg.cg_tol:.1e}")
+            return iters, self.score(op, n)
+        if cfg.reg == "l2":
+            try:
+                self.factors[n] = solve_mode_l2(op, s, cfg.alpha)
+            except np.linalg.LinAlgError:  # G + alpha I rounds to singular
                 need = "a positive" if cfg.alpha == 0 else "a larger"
                 raise ValueError(
-                    f"ridge blocks are singular at sweep {sweep} mode {n} "
-                    f"with alpha={cfg.alpha:g}: {need} alpha is needed"
-                ) from None
-            data, reg, obj = score(op, n)
-            if warm and obj > ceiling:
+                    f"ridge blocks are singular at {where} with "
+                    f"alpha={cfg.alpha:g}: {need} alpha is needed") from None
+            scores = self.score(op, n)
+            if scores[2] > ceiling:
+                warnings.append(f"l2 objective increased at mode {n}: "
+                                f"{obj:.6e} -> {scores[2]:.6e}")
+            return 1, scores
+        warm = self.states[n]
+        done = warm.iterations if warm else 0
+        try:
+            self.factors[n], state = solve_mode_admm(op, s, tols, warm)
+            iters, scores = state.iterations - done, self.score(op, n)
+            if warm and scores[2] > ceiling:
                 # a warm ADMM state carried onto singular blocks can leave
                 # a stale null-space part that grows; redo the visit cold
-                states[n] = None
-                cold, unmet = visit(op, n, tols)
-                iters += cold
-                data, reg, obj = score(op, n)
-            del op  # free its taps and Gram blocks before the next visit's
-            inner += iters
-            if unmet:
-                report.warnings.append(
-                    f"{'cg' if masked else 'admm'} budget exhausted at sweep "
-                    f"{sweep} mode {n}: {iters} iterations, {unmet}")
-            report.mode_objectives.append(obj)
-            if cfg.reg == "l2" and not masked and obj > ceiling:
-                report.warnings.append(
-                    f"l2 objective increased at mode {n}: "
-                    f"{last_obj:.6e} -> {obj:.6e}")
-        if not np.isfinite(obj):
-            raise ValueError(f"objective became non-finite: {obj}")
-        report.objectives.append(obj)
-        report.data_terms.append(data)
-        report.reg_terms.append(reg)
-        report.relative_residuals.append(
-            float(np.sqrt(2.0 * data)) / signal_norm if signal_norm else 0.0)
-        report.inner_iters.append(inner)
-        report.sweeps += 1
-        # only a sweep solved to the configured tolerances ends the fit
-        if tols == cfg and abs(prev_obj - obj) <= cfg.tol_outer * abs(
-                prev_obj):
-            report.converged = True
-            break
-        change = abs(prev_obj - obj) / abs(prev_obj) if prev_obj else 0.0
-        prev_obj = obj
-    if signal_norm and not any(f.any() for f in factors):
-        report.warnings.append(
-            "the fit of a nonzero signal ended at all-zero factors: try a "
-            "smaller regularizer weight or rescale the signal")
-    return report
+                self.factors[n], state = solve_mode_admm(op, s, tols, None)
+                iters, scores = iters + state.iterations, self.score(op, n)
+        except np.linalg.LinAlgError:  # eigh of blocks overflowed to inf/nan
+            raise ValueError(f"the ADMM's eigendecomposition failed at "
+                             f"{where}: rescale the signal") from None
+        self.states[n] = state
+        if state.primal > tols.tol_primal or state.dual > tols.tol_dual:
+            warnings.append(
+                f"admm budget exhausted at {where}: {iters} iterations, "
+                f"relative primal {state.primal:.3e} (tol_primal "
+                f"{cfg.tol_primal:.1e}), dual {state.dual:.3e} (tol_dual "
+                f"{cfg.tol_dual:.1e})")
+        return iters, scores
+
+    def extrapolate(self, obj):
+        """One extrapolation step with restart (see the module docstring)
+        from `obj`, the last sweep's objective; the ADMM states stay as
+        they were.  Returns mode 0's operator on the sweep's start and the
+        objective there."""
+        # the solves return new arrays, so the lists hold x_{k-1} and x_k
+        # as they were
+        last, self.ends = self.ends, list(self.factors)
+        beta = self.beta
+        self.factors[:] = [x + beta * (x - y) for x, y in zip(self.ends, last)]
+        op = SpectralOperator(self.dictionary, self.shape, self.factors, 0)
+        trial = self.score(op, 0)[2]
+        accepted = trial <= obj
+        self.report.extrapolations.append((beta, accepted))
+        if accepted:
+            self.beta = min(1.0, _BETA_GROW * beta)
+            return op, trial
+        # restart from x_k and its first operator
+        self.factors[:] = self.ends
+        self.beta = beta / _BETA_SHRINK
+        return SpectralOperator(self.dictionary, self.shape, self.factors,
+                                0), obj
+
+    def sweep(self):
+        """Run the sweep, updating the factors in place, and return the
+        report.  A visit whose objective is not finite raises a
+        ``ValueError`` naming its sweep and mode."""
+        cfg, report, (names, cap) = self.cfg, self.report, self.forced
+        # the forcing term: the visits run at the inner tolerances of their
+        # solver loosened by the last sweep's relative objective change, at
+        # most by the solver's cap, and the first sweep at the cap
+        change = np.inf
+        for sweep in range(cfg.outer_iters):
+            # an l2 fit skips the config's copy and checks
+            tols = replace(cfg, **{k: _forced(getattr(cfg, k), cap, change)
+                                   for k in names}) if names else cfg
+            if sweep:
+                op, obj = self.extrapolate(obj)
+            else:  # the first operator scores the start
+                op = SpectralOperator(self.dictionary, self.shape,
+                                      self.factors, 0)
+                prev_obj = obj = self.score(op, 0)[2]
+            inner = 0
+            for n in self.modes:
+                if n:
+                    op = SpectralOperator(self.dictionary, self.shape,
+                                          self.factors, n)
+                iters, (data, reg, obj) = self.visit(op, sweep, n, tols, obj)
+                del op  # free its taps and Gram blocks before the next visit's
+                if not np.isfinite(obj):
+                    raise ValueError(f"objective became non-finite at sweep "
+                                     f"{sweep} mode {n}: {obj}")
+                inner += iters
+                report.mode_objectives.append(obj)
+            report.objectives.append(obj)
+            report.data_terms.append(data)
+            report.reg_terms.append(reg)
+            report.relative_residuals.append(
+                float(np.sqrt(2.0 * data)) / self.norm if self.norm else 0.0)
+            report.inner_iters.append(inner)
+            report.sweeps += 1
+            # only a sweep solved to the configured tolerances ends the fit
+            if tols == cfg and abs(prev_obj - obj) <= cfg.tol_outer * abs(
+                    prev_obj):
+                report.converged = True
+                break
+            change = abs(prev_obj - obj) / abs(prev_obj) if prev_obj else 0.0
+            prev_obj = obj
+        if self.norm and not any(f.any() for f in self.factors):
+            report.warnings.append(
+                "the fit of a nonzero signal ended at all-zero factors: try a "
+                "smaller regularizer weight or rescale the signal")
+        return report
+
+    def activations(self):
+        """The fitted activations, one :class:`KruskalTensor` per filter."""
+        return [KruskalTensor([f[m].copy() for f in self.factors])
+                for m in range(self.dictionary.num_filters)]
 
 
 def lrd_fit(signal, dictionary, cfg):
@@ -612,10 +613,10 @@ def lrd_fit(signal, dictionary, cfg):
     (list of KruskalTensor, SolveReport)
     """
     t0 = time.perf_counter()
-    s_stack, shape, factors, norm = _prepare_fit(signal, dictionary, cfg)
-    report = _sweep(dictionary, shape, factors, cfg, s_stack, norm)
+    fit = _Fit(signal, dictionary, cfg)
+    report = fit.sweep()
     report.seconds = time.perf_counter() - t0
-    return _finish(factors), report
+    return fit.activations(), report
 
 
 def _masked_normal(op, mask, alpha, x):
@@ -744,13 +745,9 @@ def lrd_fit_masked(signal, mask, dictionary, cfg):
     if not mask.any():
         raise ValueError("mask has no observed entries")
 
-    # zero where unobserved, so the stack needs no masking
-    s_obs, shape, factors, norm = _prepare_fit(
-        np.where(mask, signal, 0.0), dictionary, cfg)
-    mask_stack = _as_channel_stack(mask.astype(float),
-                                   dictionary.num_channels)[0]
-    report = _sweep(dictionary, shape, factors, cfg, s_obs, norm, mask_stack)
-    activations = _finish(factors)
+    fit = _Fit(signal, dictionary, cfg, mask)
+    report = fit.sweep()
+    activations = fit.activations()
     completed = forward_model(dictionary, activations)
     report.seconds = time.perf_counter() - t0
     return activations, completed, report

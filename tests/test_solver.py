@@ -659,6 +659,59 @@ class TestLrdFit:
             lrd_fit_masked(signal, mask, d, cfg)
 
     @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
+    def test_non_finite_objective_stops_the_visit_that_made_it(
+            self, reg, monkeypatch):
+        # NaN factors from mode 0's solve: the fit used to run mode 1 on
+        # them and then fail naming no visit (l2) or the wrong visit and
+        # cause (l1: the next visit's eigendecomposition)
+        name = {"l2": "solve_mode_l2", "l1": "solve_mode_admm",
+                "masked": "_solve_mode_masked_cg"}[reg]
+        original = getattr(lrdec.solver, name)
+        visits = []
+
+        def nan_at_mode_0(op, *args):
+            visits.append(op.mode)
+            result = original(op, *args)
+            if op.mode:
+                return result
+            nan = np.full((op.num_filters, op.mode_length, op.rank), np.nan)
+            return (nan,) + result[1:] if isinstance(result, tuple) else nan
+
+        monkeypatch.setattr(lrdec.solver, name, nan_at_mode_0)
+        d, _, signal = make_problem((6, 5), (2, 2), m_count=2, rank=2,
+                                    seed=3)
+        cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
+                           alpha=1e-3, rank=2, outer_iters=3)
+        with pytest.raises(ValueError, match=r"^objective became non-finite "
+                           r"at sweep 0 mode 0: nan$"):
+            if reg == "masked":
+                mask = RNG(4).uniform(size=signal.shape) > 0.3
+                lrd_fit_masked(signal, mask, d, cfg)
+            else:
+                lrd_fit(signal, d, cfg)
+        assert visits == [0]
+
+    def test_l2_rise_warning_names_the_mode_and_both_objectives(
+            self, monkeypatch):
+        # zero factors at mode 1 leave the whole signal unexplained, so the
+        # unmasked l2 fit's objective rises over mode 0's
+        original = lrdec.solver.solve_mode_l2
+
+        def zero_at_mode_1(op, signal, alpha):
+            result = original(op, signal, alpha)
+            return np.zeros_like(result) if op.mode == 1 else result
+
+        monkeypatch.setattr(lrdec.solver, "solve_mode_l2", zero_at_mode_1)
+        d, _, signal = make_problem((6, 5), (2, 2), m_count=2, rank=2,
+                                    seed=3)
+        cfg = SolverConfig(reg="l2", alpha=1e-3, rank=2, outer_iters=1)
+        report = lrd_fit(signal, d, cfg)[1]
+        before, after = report.mode_objectives
+        assert after > before
+        assert report.warnings == [f"l2 objective increased at mode 1: "
+                                   f"{before:.6e} -> {after:.6e}"]
+
+    @pytest.mark.parametrize("reg", ["l2", "l1", "masked"])
     def test_fits_run_the_public_solvers_once_per_visit(self, reg,
                                                         monkeypatch):
         # the solvers the acceptance criteria check are the fits' own
