@@ -26,6 +26,27 @@ decomposition", 2020): every mode's factors move to
 two sweeps, and the next sweep starts there if the objective does not
 rise, else from ``x_k``; ``beta`` starts at 0.5, grows by 1.1 (at most
 to 1) on an accepted step and shrinks by 1.5 on a rejected one.
+
+The fit starts from the signal (:meth:`_Fit.start`).  It deconvolves the
+signal once, per N-D frequency, by the matched filter
+``K_m = sum_c conj(D_mc) S_c / (P + eps max P)`` with
+``P = sum_{m,c} |D_mc|^2`` and ``eps = _START_EPS``, the per-frequency
+decoupling of convolutional sparse coding (Wohlberg, "Efficient
+algorithms for convolutional sparse representations", IEEE TIP 2016),
+from the half spectra of the signal and the bank and one inverse per
+filter.  Mode ``n > 0``'s factors take the ``R`` leading eigenvectors of
+the mode-n unfolding Gram of each ``K_m``, the HOSVD start of CP-ALS
+(Kolda & Bader, "Tensor decompositions and applications", SIAM Review
+2009, section 3.4), scaled like the seeded random start and mixed with
+``_START_MIX`` of it; mode 0 keeps the random start, since the first
+visit solves mode 0 from the others.  Before each extrapolation step an
+l2 or masked fit rebalances its factors (:meth:`_Fit.rebalance`): every
+component's columns are scaled to the geometric mean of their norms
+across the modes, which leaves the data term and cannot raise the ridge
+term (the scaling indeterminacy of CP, Kolda & Bader, ibid.).  That
+exact block step makes the step's points rebalanced sweep ends, and the
+objective the step is tested against drops by the ridge term's drop; an
+l1 fit does not rebalance.
 The solvers, with the inner work a visit adds to
 ``SolveReport.inner_iters``:
 
@@ -370,6 +391,10 @@ _ADMM_CAP = 30.0
 _BETA_START = 0.5
 _BETA_GROW = 1.1
 _BETA_SHRINK = 1.5
+# the start: the deconvolution's floor relative to the bank's peak power,
+# and the share of the seeded random start mixed in
+_START_EPS = 1e-3
+_START_MIX = 0.3
 
 
 def _forced(tol, cap, change):
@@ -390,7 +415,7 @@ class _Fit:
     """One fit, from its checked signal to its activations.
 
     Construction checks the signal (zeroed where a masked fit's `mask` is
-    False), draws the seeded start and makes the mode-major signal and
+    False), makes the start (:meth:`start`) and the mode-major signal and
     mask copies (:func:`_mode_major`).  :meth:`visit` is the one place
     that branches on the fit's kind.  The solvers and
     :class:`SpectralOperator` are looked up in the module at each call,
@@ -416,12 +441,9 @@ class _Fit:
             raise ValueError(f"signal too small: its squared norm "
                              f"{norm * norm:.3g} underflows below "
                              f"{np.finfo(float).tiny:.3g}; rescale the signal")
-        m_count, rng = dictionary.num_filters, np.random.default_rng(cfg.seed)
-        scale = (norm / (m_count * cfg.rank)) ** (1.0 / len(shape))
-        self.factors = [rng.uniform(-0.5, 0.5, size=(m_count, s, cfg.rank))
-                        * scale for s in shape]
         self.dictionary, self.cfg, self.shape, self.norm = (dictionary, cfg,
                                                             shape, norm)
+        self.factors = self.start(s_stack)
         self.modes = range(len(shape))
         self.s_stacks = _mode_major(s_stack, self.modes)
         self.masks = None if mask is None else _mode_major(_as_channel_stack(
@@ -437,6 +459,69 @@ class _Fit:
         # the factors at the last sweep's end; before the first, the start
         self.beta, self.ends = _BETA_START, list(self.factors)
         self.report = SolveReport()
+
+    def start(self, s_stack):
+        """The start's factors (see the module docstring): mode 0's are the
+        seeded random draws ``u`` times ``scale``, since the first visit
+        solves mode 0 from the others; mode ``n > 0``'s are
+        ``scale (sqrt(I_n / 12) q + _START_MIX u)`` with ``q`` the ``R``
+        leading eigenvectors of the mode-n unfolding Grams of the
+        matched-filter deconvolution ``K_m`` of the signal, so ``q``'s
+        columns have the expected norm of ``u``'s.  The activations are
+        made one at a time.  A 1-D fit, or one of an all-zero signal or
+        bank, keeps the random start."""
+        dictionary, shape, rank = self.dictionary, self.shape, self.cfg.rank
+        m_count, axes = dictionary.num_filters, tuple(range(-len(shape), 0))
+        rng = np.random.default_rng(self.cfg.seed)
+        draws = [rng.uniform(-0.5, 0.5, size=(m_count, s, rank))
+                 for s in shape]
+        scale = (self.norm / (m_count * rank)) ** (1.0 / len(shape))
+        factors = [u * scale for u in draws]
+        top = np.max(np.abs(dictionary.filters))
+        if len(shape) == 1 or not (self.norm and top):
+            return factors
+        shat = np.fft.rfftn(s_stack, axes=axes)
+        dhat = np.fft.rfftn(dictionary.filters / top, s=shape, axes=axes)
+        parts = dhat.view(float).reshape(-1, 2 * shat[0].size)  # re, im, ...
+        power = np.einsum("ij,ij->j", parts, parts)
+        power = power[0::2] + power[1::2]
+        power += _START_EPS * power.max()
+        # S / (norm power) and conj(D), in place: on the unit-scaled signal
+        # and bank no power below overflows
+        shat /= (self.norm * power).reshape(shat.shape[1:])
+        np.conjugate(dhat, out=dhat)
+        grams = [np.empty((m_count, s, s)) for s in shape[1:]]
+        for m in range(m_count):  # one activation at a time
+            k = np.fft.irfftn((dhat[m] * shat).sum(axis=0), s=shape,
+                              axes=axes)
+            for n, g in enumerate(grams, 1):
+                rows = np.moveaxis(k, n, 0).reshape(shape[n], -1)
+                g[m] = rows @ rows.T
+        for n, g in enumerate(grams, 1):
+            # the R leading eigenvectors; eigh sorts the eigenvalues upward
+            q = np.linalg.eigh(g)[1][..., :-rank - 1:-1]
+            lead = np.zeros_like(draws[n])
+            lead[..., :q.shape[-1]] = q  # I_n < R leaves R - I_n zero
+            factors[n] = scale * (np.sqrt(shape[n] / 12.0) * lead
+                                  + _START_MIX * draws[n])
+        return factors
+
+    def rebalance(self):
+        """Scale every component's columns to the geometric mean of their
+        norms across the modes and return the drop of the ridge term; the
+        product of a component's scales is 1, so the data term stays.  A
+        component with a zero column is left as it was."""
+        norms = np.sqrt([np.sum(f * f, axis=1) for f in self.factors])
+        live = np.all(norms > 0, axis=0)
+        # logs relative to mode 0's norm: no log grows with the scale
+        logs = np.log(np.divide(norms, norms[0], out=np.ones_like(norms),
+                                where=live))
+        mean = logs.mean(axis=0)
+        self.factors[:] = [f * g[:, None] for f, g in
+                           zip(self.factors, np.exp(mean - logs))]
+        drop = np.sum(norms * norms, axis=0) - len(norms) * (
+            norms[0] * np.exp(mean)) ** 2
+        return self.reg_weight * float(np.sum(drop, where=live))
 
     def score(self, op, n):
         """The objective on mode n's operator `op` as ``(data, reg, data +
@@ -513,9 +598,12 @@ class _Fit:
 
     def extrapolate(self, obj):
         """One extrapolation step with restart (see the module docstring)
-        from `obj`, the last sweep's objective; the ADMM states stay as
+        from `obj`, the last sweep's objective, which an l2 or masked fit
+        first lowers by its rebalance's drop; the ADMM states stay as
         they were.  Returns mode 0's operator on the sweep's start and the
         objective there."""
+        if self.cfg.reg == "l2":  # an l2 or masked fit
+            obj -= self.rebalance()
         # the solves return new arrays, so the lists hold x_{k-1} and x_k
         # as they were
         last, self.ends = self.ends, list(self.factors)
@@ -606,7 +694,8 @@ def lrd_fit(signal, dictionary, cfg):
         be the channel axis.
     dictionary : Dictionary
     cfg : SolverConfig
-        The fit starts from seeded random factors drawn from ``cfg.seed``.
+        The fit starts from the signal's deconvolution, mixed with seeded
+        random factors drawn from ``cfg.seed`` (see the module docstring).
 
     Returns
     -------

@@ -8,12 +8,13 @@ from the 1-D transforms of its factor columns.
 The fits' block solves carry only frequencies ``0..I//2`` (the half
 spectrum) of a real factor along its mode, the rest being their
 conjugates; :func:`rdft_factor` and :func:`irdft_factor` are those
-real-input, real-output transforms, and every half spectrum a fit makes
-(the ridge solve, the ADMM and the CG preconditioner) goes through them.
-No fit transforms the signal.  :func:`dft_nd` and :func:`dft_factor` are
-the full complex spectra the acceptance criteria build their spectral
-vectors from; no inverse of them is kept, since every inverse a fit needs
-returns a real array.
+real-input, real-output transforms, and every half spectrum a mode visit
+makes (the ridge solve, the ADMM and the CG preconditioner) goes through
+them.  No mode visit transforms the signal; a fit's start transforms it
+and the bank once (see :mod:`lrdec.solver`).  :func:`dft_nd` and
+:func:`dft_factor` are the full complex spectra the acceptance criteria
+build their spectral vectors from; no inverse of them is kept, since
+every inverse a fit needs returns a real array.
 
 For mode lengths up to ``_MATRIX_MAX_LENGTH`` (32) the half-spectrum pair
 is one real product with an ``(I, I)`` DFT matrix, cached read-only per

@@ -531,13 +531,16 @@ class TestHalfSpectrum:
             cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
             _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
-        # the sweeps make none; a masked fit's completion is one model
-        # synthesis: M filter spectra and one inverse
+        # the sweeps make none; the start's deconvolution is one transform
+        # of the signal, one of the bank and one inverse per filter (M = 3),
+        # and a masked fit's completion is one model synthesis: M filter
+        # spectra and one inverse
+        start = 1 + 1 + 3
         synthesis = 3 + 1 if reg == "masked" else 0
         rejected = sum(not accepted for _, accepted in report.extrapolations)
-        assert calls == {"spectral": 0, "nd_transforms": synthesis,
+        assert calls == {"spectral": 0, "nd_transforms": start + synthesis,
                          "taps_built": 9 + rejected}
         # the counter sees the model's FFT synthesis
         forward_model(d, [[rng.standard_normal((s, 2)) for s in (5, 4, 3)]
                           for rng in map(RNG, range(3))])
-        assert calls["nd_transforms"] == synthesis + 3 + 1
+        assert calls["nd_transforms"] == start + synthesis + 3 + 1

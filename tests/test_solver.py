@@ -747,7 +747,8 @@ class TestLrdFit:
             self, monkeypatch):
         # every fit builds each visit's Gram blocks once and factors them
         # once: eigh for l1, an LU solve for l2, the CG preconditioner's inv
-        # for the masked fit
+        # for the masked fit; the start adds one eigh of the unfolding Grams
+        # per mode after the first
         calls = dict.fromkeys(["eigh", "solve", "inv", "gram_blocks"], 0)
 
         def count(owner, name):
@@ -776,8 +777,8 @@ class TestLrdFit:
             assert report.sweeps == 3
             if reg == "l1":  # more ADMM steps than visits
                 assert sum(report.inner_iters) > 9
-            want = dict(eigh=0, solve=0, inv=0, gram_blocks=9)
-            assert calls == dict(want, **{factored: 9}), reg
+            want = dict(eigh=2, solve=0, inv=0, gram_blocks=9)
+            assert calls == dict(want, **{factored: want[factored] + 9}), reg
 
 
 class TestMaskedPath:
@@ -1250,6 +1251,135 @@ class TestExtrapolation:
         recon = forward_model(d, activations)
         assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
 
+
+
+class TestStart:
+    """The start: mode 0 from the seeded draws, every later mode from the
+    leading eigenvectors of the matched-filter deconvolution's unfolding
+    Grams, mixed with the draws."""
+
+    @pytest.mark.parametrize("seed", [7, 23, 25])
+    def test_stalled_panel_seeds_converge(self, seed):
+        # from the random start these read 21.6, 27.5 and 28.6 dB after all
+        # 30 sweeps, unconverged
+        d, _, signal = make_problem((32, 32, 16), (5, 5, 5), 8, 3, seed=seed)
+        cfg = SolverConfig(reg="l2", alpha=1e-4, rank=3, outer_iters=30,
+                           seed=seed)
+        activations, report = lrd_fit(signal, d, cfg)
+        recon = forward_model(d, activations)
+        assert psnr(signal, recon, np.max(np.abs(signal))) >= 60.0
+        assert report.converged
+
+    def test_matches_a_direct_deconvolution(self):
+        # full complex spectra, dense activations and eigh per filter: the
+        # reference for the half spectra, the scaling and the Grams
+        d = unit_norm_dictionary((2, 3, 2), 3, seed=61, channels=2)
+        d = Dictionary(d.filters * 7.0, channels=True)
+        signal = RNG(62).standard_normal((6, 7, 5, 2))
+        fit = lrdec.solver._Fit(signal, d, SolverConfig(rank=2, seed=63))
+        stack = np.moveaxis(signal, -1, 0)
+        shape, axes = stack.shape[1:], (-3, -2, -1)
+        dhat = np.fft.fftn(d.filters, s=shape, axes=axes)
+        power = np.sum(np.abs(dhat) ** 2, axis=(0, 1))
+        khat = np.sum(dhat.conj() * np.fft.fftn(stack, axes=axes), axis=1)
+        acts = np.fft.ifftn(khat / (power + 1e-3 * power.max()),
+                            axes=axes).real
+        rng = RNG(63)
+        draws = [rng.uniform(-0.5, 0.5, size=(3, s, 2)) for s in shape]
+        scale = (np.linalg.norm(stack) / 6) ** (1 / 3)
+        np.testing.assert_array_equal(fit.factors[0], draws[0] * scale)
+        for n in (1, 2):
+            lead = (fit.factors[n] / scale - 0.3 * draws[n]) / np.sqrt(
+                shape[n] / 12)
+            for m in range(3):
+                rows = unfold(acts[m], n)
+                want = np.linalg.eigh(rows @ rows.T)[1][:, -2:]
+                np.testing.assert_allclose(lead[m] @ lead[m].T,
+                                           want @ want.T, atol=1e-9)
+
+    def test_the_seed_decides_the_random_part(self):
+        d, _, signal = make_problem((8, 7, 4), (3, 3, 2), m_count=2, rank=2,
+                                    seed=3)
+        starts = [lrdec.solver._Fit(signal, d, SolverConfig(rank=2, seed=s))
+                  .factors for s in (5, 5, 6)]
+        for a, b, c in zip(*starts):
+            np.testing.assert_array_equal(a, b)
+            assert not np.allclose(a, c)
+
+    @pytest.mark.parametrize("case", ["zero signal", "zero filter", "1-D",
+                                      "I_n < R", "two channels"])
+    def test_degenerate_inputs_start_finite(self, case):
+        shape, support, channels, rank = (6, 5, 4), (2, 2, 2), 1, 2
+        if case == "1-D":
+            shape, support = (9,), (3,)
+        elif case == "I_n < R":
+            shape, rank = (6, 2, 5), 3
+        elif case == "two channels":
+            channels = 2
+        d = unit_norm_dictionary(support, 3, seed=64, channels=channels)
+        if case == "zero filter":
+            d.filters[1] = 0.0
+        signal = RNG(65).standard_normal(
+            shape + ((channels,) if channels > 1 else ()))
+        if case == "zero signal":
+            signal[...] = 0.0
+        cfg = SolverConfig(rank=rank, outer_iters=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = lrdec.solver._Fit(signal, d, cfg)
+            lrd_fit(signal, d, cfg)
+        assert [f.shape for f in fit.factors] == [(3, s, rank) for s in shape]
+        assert all(np.all(np.isfinite(f)) for f in fit.factors)
+        if case == "zero signal":
+            assert not any(f.any() for f in fit.factors)
+
+
+class TestRebalance:
+    """The exact block step on the scaling orbit before each extrapolation
+    of an l2 or masked fit."""
+
+    def test_exact_block_step(self):
+        d, _, signal = make_problem((8, 7, 4), (3, 3, 2), m_count=2, rank=2,
+                                    seed=3)
+        fit = lrdec.solver._Fit(signal, d, SolverConfig(alpha=1e-3, rank=2))
+        rng = RNG(66)
+        fit.factors = [rng.standard_normal(f.shape) * c
+                       for f, c in zip(fit.factors, (10.0, 1.0, 0.1))]
+        fit.factors[1][1, :, 0] = 0.0  # component (1, 0) has a zero column
+        before = [f.copy() for f in fit.factors]
+
+        def scores():
+            op = SpectralOperator(d, fit.shape, fit.factors, 0)
+            return fit.score(op, 0)[:2]
+
+        data, reg = scores()
+        drop = fit.rebalance()
+        data_after, reg_after = scores()
+        assert abs(data_after - data) <= 1e-12 * data
+        assert reg_after < reg
+        assert reg - reg_after == pytest.approx(drop, rel=1e-12)
+        norms = np.sqrt([np.sum(f * f, axis=1) for f in fit.factors])
+        live = np.ones((2, 2), dtype=bool)
+        live[1, 0] = False
+        np.testing.assert_allclose(norms[:, live], np.broadcast_to(
+            norms[0, live], norms[:, live].shape), rtol=1e-12)
+        for f, g in zip(fit.factors, before):
+            np.testing.assert_array_equal(f[1, :, 0], g[1, :, 0])
+
+    @pytest.mark.parametrize("kind", ["l2", "l1", "masked"])
+    def test_runs_before_each_l2_extrapolation(self, monkeypatch, kind):
+        calls = []
+        original = lrdec.solver._Fit.rebalance
+
+        def rebalance(fit):
+            calls.append(len(fit.report.objectives))
+            return original(fit)
+
+        monkeypatch.setattr(lrdec.solver._Fit, "rebalance", rebalance)
+        report = TestExtrapolation.fit(kind, outer_iters=5)
+        want = [] if kind == "l1" else list(range(1, report.sweeps))
+        assert calls == want
+        assert report.objectives[-1] == report.mode_objectives[-1]
 
 def masked_dense_solve(d, shape, factors, mode, mask_stack, s_obs, alpha):
     """Dense solution of the masked normal equations on the spectral factor
