@@ -531,11 +531,11 @@ class TestHalfSpectrum:
             cfg = SolverConfig(reg=reg, rank=2, outer_iters=3, admm_iters=5)
             _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 3
-        # the sweeps make none; the start's deconvolution is one transform
-        # of the signal, one of the bank and one inverse per filter (M = 3),
-        # and a masked fit's completion is one model synthesis: M filter
-        # spectra and one inverse
-        start = 1 + 1 + 3
+        # the sweeps make none; an l2 or masked fit's start deconvolves by
+        # one transform of the signal, one of the bank and one inverse per
+        # filter (M = 3), an l1 fit's start by none, and a masked fit's
+        # completion is one model synthesis: M filter spectra and one inverse
+        start = 0 if reg == "l1" else 1 + 1 + 3
         synthesis = 3 + 1 if reg == "masked" else 0
         rejected = sum(not accepted for _, accepted in report.extrapolations)
         assert calls == {"spectral": 0, "nd_transforms": start + synthesis,
