@@ -62,13 +62,27 @@ The solvers, with the inner work a visit adds to
   ``rho`` the adaptive loop visits, so each step, on the ``(I_n, M*R)``
   factor rows, is two half-spectrum transforms (two products with cached
   DFT matrices for ``I_n <= 32``, see :mod:`lrdec.transform`), two
-  batched eigenbasis products and a shrink: its ADMM iterations;
+  batched eigenbasis products and a shrink: its ADMM iterations; the
+  eigendecomposition runs in two halves at once (see below);
 * :func:`_solve_mode_masked_cg`, a conjugate-gradient solve for masked
   signals, where the spatial mask breaks the per-frequency decoupling,
   preconditioned by the unmasked per-frequency blocks with the mask taken
   as its observed fraction: the CG iterations it counts.  The CG is
   :func:`_pcg`, a short numpy loop on the factor rows whose arithmetic
   follows scipy's ``cg`` step for step; the runtime imports numpy only.
+
+An l1 visit's eigendecomposition is the one step that uses a second thread
+(:func:`_eigh`).  When the process may run on two CPUs or more
+(``os.sched_getaffinity``), the calling thread decomposes the lower half
+of the half Gram stack's frequencies while one worker thread decomposes
+the upper half, and the two are joined in frequency order.  LAPACK factors
+each block on its own, so the split gives the bits of one batched call;
+on one CPU, or for a stack of one block, the visit decomposes inline.  The
+worker is this module's, started on the first split and again in a forked
+child, and waits on a queue between jobs.  Nothing else is split: the l2
+LU split ran slower, and splitting the CG preconditioner's inverse or the
+start's eigendecomposition gave no measurable end-to-end gain, so l2 and
+masked fits start no thread.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
 convolution taps (``SpectralOperator.forward`` and ``.adjoint``), which
@@ -102,6 +116,9 @@ operator's index arrays and phase matrix are made once per ``(I_n, L_n)``
 (see :mod:`lrdec.convmodel`).
 """
 
+import contextvars
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -256,6 +273,71 @@ def _shifted(gram, shift):
     return gram
 
 
+# the thread that decomposes the upper half of each l1 visit's Gram stack,
+# as (pid, job queue): made on the first split, and made again in a forked
+# child, which inherits the queue but not the thread
+_worker = (None, None)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(jobs):
+    """The worker's loop: wait on `jobs`, decompose each job's blocks in its
+    caller's context, and hand the caller the result or the exception."""
+    while True:
+        context, blocks, out, done = jobs.get()
+        try:
+            out.append(context.run(np.linalg.eigh, blocks))
+        except BaseException as exc:  # the caller raises it
+            out.append(exc)
+        done.release()
+
+
+def _jobs():
+    """The worker's job queue, its thread started on the first call in this
+    process.  Two threads' first splits at once may each start a worker;
+    both serve their jobs, and the last one made is kept."""
+    global _worker
+    pid = os.getpid()
+    if _worker[0] != pid:
+        import queue  # here, not at import: only a split needs it
+        jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(jobs,), name="lrdec-eigh",
+                         daemon=True).start()
+        _worker = pid, jobs
+    return _worker[1]
+
+
+def _eigh(blocks):
+    """``np.linalg.eigh`` of a stack of Hermitian blocks, bit for bit, in two
+    halves at once: the calling thread decomposes the lower blocks while
+    the worker thread decomposes the upper ones, and the two are joined in
+    order.  LAPACK factors each block on its own, so the split keeps every
+    bit.  A stack of one block, or a process that may run on one CPU only,
+    is decomposed inline.  The worker's half is always waited for, and an
+    exception from either half is raised as it was raised."""
+    if len(blocks) < 2 or _cpus() < 2:
+        return np.linalg.eigh(blocks)
+    cut = (len(blocks) + 1) // 2
+    out, done = [], threading.Lock()
+    done.acquire()
+    _jobs().put((contextvars.copy_context(), blocks[cut:], out, done))
+    try:
+        w, v = np.linalg.eigh(blocks[:cut])
+    finally:
+        done.acquire()  # the worker's half, even when this half raised
+    upper, = out
+    if isinstance(upper, BaseException):
+        raise upper
+    return np.concatenate((w, upper[0])), np.concatenate((v, upper[1]))
+
+
 def solve_mode_l2(op, signal, alpha):
     """Ridge mode solve ``(W^H W + alpha I) x = W^H s``, the l2 fit's.
 
@@ -293,6 +375,11 @@ def solve_mode_admm(op, signal, cfg, state=None):
     the solution.  Residual-balancing adaptation of the penalty is applied
     when ``cfg.rho_adaptive``.  The loop, and `state`, keep the iterates as
     the ``(I_n, M*R)`` mode-n factor rows of the taps and the masked CG.
+    The one eigendecomposition of the visit's ``I_n//2 + 1`` Gram blocks
+    runs in two halves at once when the process may run on two CPUs or
+    more: the lower frequencies on the calling thread, the upper ones on
+    the module's worker thread (:func:`_eigh`).  Each block is factored on
+    its own, so the bits are those of one call.
 
     Parameters
     ----------
@@ -318,7 +405,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
     # one eigendecomposition G = V diag(w) V^H serves every rho:
     # (G + rho I)^-1 = V diag(1 / (w + rho)) V^H; the blocks are PSD by
     # construction, so a negative w is roundoff
-    w, v = np.linalg.eigh(op.gram_blocks())
+    w, v = _eigh(op.gram_blocks())
     w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
     proj = vh @ rdft_factor(_rhs(op, signal))[..., None]
 

@@ -1,6 +1,14 @@
+import contextvars
+import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -745,18 +753,23 @@ class TestLrdFit:
 
     def test_l1_factors_gram_once_per_visit_and_l2_solves_once(
             self, monkeypatch):
-        # every fit builds each visit's Gram blocks once and factors them
-        # once: eigh for l1, an LU solve for l2, the CG preconditioner's inv
-        # for the masked fit; an l2 or masked fit's start adds one eigh of
-        # the unfolding Grams per mode after the first, an l1 fit's none
-        calls = dict.fromkeys(["eigh", "solve", "inv", "gram_blocks"], 0)
+        # every fit builds each visit's Gram blocks once and factors each of
+        # its I_n//2 + 1 blocks once: eigh for l1, an LU solve for l2, the
+        # CG preconditioner's inv for the masked fit; an l2 or masked fit's
+        # start adds one eigh of the M unfolding Grams per mode after the
+        # first, an l1 fit's none.  Counted in blocks, not calls: an l1
+        # visit may split its stack over two eigh calls, one on the worker
+        events = []  # (name, blocks), appended from either thread
 
         def count(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                # a Gram build's blocks are its result's, a solve's its input's
+                events.append((name, len(result if name == "gram_blocks"
+                                         else args[0])))
+                return result
             monkeypatch.setattr(owner, name, wrapper)
 
         for name in ("eigh", "solve", "inv"):
@@ -766,7 +779,7 @@ class TestLrdFit:
         mask = RNG(46).uniform(size=signal.shape) > 0.3
         for reg, factored in [("l1", "eigh"), ("l2", "solve"),
                               ("masked", "inv")]:
-            calls.update(dict.fromkeys(calls, 0))
+            events.clear()
             cfg = SolverConfig(reg="l1" if reg == "l1" else "l2", lam=0.05,
                                rank=2, outer_iters=3, admm_iters=50,
                                tol_outer=1e-15)
@@ -777,9 +790,22 @@ class TestLrdFit:
             assert report.sweeps == 3
             if reg == "l1":  # more ADMM steps than visits
                 assert sum(report.inner_iters) > 9
-            want = dict(eigh=0 if reg == "l1" else 2, solve=0, inv=0,
-                        gram_blocks=9)
-            assert calls == dict(want, **{factored: want[factored] + 9}), reg
+            # per visit, the blocks built and the blocks factored after the
+            # build: I_n//2 + 1 = 3, 3 and 2 for modes 0, 1 and 2
+            visits = []
+            for name, blocks in events:
+                if name == "gram_blocks":
+                    visits.append([blocks, 0])
+                elif name == factored:
+                    visits[-1][1] += blocks
+            assert visits == [[b, b] for b in [3, 3, 2] * 3], reg
+            totals = dict.fromkeys(["eigh", "solve", "inv", "gram_blocks"], 0)
+            for name, blocks in events:
+                totals[name] += blocks
+            want = dict(eigh=0 if reg == "l1" else 2 * 2, solve=0, inv=0,
+                        gram_blocks=24)
+            assert totals == dict(want, **{factored: want[factored] + 24}), \
+                reg
 
 
 class TestMaskedPath:
@@ -1620,3 +1646,172 @@ class TestInvariantCaches:
                 assert np.shares_memory(stack_to_rows(stack, mode), stack)
                 copy = first.setdefault((mode, k), stack)
                 assert np.shares_memory(stack, copy)
+
+
+def _fit_and_exit(signal, d, cfg):
+    # a forked child's l1 fit; it exits 0 only if it split its Gram stacks
+    # on a worker of its own
+    lrd_fit(signal, d, cfg)
+    sys.exit(0 if lrdec.solver._worker[0] == os.getpid() else 3)
+
+
+class TestSplitEigh:
+    """An l1 visit's eigh, split between the calling thread and the worker
+    thread when the process may run on two CPUs or more."""
+
+    def fit(self, monkeypatch, cpus, signal, d, cfg):
+        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: cpus)
+        acts, report = lrd_fit(signal, d, cfg)
+        return [f for a in acts for f in a.factors], replace(report,
+                                                             seconds=0.0)
+
+    @pytest.mark.parametrize("shape, support, channels", [
+        ((6, 5), (2, 2), 2),          # C = 2; 4 and 3 blocks
+        ((5, 1, 4), (2, 1, 2), 1),    # mode 1 has 1 block, modes 0 and 2 3
+        ((9, 2), (3, 2), 1),          # 5 blocks and 2
+    ])
+    def test_split_equals_inline_bit_for_bit(self, shape, support, channels,
+                                             monkeypatch):
+        d = unit_norm_dictionary(support, 2, seed=60, channels=channels)
+        factors = factor_stacks(shape, 2, 2, seed=61)
+        signal = forward_model(d, [KruskalTensor([f[m] for f in factors])
+                                   for m in range(2)])
+        cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=4)
+        eigh, threads = np.linalg.eigh, []
+
+        def recorded(a, *args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
+        inline = self.fit(monkeypatch, 1, signal, d, cfg)
+        assert "lrdec-eigh" not in threads
+        split = self.fit(monkeypatch, 2, signal, d, cfg)
+        assert "lrdec-eigh" in threads
+        assert inline[1] == split[1]
+        assert len(inline[0]) == len(split[0])
+        for a, b in zip(*(fit[0] for fit in (inline, split))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("failing", ["lrdec-eigh", "caller"])
+    def test_a_failing_half_asks_to_rescale_and_the_next_fit_runs(
+            self, failing, monkeypatch):
+        # a LinAlgError from either half reaches the visit's handler; the
+        # worker's half is waited for and the worker keeps serving
+        d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=62)
+        cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3)
+        eigh = np.linalg.eigh
+
+        def fails(a, *args, **kwargs):
+            worker = threading.current_thread().name == "lrdec-eigh"
+            if worker == (failing == "lrdec-eigh"):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(lrdec.solver.np.linalg, "eigh", fails)
+            with pytest.raises(ValueError, match=(
+                    "^the ADMM's eigendecomposition failed at sweep 0 mode 0: "
+                    "rescale the signal$")):
+                self.fit(m, 2, signal, d, cfg)
+        split = self.fit(monkeypatch, 2, signal, d, cfg)
+        inline = self.fit(monkeypatch, 1, signal, d, cfg)
+        assert split[1] == inline[1]
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(split[0], inline[0]))
+
+    def test_the_worker_runs_in_a_copy_of_the_callers_context(self,
+                                                              monkeypatch):
+        # numpy 2 keeps its error state in a context variable, so the
+        # worker's half runs under the caller's np.errstate
+        probe, seen = contextvars.ContextVar("probe"), []
+
+        def recorded(a, *args, **kwargs):
+            seen.append((threading.current_thread().name, probe.get(None)))
+            return np.zeros(a.shape[:-1]), np.zeros(a.shape)
+
+        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: 2)
+        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
+        token = probe.set("caller")
+        try:
+            w, v = lrdec.solver._eigh(np.zeros((3, 2, 2)))
+        finally:
+            probe.reset(token)
+        assert (w.shape, v.shape) == ((3, 2), (3, 2, 2))
+        assert sorted(seen) == [("MainThread", "caller"),
+                                ("lrdec-eigh", "caller")]
+
+    def test_a_forked_child_fits_on_a_worker_of_its_own(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=63)
+        cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3)
+        self.fit(monkeypatch, 2, signal, d, cfg)  # the parent's worker runs
+        assert lrdec.solver._worker[0] == os.getpid()
+        child = multiprocessing.get_context("fork").Process(
+            target=_fit_and_exit, args=(signal, d, cfg))
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    def test_concurrent_fits_share_the_worker(self, monkeypatch):
+        # more calling threads than cores, switching often: every fit is
+        # the inline fit bit for bit, so no half reached another caller
+        d, _, signal = synthesize((9, 8), (2, 2), 2, 2, seed=64)
+        cfgs = [SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3,
+                             seed=s) for s in range(6)]
+        want = [self.fit(monkeypatch, 1, signal, d, c) for c in cfgs]
+        got = [None] * len(cfgs)
+
+        def run(k):
+            acts, report = lrd_fit(signal, d, cfgs[k])
+            got[k] = ([f for a in acts for f in a.factors],
+                      replace(report, seconds=0.0))
+
+        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for (wf, wr), (gf, gr) in zip(want, got):
+            assert wr == gr
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(wf, gf))
+
+    def test_the_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(lrdec.solver.os, "sched_getaffinity",
+                            raising=False)
+        assert lrdec.solver._cpus() == (os.cpu_count() or 1)
+
+    def test_import_and_l2_and_masked_fits_start_no_thread(self):
+        # the worker's queue module loads on the first split, not at import
+        code = "\n".join([
+            "import json, sys, threading",
+            "import numpy as np",
+            "from lrdec import SolverConfig, lrd_fit, lrd_fit_masked, "
+            "make_problem",
+            "loaded = [m for m in ('queue', 'concurrent') if m in sys.modules]",
+            "d, _, s = make_problem((8, 7), (3, 3), 2, 2, seed=0)",
+            "mask = np.random.default_rng(1).uniform(size=s.shape) > 0.3",
+            "cfg = SolverConfig(rank=2, outer_iters=2)",
+            "lrd_fit(s, d, cfg)",
+            "lrd_fit_masked(s, mask, d, cfg)",
+            "print(json.dumps([loaded, threading.active_count()]))",
+        ])
+        src = str(Path(lrdec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == [[], 1]
