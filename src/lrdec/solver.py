@@ -72,17 +72,20 @@ The solvers, with the inner work a visit adds to
   follows scipy's ``cg`` step for step; the runtime imports numpy only.
 
 An l1 visit's eigendecomposition is the one step that uses a second thread
-(:func:`_eigh`).  When the process may run on two CPUs or more
-(``os.sched_getaffinity``), the calling thread decomposes the lower half
-of the half Gram stack's frequencies while one worker thread decomposes
-the upper half, and the two are joined in frequency order.  LAPACK factors
-each block on its own, so the split gives the bits of one batched call;
-on one CPU, or for a stack of one block, the visit decomposes inline.  The
-worker is this module's, started on the first split and again in a forked
-child, and waits on a queue between jobs.  Nothing else is split: the l2
-LU split ran slower, and splitting the CG preconditioner's inverse or the
-start's eigendecomposition gave no measurable end-to-end gain, so l2 and
-masked fits start no thread.
+(:func:`_eigh`).  The calling thread decomposes the lower half of the half
+Gram stack's frequencies while one worker thread decomposes the upper
+half, and the two are joined in frequency order.  LAPACK factors each
+block on its own, so the split gives the bits of one batched call.  The
+split pays only on a free core, so a visit decomposes inline for a while
+after this process's other threads (BLAS's own, say) ran since the last
+visit, and after splits whose halves did not run side by side (one CPU,
+other busy processes), which each split checks by timing its halves' CPU
+against its wall time.  The worker is this module's, started on the first
+split and again in a forked child; it waits on a queue between jobs and
+lives as long as the process.  Nothing else is split: the l2 LU split ran
+slower, and splitting the CG preconditioner's inverse or the start's
+eigendecomposition gave no measurable end-to-end gain, so l2 and masked
+fits start no thread.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
 convolution taps (``SpectralOperator.forward`` and ``.adjoint``), which
@@ -116,7 +119,6 @@ operator's index arrays and phase matrix are made once per ``(I_n, L_n)``
 (see :mod:`lrdec.convmodel`).
 """
 
-import contextvars
 import os
 import threading
 import time
@@ -273,45 +275,55 @@ def _shifted(gram, shift):
     return gram
 
 
-# the thread that decomposes the upper half of each l1 visit's Gram stack,
-# as (pid, job queue): made on the first split, and made again in a forked
-# child, which inherits the queue but not the thread
-_worker = (None, None)
+# the job queue of the thread that decomposes the upper half of each l1
+# visit's Gram stack, by process id: made on the first split in a process
+# (a forked child inherits its parent's queue but not the thread)
+_queues = {}
+# a split pays only on a free core.  The next _HOLD visits decompose inline
+# after a visit entered from another thread or after busy threads of this
+# process (BLAS's own, say: more than _BUSY of the wall time in CPU since
+# the last visit's eigh ended, when the worker was idle), so a process's
+# first _HOLD visits too; and after a split that brings the running mean
+# of the splits' CPU time over their wall time (weight 1/4 on the newest)
+# under _OVERLAP
+_BUSY, _OVERLAP, _HOLD = 0.25, 1.4, 8
+_overlap, _inline = 2.0, 0  # the running mean; the visits left inline
+_last = None  # (thread, process CPU, thread CPU, wall) at the last visit
 
 
-def _cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _clocks():
+    """The calling thread, the process's and its CPU time, and the time."""
+    return (threading.get_ident(), time.process_time(), time.thread_time(),
+            time.perf_counter())
 
 
 def _serve(jobs):
-    """The worker's loop: wait on `jobs`, decompose each job's blocks in its
-    caller's context, and hand the caller the result or the exception."""
+    """The worker's loop: wait on `jobs`, decompose each job's blocks, and
+    hand the caller the result or the exception, and the CPU time taken."""
     while True:
-        context, blocks, out, done = jobs.get()
+        blocks, out, done = jobs.get()
+        cpu = time.thread_time()
         try:
-            out.append(context.run(np.linalg.eigh, blocks))
+            out.append(np.linalg.eigh(blocks))
         except BaseException as exc:  # the caller raises it
             out.append(exc)
+        out.append(time.thread_time() - cpu)
         done.release()
 
 
 def _jobs():
-    """The worker's job queue, its thread started on the first call in this
-    process.  Two threads' first splits at once may each start a worker;
-    both serve their jobs, and the last one made is kept."""
-    global _worker
-    pid = os.getpid()
-    if _worker[0] != pid:
+    """This process's job queue, the worker's thread started on the first
+    call in the process; of two threads' first calls at once, one starts
+    the thread and both get its queue."""
+    jobs = _queues.get(os.getpid())
+    if jobs is None:
         import queue  # here, not at import: only a split needs it
-        jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(jobs,), name="lrdec-eigh",
-                         daemon=True).start()
-        _worker = pid, jobs
-    return _worker[1]
+        mine = queue.SimpleQueue()
+        jobs = _queues.setdefault(os.getpid(), mine)  # atomic
+        if jobs is mine:
+            threading.Thread(target=_serve, args=(jobs,), name="lrdec-eigh",
+                             daemon=True).start()
+    return jobs
 
 
 def _eigh(blocks):
@@ -319,22 +331,38 @@ def _eigh(blocks):
     halves at once: the calling thread decomposes the lower blocks while
     the worker thread decomposes the upper ones, and the two are joined in
     order.  LAPACK factors each block on its own, so the split keeps every
-    bit.  A stack of one block, or a process that may run on one CPU only,
-    is decomposed inline.  The worker's half is always waited for, and an
-    exception from either half is raised as it was raised."""
-    if len(blocks) < 2 or _cpus() < 2:
-        return np.linalg.eigh(blocks)
+    bit.  The worker's half is always waited for, and an exception from
+    either half is raised as it was raised.  A stack of one block is
+    decomposed inline, and so are the stacks that the module's gate holds
+    (see ``_HOLD``)."""
+    global _inline, _overlap, _last
+    now = _clocks()
+    if (_last is None or _last[0] != now[0] or (now[1] - _last[1])
+            - (now[2] - _last[2]) > _BUSY * (now[3] - _last[3])):
+        _inline = _HOLD
+    if _inline > 0 or len(blocks) < 2:
+        _inline = max(_inline - 1, 0)
+        w, v = np.linalg.eigh(blocks)
+        _last = _clocks()
+        return w, v
     cut = (len(blocks) + 1) // 2
     out, done = [], threading.Lock()
     done.acquire()
-    _jobs().put((contextvars.copy_context(), blocks[cut:], out, done))
+    wall, cpu = time.perf_counter(), time.thread_time()
+    _jobs().put((blocks[cut:], out, done))
     try:
         w, v = np.linalg.eigh(blocks[:cut])
     finally:
+        cpu = time.thread_time() - cpu
         done.acquire()  # the worker's half, even when this half raised
-    upper, = out
+    upper, upper_cpu = out
     if isinstance(upper, BaseException):
         raise upper
+    wall = time.perf_counter() - wall
+    _overlap += ((cpu + upper_cpu) / wall - _overlap) / 4
+    if _overlap < _OVERLAP:
+        _inline = _HOLD
+    _last = _clocks()
     return np.concatenate((w, upper[0])), np.concatenate((v, upper[1]))
 
 
@@ -376,10 +404,9 @@ def solve_mode_admm(op, signal, cfg, state=None):
     when ``cfg.rho_adaptive``.  The loop, and `state`, keep the iterates as
     the ``(I_n, M*R)`` mode-n factor rows of the taps and the masked CG.
     The one eigendecomposition of the visit's ``I_n//2 + 1`` Gram blocks
-    runs in two halves at once when the process may run on two CPUs or
-    more: the lower frequencies on the calling thread, the upper ones on
-    the module's worker thread (:func:`_eigh`).  Each block is factored on
-    its own, so the bits are those of one call.
+    runs in two halves at once, on the calling thread and the module's
+    worker thread, while a second core is free (:func:`_eigh`); the bits
+    are those of one call.
 
     Parameters
     ----------

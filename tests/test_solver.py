@@ -1,4 +1,4 @@
-import contextvars
+import itertools
 import json
 import multiprocessing
 import os
@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1652,15 +1654,20 @@ def _fit_and_exit(signal, d, cfg):
     # a forked child's l1 fit; it exits 0 only if it split its Gram stacks
     # on a worker of its own
     lrd_fit(signal, d, cfg)
-    sys.exit(0 if lrdec.solver._worker[0] == os.getpid() else 3)
+    sys.exit(0 if os.getpid() in lrdec.solver._queues else 3)
 
 
 class TestSplitEigh:
     """An l1 visit's eigh, split between the calling thread and the worker
-    thread when the process may run on two CPUs or more."""
+    thread while the split's halves run side by side."""
 
-    def fit(self, monkeypatch, cpus, signal, d, cfg):
-        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: cpus)
+    def fit(self, monkeypatch, split, signal, d, cfg):
+        # split every visit's stack, or none
+        if split:
+            monkeypatch.setattr(lrdec.solver, "_HOLD", 0)
+            monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        else:
+            monkeypatch.setattr(lrdec.solver, "_inline", 10**9)
         acts, report = lrd_fit(signal, d, cfg)
         return [f for a in acts for f in a.factors], replace(report,
                                                              seconds=0.0)
@@ -1684,9 +1691,9 @@ class TestSplitEigh:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
-        inline = self.fit(monkeypatch, 1, signal, d, cfg)
+        inline = self.fit(monkeypatch, False, signal, d, cfg)
         assert "lrdec-eigh" not in threads
-        split = self.fit(monkeypatch, 2, signal, d, cfg)
+        split = self.fit(monkeypatch, True, signal, d, cfg)
         assert "lrdec-eigh" in threads
         assert inline[1] == split[1]
         assert len(inline[0]) == len(split[0])
@@ -1700,12 +1707,15 @@ class TestSplitEigh:
         # worker's half is waited for and the worker keeps serving
         d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=62)
         cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3)
-        eigh = np.linalg.eigh
+        eigh, finished = np.linalg.eigh, []
 
         def fails(a, *args, **kwargs):
             worker = threading.current_thread().name == "lrdec-eigh"
             if worker == (failing == "lrdec-eigh"):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if worker:  # a slow half, done long after the caller's raised
+                time.sleep(0.05)
+            finished.append(worker)
             return eigh(a, *args, **kwargs)
 
         with monkeypatch.context() as m:
@@ -1713,41 +1723,118 @@ class TestSplitEigh:
             with pytest.raises(ValueError, match=(
                     "^the ADMM's eigendecomposition failed at sweep 0 mode 0: "
                     "rescale the signal$")):
-                self.fit(m, 2, signal, d, cfg)
-        split = self.fit(monkeypatch, 2, signal, d, cfg)
-        inline = self.fit(monkeypatch, 1, signal, d, cfg)
+                self.fit(m, True, signal, d, cfg)
+            # the first visit's other half ran to its end before the raise
+            assert finished == [failing == "caller"]
+        split = self.fit(monkeypatch, True, signal, d, cfg)
+        inline = self.fit(monkeypatch, False, signal, d, cfg)
         assert split[1] == inline[1]
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(split[0], inline[0]))
 
-    def test_the_worker_runs_in_a_copy_of_the_callers_context(self,
-                                                              monkeypatch):
-        # numpy 2 keeps its error state in a context variable, so the
-        # worker's half runs under the caller's np.errstate
-        probe, seen = contextvars.ContextVar("probe"), []
+    @pytest.mark.parametrize("cpu, held", [(0.8, False), (0.6, True)])
+    def test_a_split_counts_both_halves_cpu_against_its_wall(
+            self, cpu, held, monkeypatch):
+        # every reading of a thread's CPU clock advances it by `cpu` and
+        # every reading of the wall clock by 1, so the halves take 2 * cpu
+        # of CPU in a wall time of 1, which moves a running overlap of 1.4
+        # by a quarter of 2 * cpu - 1.4: under 1.4 the next visits go inline
+        wall, spent = itertools.count(), {}
+
+        def thread_time():
+            key = threading.get_ident()
+            spent[key] = spent.get(key, 0.0) + cpu
+            return spent[key]
+
+        clock = types.SimpleNamespace(perf_counter=lambda: float(next(wall)),
+                                      thread_time=thread_time,
+                                      process_time=lambda: 0.0)
+        monkeypatch.setattr(lrdec.solver, "time", clock)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        monkeypatch.setattr(lrdec.solver, "_overlap", 1.4)
+        monkeypatch.setattr(lrdec.solver, "_last",
+                            (threading.get_ident(), 0.0, 0.0, 0.0))
+        a = RNG(66).standard_normal((3, 4, 4))
+        blocks = a @ a.swapaxes(1, 2)
+        w, v = lrdec.solver._eigh(blocks)
+        assert len(spent) == 2  # the caller's and the worker's halves
+        assert lrdec.solver._overlap == pytest.approx(1.4 + (2 * cpu - 1.4)
+                                                      / 4)
+        assert lrdec.solver._inline == (lrdec.solver._HOLD if held else 0)
+        want = np.linalg.eigh(blocks)
+        assert w.tobytes() == want[0].tobytes()
+        assert v.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("last, process, held", [
+        (None, 0.0, True),      # the process's first visit
+        ("other", 0.0, True),   # a visit entered from another thread
+        ("same", 9.0, True),    # the process's other threads were busy
+        ("same", 0.0, False),
+    ])
+    def test_busy_threads_hold_the_split(self, last, process, held,
+                                         monkeypatch):
+        # since the last visit each wall clock reading advances by 1, the
+        # process's CPU clock reads `process` and this thread's 1
+        wall, ident = itertools.count(), threading.get_ident()
+        clock = types.SimpleNamespace(perf_counter=lambda: float(next(wall)),
+                                      thread_time=lambda: 1.0,
+                                      process_time=lambda: process)
+        monkeypatch.setattr(lrdec.solver, "time", clock)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        monkeypatch.setattr(lrdec.solver, "_last", last and (
+            ident if last == "same" else ident + 1, 0.0, 0.0, -1.0))
+        eigh, threads = np.linalg.eigh, []
 
         def recorded(a, *args, **kwargs):
-            seen.append((threading.current_thread().name, probe.get(None)))
-            return np.zeros(a.shape[:-1]), np.zeros(a.shape)
+            threads.append(threading.current_thread().name)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: 2)
         monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
-        token = probe.set("caller")
-        try:
-            w, v = lrdec.solver._eigh(np.zeros((3, 2, 2)))
-        finally:
-            probe.reset(token)
-        assert (w.shape, v.shape) == ((3, 2), (3, 2, 2))
-        assert sorted(seen) == [("MainThread", "caller"),
-                                ("lrdec-eigh", "caller")]
+        a = RNG(67).standard_normal((3, 4, 4))
+        lrdec.solver._eigh(a @ a.swapaxes(1, 2))
+        assert ("lrdec-eigh" not in threads) == held
+        if held:
+            assert len(threads) == 1
+            assert lrdec.solver._inline == lrdec.solver._HOLD - 1
+        assert lrdec.solver._last[0] == ident
+
+    def test_a_split_that_ran_serially_holds_the_next_visits(self,
+                                                             monkeypatch):
+        # the first visit and every split held: one visit in 1 + _HOLD
+        # splits, the process's first _HOLD visits none
+        d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=65)
+        cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=10,
+                           tol_outer=1e-15)
+        eigh, split_eigh, visits = np.linalg.eigh, lrdec.solver._eigh, []
+
+        def recorded(a, *args, **kwargs):
+            if threading.current_thread().name == "lrdec-eigh":
+                visits[-1] = True  # the visit's caller waits for this
+            return eigh(a, *args, **kwargs)
+
+        def visit(blocks):
+            visits.append(False)
+            return split_eigh(blocks)
+
+        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
+        monkeypatch.setattr(lrdec.solver, "_eigh", visit)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        monkeypatch.setattr(lrdec.solver, "_last", None)
+        monkeypatch.setattr(lrdec.solver, "_BUSY", float("inf"))
+        monkeypatch.setattr(lrdec.solver, "_OVERLAP", float("inf"))
+        _, report = lrd_fit(signal, d, cfg)
+        assert report.sweeps == 10 and len(visits) >= 20
+        period = 1 + lrdec.solver._HOLD
+        assert visits == [k % period == period - 1
+                          for k in range(len(visits))]
 
     def test_a_forked_child_fits_on_a_worker_of_its_own(self, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=63)
         cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3)
-        self.fit(monkeypatch, 2, signal, d, cfg)  # the parent's worker runs
-        assert lrdec.solver._worker[0] == os.getpid()
+        self.fit(monkeypatch, True, signal, d, cfg)  # the parent's worker
+        assert os.getpid() in lrdec.solver._queues
         child = multiprocessing.get_context("fork").Process(
             target=_fit_and_exit, args=(signal, d, cfg))
         child.start()
@@ -1764,7 +1851,7 @@ class TestSplitEigh:
         d, _, signal = synthesize((9, 8), (2, 2), 2, 2, seed=64)
         cfgs = [SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=3,
                              seed=s) for s in range(6)]
-        want = [self.fit(monkeypatch, 1, signal, d, c) for c in cfgs]
+        want = [self.fit(monkeypatch, False, signal, d, c) for c in cfgs]
         got = [None] * len(cfgs)
 
         def run(k):
@@ -1772,7 +1859,8 @@ class TestSplitEigh:
             got[k] = ([f for a in acts for f in a.factors],
                       replace(report, seconds=0.0))
 
-        monkeypatch.setattr(lrdec.solver, "_cpus", lambda: 2)
+        monkeypatch.setattr(lrdec.solver, "_HOLD", 0)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1788,11 +1876,6 @@ class TestSplitEigh:
         for (wf, wr), (gf, gr) in zip(want, got):
             assert wr == gr
             assert all(a.tobytes() == b.tobytes() for a, b in zip(wf, gf))
-
-    def test_the_cpu_count_without_sched_getaffinity(self, monkeypatch):
-        monkeypatch.delattr(lrdec.solver.os, "sched_getaffinity",
-                            raising=False)
-        assert lrdec.solver._cpus() == (os.cpu_count() or 1)
 
     def test_import_and_l2_and_masked_fits_start_no_thread(self):
         # the worker's queue module loads on the first split, not at import
