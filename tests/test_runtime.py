@@ -70,15 +70,26 @@ def spd_system(n, seed):
     return a, 1.0 / np.diag(a), rng.standard_normal(n)
 
 
+PCG_CASES = [
+    (0, "zero", "random", 500, 0.0),     # converged from a cold start
+    (1, "random", "random", 500, 0.0),   # converged from a nonzero x0
+    (2, "zero", "random", 5, 0.0),       # budget exhausted
+    (3, "random", "random", 4, 0.0),     # budget exhausted from a nonzero x0
+    (4, "random", "zero", 500, 0.0),     # zero right-hand side
+    (5, "zero", "random", 500, 1e-3),    # stopped by the floor, cold start
+    (6, "random", "random", 500, 1e-3),  # stopped by the floor, warm start
+    (7, "random", "random", 4, 1e-3),    # budget exhausted above the floor
+    (8, "random", "random", 500, 1e-14),  # the floor below rtol ||b||
+    (9, "random", "zero", 500, 1e-3),    # zero right-hand side
+]
+
+
 class TestPcg:
-    @pytest.mark.parametrize("seed,x0_kind,b_kind,maxiter", [
-        (0, "zero", "random", 500),     # converged from a cold start
-        (1, "random", "random", 500),   # converged from a nonzero x0
-        (2, "zero", "random", 5),       # budget exhausted
-        (3, "random", "random", 4),     # budget exhausted from a nonzero x0
-        (4, "random", "zero", 500),     # zero right-hand side
-    ])
-    def test_matches_scipy_cg(self, seed, x0_kind, b_kind, maxiter):
+    @pytest.mark.parametrize(
+        "seed,x0_kind,b_kind,maxiter,floor", PCG_CASES,
+        ids=["-".join(map(str, c[:4])) + (f"-floor{c[4]:g}" if c[4] else "")
+             for c in PCG_CASES])
+    def test_matches_scipy_cg(self, seed, x0_kind, b_kind, maxiter, floor):
         n = 40
         a, jacobi, b = spd_system(n, seed)
         if b_kind == "zero":
@@ -98,13 +109,14 @@ class TestPcg:
         ref, info = scipy.sparse.linalg.cg(
             scipy.sparse.linalg.LinearOperator(shape, matvec=matvec,
                                                dtype=float),
-            b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter,
+            b, x0=x0, rtol=rtol, atol=floor * np.linalg.norm(b - a @ x0),
+            maxiter=maxiter,
             M=scipy.sparse.linalg.LinearOperator(shape, matvec=precondition,
                                                  dtype=float),
             callback=steps.append)
         x0_before = x0.copy()
         x, iterations, converged = _pcg(matvec, precondition, b, x0, rtol,
-                                        maxiter)
+                                        maxiter, floor)
         assert np.array_equal(x0, x0_before)
         assert iterations == len(steps)
         assert converged == (info == 0)
@@ -113,6 +125,12 @@ class TestPcg:
         else:
             assert converged
         np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+        if floor and b_kind == "random" and maxiter > n:
+            # a floor above rtol ||b|| stops the CG early; one below, not
+            binds = floor * np.linalg.norm(b - a @ x0) > rtol * \
+                np.linalg.norm(b)
+            unfloored = _pcg(matvec, precondition, b, x0, rtol, maxiter)[1]
+            assert (iterations < unfloored) == binds
 
 
 SUPPORTS = [((5, 5), 1), ((3,), 1), ((1, 3), 1), ((2, 4), 2), ((5, 5, 5), 1),

@@ -1127,8 +1127,9 @@ class TestForcingTerm:
         if reg == "masked":
             original = lrdec.solver._solve_mode_masked_cg
 
-            def recorded(op, mask_stack, s_obs, alpha, x0, cfg):
-                result = original(op, mask_stack, s_obs, alpha, x0, cfg)
+            def recorded(op, mask_stack, s_obs, alpha, x0, cfg, *rest):
+                result = original(op, mask_stack, s_obs, alpha, x0, cfg,
+                                  *rest)
                 # the normal-equation residual, as the CG solve reports it
                 rhs = _rhs(op, s_obs)
                 x = factors_to_rows(result[0])
@@ -1203,6 +1204,32 @@ class TestForcingTerm:
         change = abs(report.objectives[-2] - report.objectives[-3]) \
             / abs(report.objectives[-3])
         assert change <= cfg.tol_outer
+
+    def test_loosened_cg_visits_stop_at_the_warm_start_floor(self,
+                                                             monkeypatch):
+        # a visit on a sweep the forcing term loosened also stops at 1e-3
+        # of its warm start's residual; a visit at the configured cg_tol
+        # gets no floor, and a visit the floor stopped raises no warning
+        original = lrdec.solver._solve_mode_masked_cg
+        visits = []  # (cg_tol, the arguments after cfg) per visit
+
+        def recorded(op, mask_stack, s_obs, alpha, x0, cfg, *rest):
+            visits.append((cfg.cg_tol, rest))
+            return original(op, mask_stack, s_obs, alpha, x0, cfg, *rest)
+
+        monkeypatch.setattr(lrdec.solver, "_solve_mode_masked_cg", recorded)
+        d, _, signal = make_problem((6, 5), (2, 2), m_count=2, rank=2,
+                                    seed=72)
+        mask = RNG(73).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(alpha=1.0, rank=2, outer_iters=300,
+                           tol_outer=1e-12, seed=72)
+        report = lrd_fit_masked(signal, mask, d, cfg)[2]
+        assert report.converged and report.warnings == []
+        loose = [rest for tol, rest in visits if tol > cfg.cg_tol]
+        tight = [rest for tol, rest in visits if tol == cfg.cg_tol]
+        assert loose and tight and len(loose) + len(tight) == len(visits)
+        assert loose == [(1e-3,)] * len(loose)
+        assert tight == [(0.0,)] * len(tight)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_masked_objective_never_rises(self, seed):
@@ -1486,6 +1513,33 @@ class TestPreconditionedCg:
         _, _, report = lrd_fit_masked(signal, np.ones(signal.shape, bool), d,
                                       cfg)
         assert report.inner_iters == [len(shape)] * report.sweeps
+
+    def test_floor_stops_at_the_warm_starts_residual(self):
+        # the floor is relative to W^H s - A x0, so a warm start near the
+        # solution stops sooner, and a solve stopped there counts as met
+        alpha = 1e-3
+        d, _, signal = make_problem((8, 7), (3, 3), m_count=2, rank=2,
+                                    seed=81)
+        factors = factor_stacks((8, 7), 2, 2, seed=82)
+        mask_stack = (RNG(83).uniform(size=(1, 8, 7)) > 0.3).astype(float)
+        s_obs = signal[None] * mask_stack
+        op = SpectralOperator(d, (8, 7), factors, 0)
+        cfg = SolverConfig(alpha=alpha, cg_tol=1e-12, cg_max_iters=400)
+        mask_rows, rhs = stack_to_rows(mask_stack, 0), _rhs(op, s_obs)
+
+        def residual(x):
+            return np.linalg.norm(rhs - _masked_normal(
+                op, mask_rows, alpha, factors_to_rows(x)))
+
+        x0 = _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, factors[0],
+                                   replace(cfg, cg_tol=1e-3))[0]
+        runs = [_solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
+                                      floor) for floor in (0.0, 1e-3)]
+        (exact, full, none), (early, iterations, met) = runs
+        assert none is None and met is None
+        assert 0 < iterations < full
+        assert residual(exact) <= 1e-12 * np.linalg.norm(rhs) \
+            < residual(early) <= 1e-3 * residual(x0)
 
     def test_default_budget_suffices(self):
         truth = smooth_low_rank((64, 64), 3, seed=77)
