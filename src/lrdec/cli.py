@@ -299,10 +299,7 @@ def build_parser():
     _add_fit_flags(p)
     p.add_argument("--cg-tol", type=float, default=SolverConfig.cg_tol,
                    help="CG relative tolerance, which a converged fit's "
-                   "visits meet; early visits run up to 100x looser and "
-                   "also stop once they cut their warm start's residual "
-                   "1000-fold, which counts as met, and a budget warning "
-                   "means a visit missed its loosened tolerance")
+                   "visits meet; early visits run looser (see README)")
     p.add_argument("--cg-iters", type=_positive_int,
                    default=SolverConfig.cg_max_iters,
                    help="CG budget per mode visit")

@@ -6,55 +6,40 @@ factors while the others stay fixed.  One private object, :class:`_Fit`,
 runs every fit, and :meth:`_Fit.sweep` is its one sweep loop: a mode visit
 builds the mode's :class:`SpectralOperator`, and :meth:`_Fit.visit`, the
 one place that picks a solver from the fit's mask and ``cfg.reg``, calls
-it on that operator and scores the objective there.  Each solver is the
-code its fit runs, on the fit's real ``(C, *shape)`` signal stack, and
-the code the acceptance criteria check.  A visit hands the sweep its inner
-work and scores; its solver's branch writes any budget warning, applies
-its rise rule and names its failures.  The sweep hands each
-ADMM or CG visit a copy of the config whose inner tolerances carry a
-forcing term (Eisenstat & Walker, "Choosing the forcing terms in an
-inexact Newton method", 1996): ``max(tol, min(cap tol, 1e-3 change))``,
-with ``change`` the last sweep's relative objective change and ``cap``
-``_CG_CAP`` for the CG's ``cg_tol`` and ``_ADMM_CAP`` for the ADMM's
-``tol_primal`` and ``tol_dual``, so the first sweep runs that much
-looser, a converged fit's visits meet the configured tolerances, and a
-budget warning means a visit missed its forced one.  On a sweep whose
-forced ``cg_tol`` is looser than the configured one, a CG visit also
-stops once its residual is ``_CG_FLOOR`` (1e-3) of its warm start's,
-whichever comes first; a visit stopped there has met its tolerance and
-leaves no budget warning.  Between two sweeps
-the factors are extrapolated with restart (Ang, Cohen, Hien & Gillis,
-"Extrapolated alternating algorithms for approximate canonical polyadic
-decomposition", 2020): every mode's factors move to
-``x_k + beta (x_k - x_{k-1})``, from the factors at the ends of the last
-two sweeps, and the next sweep starts there if the objective does not
-rise, else from ``x_k``; ``beta`` starts at 0.5, grows by 1.1 (at most
-to 1) on an accepted step and shrinks by 1.5 on a rejected one.
+it on that operator, scores the objective and applies the solver's budget
+warning, rise rule and failure message.
+
+The sweep hands each ADMM or CG visit a copy of the config whose inner
+tolerances carry a forcing term (Eisenstat & Walker, "Choosing the forcing
+terms in an inexact Newton method", 1996): ``max(tol, min(cap tol, 1e-3
+change))``, with ``change`` the last sweep's relative objective change and
+``cap`` ``_CG_CAP`` for the CG's ``cg_tol`` and ``_ADMM_CAP`` for the
+ADMM's ``tol_primal`` and ``tol_dual``.  So a converged fit's visits meet
+the configured tolerances, and a budget warning means a visit missed its
+forced one.  On a sweep whose forced ``cg_tol`` is looser than the
+configured one, a CG visit also stops once its residual is ``_CG_FLOOR``
+of its warm start's, which counts as met.  Between two sweeps the factors
+are extrapolated with restart (Ang, Cohen, Hien & Gillis, "Extrapolated
+alternating algorithms for approximate canonical polyadic decomposition",
+2020): every mode's factors move to ``x_k + beta (x_k - x_{k-1})``, from
+the factors at the ends of the last two sweeps, and the next sweep starts
+there if the objective does not rise, else from ``x_k``; ``beta`` starts
+at 0.5, grows by 1.1 (at most to 1) on an accepted step and shrinks by 1.5
+on a rejected one.  Before each step an l2 or masked fit rebalances its
+factors (:meth:`_Fit.rebalance`), which leaves the data term and cannot
+raise the ridge term (the scaling indeterminacy of CP, Kolda & Bader,
+"Tensor decompositions and applications", SIAM Review 2009).
 
 The fit starts from the signal (:meth:`_Fit.start`).  It deconvolves the
 signal once, per N-D frequency, by the matched filter
 ``K_m = sum_c conj(D_mc) S_c / (P + eps max P)`` with
 ``P = sum_{m,c} |D_mc|^2`` and ``eps = _START_EPS``, the per-frequency
 decoupling of convolutional sparse coding (Wohlberg, "Efficient
-algorithms for convolutional sparse representations", IEEE TIP 2016),
-from the half spectra of the signal and the bank and one inverse per
-filter.  Mode ``n > 0``'s factors take the ``R`` leading eigenvectors of
-the mode-n unfolding Gram of each ``K_m``, the HOSVD start of CP-ALS
-(Kolda & Bader, "Tensor decompositions and applications", SIAM Review
-2009, section 3.4), scaled like the seeded random start and mixed with
-``_START_MIX`` of it; mode 0 keeps the random start, since the first
-visit solves mode 0 from the others.  An l1 fit keeps the random start
-in every mode: from this start about 15% of ``l1_cube`` fits sit on a
-plateau near 30 dB through their 12 sweeps, one filter's activation
-mixed, while the rest reach 84 dB, so a round's pooled PSNR swung
-between 32 and 78 dB with the round's seed.  Before each extrapolation
-step an l2 or masked fit rebalances its factors (:meth:`_Fit.rebalance`):
-every component's columns are scaled to the geometric mean of their
-norms across the modes, which leaves the data term and cannot raise the
-ridge term (the scaling indeterminacy of CP, Kolda & Bader, ibid.).  That
-exact block step makes the step's points rebalanced sweep ends, and the
-objective the step is tested against drops by the ridge term's drop; an
-l1 fit does not rebalance.
+algorithms for convolutional sparse representations", IEEE TIP 2016), and
+takes the leading eigenvectors of each ``K_m``'s unfolding Grams, the
+HOSVD start of CP-ALS (Kolda & Bader, ibid., section 3.4).  An l1 fit
+keeps the seeded random start.
+
 The solvers, with the inner work a visit adds to
 ``SolveReport.inner_iters``:
 
@@ -63,64 +48,33 @@ The solvers, with the inner work a visit adds to
 * :func:`solve_mode_admm`, an ADMM loop for the l1 penalty, whose
   quadratic step is the ridge block solve with a proximal term ``rho``;
   one eigendecomposition of the visit's half Gram stack serves every
-  ``rho`` the adaptive loop visits, so each step, on the ``(I_n, M*R)``
-  factor rows, is two half-spectrum transforms (two products with cached
-  DFT matrices for ``I_n <= 32``, see :mod:`lrdec.transform`), two
-  batched eigenbasis products and a shrink: its ADMM iterations; the
-  eigendecomposition runs in two halves at once (see below);
+  ``rho`` the adaptive loop visits: its ADMM iterations.  That
+  eigendecomposition (:func:`_eigh`) is the one step that uses a second
+  thread, so l2 and masked fits start no thread;
 * :func:`_solve_mode_masked_cg`, a conjugate-gradient solve for masked
   signals, where the spatial mask breaks the per-frequency decoupling,
   preconditioned by the unmasked per-frequency blocks with the mask taken
   as its observed fraction: the CG iterations it counts.  The CG is
-  :func:`_pcg`, a short numpy loop on the factor rows whose arithmetic
-  follows scipy's ``cg`` step for step; the runtime imports numpy only.
-
-An l1 visit's eigendecomposition is the one step that uses a second thread
-(:func:`_eigh`).  The calling thread decomposes the lower half of the half
-Gram stack's frequencies while one worker thread decomposes the upper
-half, and the two are joined in frequency order.  LAPACK factors each
-block on its own, so the split gives the bits of one batched call.  The
-split pays only on a free core, so a visit decomposes inline for a while
-after this process's other threads (BLAS's own, say) ran since the last
-visit, and after splits whose halves did not run side by side (one CPU,
-other busy processes), which each split checks by timing its halves' CPU
-against its wall time.  The worker is this module's, started on the first
-split and again in a forked child; it waits on a queue between jobs and
-lives as long as the process.  Nothing else is split: the l2 LU split ran
-slower, and splitting the CG preconditioner's inverse or the start's
-eigendecomposition gave no measurable end-to-end gain, so l2 and masked
-fits start no thread.
+  :func:`_pcg`, a short numpy loop whose arithmetic follows scipy's ``cg``
+  step for step; the runtime imports numpy only.
 
 Every fit applies the visit's map in the signal domain, on its mode-n
 convolution taps (``SpectralOperator.forward`` and ``.adjoint``), which
-the operator builds in place, with no FFT, when it is made: the
-right-hand side ``W^H s`` is one real product with the taps and ``L_n``
-shifted row sums (the MTTKRP of CP-ALS); the objective
-``0.5 ||P W x - s||^2``, with ``P`` the mask of a masked fit, is one
-gather, one real product and one dot, plus the visited mode's share of
-the regularizer; the CG matvec (:func:`_masked_normal`) is the product
-and its adjoint.  Known limit: that work grows with the mode-n filter
-support ``L_n``, and the Gram blocks, built from the taps' ``B B^T``,
-grow as ``L_n**2``.  For the masked matvec on a 64x64 image (M=8, R=3)
-it costs about as much as an FFT-based matvec near ``L_n = 20`` taps and
-3x as much at ``L_n = I_n``; the l2 and l1 fits pay it too.
+the operator builds in place, with no FFT: the right-hand side ``W^H s``
+is one real product with the taps and ``L_n`` shifted row sums (the MTTKRP
+of CP-ALS); the objective ``0.5 ||P W x - s||^2``, with ``P`` the mask of
+a masked fit, is one gather, one real product and one dot, plus the
+visited mode's share of the regularizer; the CG matvec
+(:func:`_masked_normal`) is the product and its adjoint.
 
 The ridge and ADMM solves and the CG preconditioner run in the unitary DFT
 domain, where the normal equations split into one small Hermitian system
 per mode-n frequency.  Signal and factors are real, so these solves carry
 only frequencies ``0..I_n//2`` along mode ``n``, as ``(I_n//2 + 1, M*R)``
-rows: :func:`~lrdec.transform.rdft_factor` in and
-:func:`~lrdec.transform.irdft_factor` out (the inverse stays real however
-ill-conditioned the blocks are), half-spectrum Gram blocks in between.
-The visit builds those blocks from the same taps: ``B B^T`` added into
-the ``2 L_n - 1`` lag sums and one product with a cos/sin phase matrix,
-no FFT; no mode visit makes filter spectra.  So a visit builds only the
-operator's taps, its Gram blocks and the solve.  The fit copies the signal
-stack, and a masked fit's mask stack, once per mode into mode-major order
-(:func:`_mode_major`), and the scoring and the solvers read ``(C, *shape)``
-views of that copy whose :func:`stack_to_rows` rows are views too.  The
-operator's index arrays and phase matrix are made once per ``(I_n, L_n)``
-(see :mod:`lrdec.convmodel`).
+rows (:func:`~lrdec.transform.rdft_factor`), with half-spectrum Gram
+blocks built from the same taps; no mode visit makes filter spectra.  The
+fit copies the signal stack, and a masked fit's mask stack, once per mode
+into mode-major order (:func:`_mode_major`).
 """
 
 import os
@@ -158,12 +112,8 @@ class SolverConfig:
     weight ``lam`` (solved by ADMM) or ``"l2"`` with weight ``alpha``
     (closed form).  The dictionary fixes the number of filters.  The
     inner tolerances ``cg_tol``, ``tol_primal`` and ``tol_dual`` are what
-    a converged fit's visits meet; a fit's early visits run looser, by the
-    sweep's forcing term, up to 100x for ``cg_tol`` and 30x for
-    ``tol_primal`` and ``tol_dual``, and a fit converges only on a sweep
-    run at these.  A CG visit on such a looser sweep also stops once it
-    has cut its warm start's residual 1000-fold, which counts as met: it
-    raises no budget warning.
+    a converged fit's visits meet; early visits run looser, by the
+    forcing term of the module docstring.
     """
 
     reg: str = "l2"
@@ -285,36 +235,28 @@ def _shifted(gram, shift):
 # visit's Gram stack, by process id: made on the first split in a process
 # (a forked child inherits its parent's queue but not the thread)
 _queues = {}
-# a split pays only on a free core.  The next _HOLD visits decompose inline
-# after a visit entered from another thread or after busy threads of this
-# process (BLAS's own, say: more than _BUSY of the wall time in CPU since
-# the last visit's eigh ended, when the worker was idle), so a process's
-# first _HOLD visits too; and after a split that brings the running mean
-# of the splits' CPU time over their wall time (weight 1/4 on the newest)
-# under _OVERLAP
-_BUSY, _OVERLAP, _HOLD = 0.25, 1.4, 8
+# a split pays only on a free core: the next _HOLD visits decompose inline
+# after a split that brings the running mean of the splits' CPU time over
+# their wall time (weight 1/4 on the newest) under _OVERLAP
+_OVERLAP, _HOLD = 1.4, 8
 _overlap, _inline = 2.0, 0  # the running mean; the visits left inline
-_last = None  # (thread, process CPU, thread CPU, wall) at the last visit
-
-
-def _clocks():
-    """The calling thread, the process's and its CPU time, and the time."""
-    return (threading.get_ident(), time.process_time(), time.thread_time(),
-            time.perf_counter())
 
 
 def _serve(jobs):
-    """The worker's loop: wait on `jobs`, decompose each job's blocks, and
-    hand the caller the result or the exception, and the CPU time taken."""
+    """The worker's loop: wait on `jobs`, and decompose the blocks of each
+    job whose claim the worker takes before its caller does, handing the
+    caller the result or the exception, and the CPU time taken."""
     while True:
-        blocks, out, done = jobs.get()
+        blocks, claim, out = jobs.get()
+        if not claim.acquire(blocking=False):
+            continue  # the caller took it back
         cpu = time.thread_time()
         try:
             out.append(np.linalg.eigh(blocks))
         except BaseException as exc:  # the caller raises it
             out.append(exc)
         out.append(time.thread_time() - cpu)
-        done.release()
+        claim.release()
 
 
 def _jobs():
@@ -334,33 +276,30 @@ def _jobs():
 
 def _eigh(blocks):
     """``np.linalg.eigh`` of a stack of Hermitian blocks, bit for bit, in two
-    halves at once: the calling thread decomposes the lower blocks while
-    the worker thread decomposes the upper ones, and the two are joined in
-    order.  LAPACK factors each block on its own, so the split keeps every
-    bit.  The worker's half is always waited for, and an exception from
-    either half is raised as it was raised.  A stack of one block is
-    decomposed inline, and so are the stacks that the module's gate holds
-    (see ``_HOLD``)."""
-    global _inline, _overlap, _last
-    now = _clocks()
-    if (_last is None or _last[0] != now[0] or (now[1] - _last[1])
-            - (now[2] - _last[2]) > _BUSY * (now[3] - _last[3])):
-        _inline = _HOLD
+    halves: the calling thread queues the upper blocks for the worker
+    thread, decomposes the lower ones, then takes the upper half's claim.
+    If the worker holds it, the caller waits for the worker's result; if
+    the worker has not started, the caller decomposes the upper half
+    itself.  LAPACK factors each block on its own, so the halves, joined in
+    order, keep every bit, and an exception from either half is raised as
+    it was raised.  A stack of one block is decomposed inline, and so are
+    the stacks that the gate holds (see ``_HOLD``); a split that was taken
+    back counts with no worker CPU."""
+    global _inline, _overlap
     if _inline > 0 or len(blocks) < 2:
         _inline = max(_inline - 1, 0)
-        w, v = np.linalg.eigh(blocks)
-        _last = _clocks()
-        return w, v
+        return np.linalg.eigh(blocks)
     cut = (len(blocks) + 1) // 2
-    out, done = [], threading.Lock()
-    done.acquire()
+    out, claim = [], threading.Lock()
     wall, cpu = time.perf_counter(), time.thread_time()
-    _jobs().put((blocks[cut:], out, done))
+    _jobs().put((blocks[cut:], claim, out))
     try:
         w, v = np.linalg.eigh(blocks[:cut])
     finally:
-        cpu = time.thread_time() - cpu
-        done.acquire()  # the worker's half, even when this half raised
+        claim.acquire()  # wait out a started upper half, even if this raised
+    if not out:  # the worker had not started: take the half back
+        out = [np.linalg.eigh(blocks[cut:]), 0.0]
+    cpu = time.thread_time() - cpu
     upper, upper_cpu = out
     if isinstance(upper, BaseException):
         raise upper
@@ -368,7 +307,6 @@ def _eigh(blocks):
     _overlap += ((cpu + upper_cpu) / wall - _overlap) / 4
     if _overlap < _OVERLAP:
         _inline = _HOLD
-    _last = _clocks()
     return np.concatenate((w, upper[0])), np.concatenate((v, upper[1]))
 
 
@@ -409,10 +347,8 @@ def solve_mode_admm(op, signal, cfg, state=None):
     the solution.  Residual-balancing adaptation of the penalty is applied
     when ``cfg.rho_adaptive``.  The loop, and `state`, keep the iterates as
     the ``(I_n, M*R)`` mode-n factor rows of the taps and the masked CG.
-    The one eigendecomposition of the visit's ``I_n//2 + 1`` Gram blocks
-    runs in two halves at once, on the calling thread and the module's
-    worker thread, while a second core is free (:func:`_eigh`); the bits
-    are those of one call.
+    Each step is two half-spectrum transforms, two batched products in the
+    eigenbasis of the visit's Gram blocks (:func:`_eigh`) and a shrink.
 
     Parameters
     ----------
@@ -505,14 +441,11 @@ def _reg_sum(f, cfg):
     return np.sum(np.abs(f)) if cfg.reg == "l1" else np.sum(f * f)
 
 
-# how far the forcing term may loosen each solver's inner tolerances; the
-# ADMM stays at 30x because an early 1e-4 (100x) ADMM tolerance cost one
-# l1 fit 2.46 dB, while the CG at 100x lost about 0.001 dB on average
+# how far the forcing term may loosen each solver's inner tolerances, and
+# the residual, relative to its warm start's, at which a loosened CG visit
+# also stops
 _CG_CAP = 100.0
 _ADMM_CAP = 30.0
-# a CG visit on a sweep the forcing term loosened also stops once it has cut
-# its warm start's residual by this factor; the CG at its forced tolerance
-# alone ran about 20% more iterations for no better fit
 _CG_FLOOR = 1e-3
 # the extrapolation's step beta: its start, its growth on an accepted step
 # (at most to 1) and its shrink on a rejected one
@@ -761,9 +694,8 @@ class _Fit:
         report.  A visit whose objective is not finite raises a
         ``ValueError`` naming its sweep and mode."""
         cfg, report, (names, cap) = self.cfg, self.report, self.forced
-        # the forcing term: the visits run at the inner tolerances of their
-        # solver loosened by the last sweep's relative objective change, at
-        # most by the solver's cap, and the first sweep at the cap
+        # the forcing term (see the module docstring): the first sweep runs
+        # at the cap
         change = np.inf
         for sweep in range(cfg.outer_iters):
             # an l2 fit skips the config's copy and checks
@@ -860,13 +792,12 @@ def _pcg(matvec, precondition, b, x0, rtol, maxiter, floor=0.0):
     Solves ``A x = b`` for an SPD ``A`` applied by `matvec`, with
     `precondition` applying an SPD approximation of ``A^-1``.  Stops when
     the running residual is below ``max(rtol ||b||, floor ||r_0||)``, with
-    ``r_0 = b - A x0`` the start's residual, tested before each iteration:
-    the second term is scipy ``cg``'s ``atol``, relative to ``r_0``, and
-    the default `floor` of 0 leaves ``rtol ||b||``.  Every step repeats the
-    arithmetic of scipy's ``cg``, so the two return the same bits (scipy
-    skips ``A x0`` for a zero `x0`, and ``A 0`` is exactly 0).  Returns the
-    solution (a copy of ``b`` when it is zero), the iterations run and
-    whether the tolerance was met.
+    ``r_0 = b - A x0``, tested before each iteration; the second term is
+    scipy ``cg``'s ``atol``.  Every step repeats the arithmetic of scipy's
+    ``cg``, so the two return the same bits (scipy skips ``A x0`` for a
+    zero `x0`, and ``A 0`` is exactly 0).  Returns the solution (a copy of
+    ``b`` when it is zero), the iterations run and whether the tolerance
+    was met.
     """
     x = np.array(x0, dtype=float)
     bnorm = _norm(b)
@@ -899,11 +830,9 @@ def _solve_mode_masked_cg(op, mask_stack, s_obs, alpha, x0, cfg,
     The preconditioner replaces the mask by ``p I``, with ``p`` the observed
     fraction, and applies ``(p W^H W + alpha I)^-1`` exactly per mode-n
     frequency; with nothing masked it is the inverse of the system.
-    `s_obs` is zero where unobserved.  The CG stops at ``cfg.cg_tol``
-    relative to ``W^H s`` or at `floor` relative to the residual of the
-    warm start `x0`, whichever is looser (see :func:`_pcg`); a solve
-    stopped by either has met its tolerance.  Returns the factor stack,
-    the CG iterations run and, when the budget ran out, the true relative
+    `s_obs` is zero where unobserved.  The CG stops at ``cfg.cg_tol`` and
+    `floor` as :func:`_pcg` does.  Returns the factor stack, the CG
+    iterations run and, when the budget ran out, the true relative
     residual of the normal equations (CG stops on its running residual,
     updated by recurrence, which can drift from the true one); ``None``
     when the tolerance was met.  The CG runs on ``W^H s`` and `x0` scaled

@@ -10,31 +10,13 @@ spectrum) of a real factor along its mode, the rest being their
 conjugates; :func:`rdft_factor` and :func:`irdft_factor` are those
 real-input, real-output transforms, and every half spectrum a mode visit
 makes (the ridge solve, the ADMM and the CG preconditioner) goes through
-them.  No mode visit transforms the signal; a fit's start transforms it
-and the bank once (see :mod:`lrdec.solver`).  :func:`dft_nd` and
-:func:`dft_factor` are the full complex spectra the acceptance criteria
-build their spectral vectors from; no inverse of them is kept, since
-every inverse a fit needs returns a real array.
+them.  :func:`dft_nd` and :func:`dft_factor` are the full complex spectra
+the acceptance criteria build their spectral vectors from.
 
 For mode lengths up to ``_MATRIX_MAX_LENGTH`` (32) the half-spectrum pair
 is one real product with an ``(I, I)`` DFT matrix, cached read-only per
-length (16 KiB at ``I = 32``); above it, numpy's ``rfft`` and ``irfft``,
-bit for bit.  The two sides agree to roundoff.  At short lengths numpy's
-per-call FFT overhead, not its arithmetic, sets the pace, while the
-matrix costs ``O(I**2)`` per column.  Microseconds for an ``rfft`` +
-``irfft`` pair / the matrix pair on ``(I, 24)`` and ``(I, 45)`` rows
-(best of 11 interleaved repeats, one BLAS thread, 2-core Intel Xeon KVM
-guest, numpy 2.4):
-
-    =======  ==========  ===========  ===========  ===========  ============
-    I        16          32           64           128          256
-    =======  ==========  ===========  ===========  ===========  ============
-    (I, 24)  16.4 / 6.1  17.8 / 8.1   23.0 / 14.3  31.0 / 36.2  49.4 / 196.6
-    (I, 45)  20.7 / 7.4  24.8 / 10.6  44.8 / 31.1  64.4 / 70.5  75.3 / 392.3
-    =======  ==========  ===========  ===========  ===========  ============
-
-The matrix loses from ``I = 128`` on.  At 64 it still wins here, but 64
-stays on the FFT side, where fits of 64x64 images keep their bits.
+length; above it, numpy's ``rfft`` and ``irfft``.  The two sides agree to
+roundoff.
 """
 
 from functools import lru_cache
@@ -69,7 +51,7 @@ def dft_factor(x, axis=0):
 
 
 # mode lengths up to this transform as products with cached DFT matrices,
-# longer ones by numpy's FFT (see the module docstring)
+# longer ones by numpy's FFT
 _MATRIX_MAX_LENGTH = 32
 
 

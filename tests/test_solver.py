@@ -1711,15 +1711,40 @@ def _fit_and_exit(signal, d, cfg):
     sys.exit(0 if os.getpid() in lrdec.solver._queues else 3)
 
 
+_JOBS = lrdec.solver._jobs
+
+
+def queued_jobs(monkeypatch, claimed=True):
+    """Record every split's job as it is queued; with `claimed`, the caller
+    then waits, for at most 30 s, until the worker has claimed the upper
+    half, so that no half is taken back."""
+    jobs = []
+
+    def put(job):
+        _JOBS().put(job)
+        jobs.append(job)
+        deadline = time.monotonic() + 30
+        # a worker that has finished has released the claim and filled out
+        while claimed and not (job[1].locked() or job[2]):
+            assert time.monotonic() < deadline, "the worker never claimed"
+            time.sleep(1e-4)
+
+    monkeypatch.setattr(lrdec.solver, "_jobs",
+                        lambda: types.SimpleNamespace(put=put))
+    return jobs
+
+
 class TestSplitEigh:
     """An l1 visit's eigh, split between the calling thread and the worker
-    thread while the split's halves run side by side."""
+    thread while the split's halves run side by side; a half the worker
+    has not started is taken back by its caller."""
 
     def fit(self, monkeypatch, split, signal, d, cfg):
-        # split every visit's stack, or none
+        # split every visit's stack, its upper half on the worker, or none
         if split:
             monkeypatch.setattr(lrdec.solver, "_HOLD", 0)
             monkeypatch.setattr(lrdec.solver, "_inline", 0)
+            queued_jobs(monkeypatch)
         else:
             monkeypatch.setattr(lrdec.solver, "_inline", 10**9)
         acts, report = lrd_fit(signal, d, cfg)
@@ -1801,13 +1826,11 @@ class TestSplitEigh:
             return spent[key]
 
         clock = types.SimpleNamespace(perf_counter=lambda: float(next(wall)),
-                                      thread_time=thread_time,
-                                      process_time=lambda: 0.0)
+                                      thread_time=thread_time)
         monkeypatch.setattr(lrdec.solver, "time", clock)
         monkeypatch.setattr(lrdec.solver, "_inline", 0)
         monkeypatch.setattr(lrdec.solver, "_overlap", 1.4)
-        monkeypatch.setattr(lrdec.solver, "_last",
-                            (threading.get_ident(), 0.0, 0.0, 0.0))
+        queued_jobs(monkeypatch)
         a = RNG(66).standard_normal((3, 4, 4))
         blocks = a @ a.swapaxes(1, 2)
         w, v = lrdec.solver._eigh(blocks)
@@ -1819,68 +1842,75 @@ class TestSplitEigh:
         assert w.tobytes() == want[0].tobytes()
         assert v.tobytes() == want[1].tobytes()
 
-    @pytest.mark.parametrize("last, process, held", [
-        (None, 0.0, True),      # the process's first visit
-        ("other", 0.0, True),   # a visit entered from another thread
-        ("same", 9.0, True),    # the process's other threads were busy
-        ("same", 0.0, False),
-    ])
-    def test_busy_threads_hold_the_split(self, last, process, held,
-                                         monkeypatch):
-        # since the last visit each wall clock reading advances by 1, the
-        # process's CPU clock reads `process` and this thread's 1
-        wall, ident = itertools.count(), threading.get_ident()
-        clock = types.SimpleNamespace(perf_counter=lambda: float(next(wall)),
-                                      thread_time=lambda: 1.0,
-                                      process_time=lambda: process)
-        monkeypatch.setattr(lrdec.solver, "time", clock)
-        monkeypatch.setattr(lrdec.solver, "_inline", 0)
-        monkeypatch.setattr(lrdec.solver, "_last", last and (
-            ident if last == "same" else ident + 1, 0.0, 0.0, -1.0))
-        eigh, threads = np.linalg.eigh, []
+    def test_a_half_the_worker_has_not_started_is_taken_back(self,
+                                                             monkeypatch):
+        # a split of 3x3 blocks holds the worker on its upper half until
+        # `free` is set, so the next split's caller finds its upper half
+        # unclaimed and decomposes it itself; a caller that waited for the
+        # worker would time out here.  That split ran serially, so the
+        # gate holds
+        claimed, free, eigh = threading.Event(), threading.Event(), \
+            np.linalg.eigh
 
-        def recorded(a, *args, **kwargs):
-            threads.append(threading.current_thread().name)
+        def held(a, *args, **kwargs):
+            if a.shape[-1] == 3:
+                if threading.current_thread().name == "lrdec-eigh":
+                    claimed.set()
+                    free.wait(30)
+                else:  # the holding split's caller lets the worker claim
+                    claimed.wait(30)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
-        a = RNG(67).standard_normal((3, 4, 4))
-        lrdec.solver._eigh(a @ a.swapaxes(1, 2))
-        assert ("lrdec-eigh" not in threads) == held
-        if held:
-            assert len(threads) == 1
-            assert lrdec.solver._inline == lrdec.solver._HOLD - 1
-        assert lrdec.solver._last[0] == ident
+        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", held)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        monkeypatch.setattr(lrdec.solver, "_overlap", lrdec.solver._OVERLAP)
+        a, b = RNG(68).standard_normal((4, 3, 3)), RNG(69).standard_normal(
+            (5, 4, 4))
+        blocks, got = b @ b.swapaxes(1, 2), []
+        holder = threading.Thread(
+            target=lambda: lrdec.solver._eigh(a @ a.swapaxes(1, 2)),
+            daemon=True)
+        caller = threading.Thread(
+            target=lambda: got.append(lrdec.solver._eigh(blocks)),
+            daemon=True)
+        holder.start()
+        try:
+            assert claimed.wait(30), "the worker never claimed the holder"
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive(), "the caller waited for the worker"
+            assert lrdec.solver._inline == lrdec.solver._HOLD
+        finally:
+            free.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        w, v = got[0]
+        want = eigh(blocks)
+        assert w.tobytes() == want[0].tobytes()
+        assert v.tobytes() == want[1].tobytes()
 
     def test_a_split_that_ran_serially_holds_the_next_visits(self,
                                                              monkeypatch):
-        # the first visit and every split held: one visit in 1 + _HOLD
-        # splits, the process's first _HOLD visits none
+        # every split holds: the first visit and then one in 1 + _HOLD split
         d, _, signal = synthesize((6, 5), (2, 2), 2, 2, seed=65)
         cfg = SolverConfig(reg="l1", lam=0.02, rank=2, outer_iters=10,
                            tol_outer=1e-15)
-        eigh, split_eigh, visits = np.linalg.eigh, lrdec.solver._eigh, []
-
-        def recorded(a, *args, **kwargs):
-            if threading.current_thread().name == "lrdec-eigh":
-                visits[-1] = True  # the visit's caller waits for this
-            return eigh(a, *args, **kwargs)
+        split_eigh, visits = lrdec.solver._eigh, []
+        jobs = queued_jobs(monkeypatch, claimed=False)
 
         def visit(blocks):
-            visits.append(False)
-            return split_eigh(blocks)
+            queued = len(jobs)
+            result = split_eigh(blocks)
+            visits.append(len(jobs) > queued)
+            return result
 
-        monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
         monkeypatch.setattr(lrdec.solver, "_eigh", visit)
         monkeypatch.setattr(lrdec.solver, "_inline", 0)
-        monkeypatch.setattr(lrdec.solver, "_last", None)
-        monkeypatch.setattr(lrdec.solver, "_BUSY", float("inf"))
         monkeypatch.setattr(lrdec.solver, "_OVERLAP", float("inf"))
         _, report = lrd_fit(signal, d, cfg)
         assert report.sweeps == 10 and len(visits) >= 20
         period = 1 + lrdec.solver._HOLD
-        assert visits == [k % period == period - 1
-                          for k in range(len(visits))]
+        assert visits == [k % period == 0 for k in range(len(visits))]
 
     def test_a_forked_child_fits_on_a_worker_of_its_own(self, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -1952,3 +1982,33 @@ class TestSplitEigh:
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout.splitlines()[-1]) == [[], 1]
+
+    def test_an_l1_fit_with_the_split_forced_runs_in_an_atexit_handler(self):
+        # the worker is the module's own daemon thread, which an atexit
+        # handler can still start; the split fit there, the worker's first,
+        # equals the inline fit made before exit bit for bit
+        code = "\n".join([
+            "import atexit, os",
+            "import lrdec.solver",
+            "from lrdec import SolverConfig, lrd_fit, make_problem",
+            "def fit(hold, inline):",
+            "    lrdec.solver._HOLD, lrdec.solver._inline = hold, inline",
+            "    d, _, s = make_problem((9, 8), (3, 3), 2, 2, seed=0)",
+            "    cfg = SolverConfig(reg='l1', lam=0.02, rank=2, outer_iters=3)",
+            "    acts, _ = lrd_fit(s, d, cfg)",
+            "    return b''.join(f.tobytes() for a in acts for f in a.factors)",
+            "def at_exit():",
+            "    split = fit(0, 0)",
+            "    print(split == inline, os.getpid() in lrdec.solver._queues)",
+            "inline = fit(8, 10**9)",
+            "assert not lrdec.solver._queues",
+            "atexit.register(at_exit)",
+        ])
+        src = str(Path(lrdec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+        # an exception in an atexit handler is printed, and the exit code
+        # stays 0: only the handler's own output shows that it ran
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["True", "True"], child.stderr
