@@ -606,7 +606,7 @@ class _Fit:
         budget warning, rise rule and failure message."""
         cfg, warnings = self.cfg, self.report.warnings
         s, where = self.s_stacks[n], f"sweep {sweep} mode {n}"
-        ceiling = obj + 1e-9 * max(1.0, abs(obj))
+        ceiling = obj + 1e-9 * abs(obj)
         if self.masks:
             # the floor only on a loosened sweep: a converged fit's visits
             # meet cg_tol

@@ -13,10 +13,11 @@ makes (the ridge solve, the ADMM and the CG preconditioner) goes through
 them.  :func:`dft_nd` and :func:`dft_factor` are the full complex spectra
 the acceptance criteria build their spectral vectors from.
 
-For mode lengths up to ``_MATRIX_MAX_LENGTH`` (32) the half-spectrum pair
+For mode lengths up to ``_MATRIX_MAX_LENGTH`` (64) the half-spectrum pair
 is one real product with an ``(I, I)`` DFT matrix, cached read-only per
-length; above it, numpy's ``rfft`` and ``irfft``.  The two sides agree to
-roundoff.
+length (64 KiB at I = 64); above it, numpy's ``rfft`` and ``irfft``, since
+from I = 128 the product's O(I^2) work per column costs more than the
+FFT.  The two sides agree to roundoff.
 """
 
 from functools import lru_cache
@@ -52,7 +53,7 @@ def dft_factor(x, axis=0):
 
 # mode lengths up to this transform as products with cached DFT matrices,
 # longer ones by numpy's FFT
-_MATRIX_MAX_LENGTH = 32
+_MATRIX_MAX_LENGTH = 64
 
 
 @lru_cache(maxsize=32)

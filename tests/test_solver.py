@@ -620,7 +620,10 @@ class TestLrdFit:
         # M*R = 12 > C*Lambda = 1 on a 1-D signal: every block is singular.
         # The warm state carried into the next visit used to grow without
         # bound (relative residuals 1e-15, 0.94, 1e15, 1e30, 1e45); the
-        # visit whose objective rises is now redone cold
+        # visit whose objective rises is now redone cold.  On the signal
+        # scaled by 1e-6 the warm visits rose from 7e-42 to 6e-12, under
+        # the rise check's old absolute slack of 1e-9, and were kept: the
+        # fit alternated between relative residuals of 1e-15 and 0.83
         original = lrdec.solver.solve_mode_admm
         calls = []
 
@@ -631,14 +634,15 @@ class TestLrdFit:
             return y, state_out
 
         monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
-        signal = RNG(0).standard_normal(20)
         d = make_filters((5,), 6, seed=0)
         cfg = SolverConfig(reg="l1", lam=0.0, rank=2, outer_iters=5)
-        _, report = lrd_fit(signal, d, cfg)
-        assert report.converged
-        assert max(report.relative_residuals) < 1e-12
-        assert [cold for cold, _ in calls].count(True) > 1
-        assert sum(report.inner_iters) == sum(iters for _, iters in calls)
+        for c in (1.0, 1e-6, 1e-9):
+            calls.clear()
+            _, report = lrd_fit(c * RNG(0).standard_normal(20), d, cfg)
+            assert report.converged, c
+            assert max(report.relative_residuals) < 1e-12, c
+            assert [cold for cold, _ in calls].count(True) > 1, c
+            assert sum(report.inner_iters) == sum(it for _, it in calls), c
 
     def test_l2_singular_ridge_blocks_ask_for_positive_alpha(self):
         # M*R = 8 > C*Lambda = 1 on a 1-D signal: alpha = 0 leaves every
@@ -1603,6 +1607,47 @@ CACHES = {convmodel._mode_maps: (7, 3), transform._dft_matrices: (7,)}
 def clear_caches():
     for cache in CACHES:
         cache.cache_clear()
+
+
+class TestDftMatrixCut:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_fits_agree_across_the_cut(self, masked, monkeypatch):
+        # a 64-length mode runs numpy's FFT pair under a cut of 32 and the
+        # cached DFT matrices under 64: the same path to roundoff.  The
+        # ridge weight keeps the masked blocks well conditioned, so that
+        # the roundoff does not grow along the fit
+        d, _, signal = make_problem((64, 6), (5, 3), m_count=2, rank=2,
+                                    seed=0)
+        mask = RNG(1).uniform(size=signal.shape) > 0.3
+        cfg = SolverConfig(reg="l2", alpha=0.1, rank=2, outer_iters=4,
+                           cg_tol=1e-10)
+        original = np.fft.rfft
+        lengths = []
+
+        def recorded(x, *args, **kwargs):
+            lengths.append(len(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        runs = []
+        for cut in (32, 64):
+            monkeypatch.setattr(transform, "_MATRIX_MAX_LENGTH", cut)
+            lengths.clear()
+            if masked:
+                acts, _, report = lrd_fit_masked(signal, mask, d, cfg)
+            else:
+                acts, report = lrd_fit(signal, d, cfg)
+            runs.append((acts, report, 64 in lengths))
+        (acts, report, fft), (want_acts, want, want_fft) = runs
+        assert fft and not want_fft
+        assert (report.sweeps, report.converged, report.inner_iters) == (
+            want.sweeps, want.converged, want.inner_iters)
+        np.testing.assert_allclose(report.relative_residuals,
+                                   want.relative_residuals, rtol=1e-10)
+        for a, b in zip(acts, want_acts):
+            for f, g in zip(a.factors, b.factors):
+                np.testing.assert_allclose(f, g, rtol=0,
+                                           atol=1e-10 * np.max(np.abs(g)))
 
 
 class TestInvariantCaches:

@@ -75,7 +75,8 @@ class TestFactorTransforms:
         assert np.max(np.abs(spatial - spectral)) < 1e-10 * scale
 
 
-LENGTHS = [1, 2, 3, 16, 31, 32, 33, 64]
+# both sides of the cut (64/65) and lengths well inside each
+LENGTHS = [1, 2, 3, 16, 31, 32, 33, 63, 64, 65, 128]
 
 
 def half_spectrum(length, shape, seed):
