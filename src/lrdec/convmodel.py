@@ -1,81 +1,28 @@
 """Forward convolutional model and its per-mode operator.
 
-The model synthesizes a signal as ``sum_m d_m (*) K_m`` with ``(*)`` the
+The model synthesizes a signal as ``sum_m d_m (*) K_m``, with ``(*)`` the
 N-dimensional circular convolution, ``d_m`` small-support filters and
-``K_m`` rank-R factored activation tensors.  For a fixed mode ``n`` the map
-from the stacked mode-n factors to the model output is linear; that map
-is :class:`SpectralOperator`.  The operator never materializes its matrix.
+``K_m`` rank-R activation tensors.  With the factors of every mode but
+``n`` fixed, the map from the ``(I_n, M*R)`` mode-n factor rows ``X`` to
+the output is linear: :class:`SpectralOperator`.
 
-The operator builds the real mode-n convolution taps, on which the map
-itself runs, when it is made.  The Gram blocks of its normal equations,
-which the unitary DFT along mode ``n`` splits into one small Hermitian
-block per mode-n frequency, are built from them on each request.
-Filters and factors are real, so along mode ``n`` every spectrum is
-conjugate-symmetric and the Gram blocks are built for frequencies
-``0..I_n//2`` (the half spectrum) only.  A mode visit builds only what
-depends on the factors: the taps and the Gram blocks.  The arrays that
-depend on the mode length ``I_n`` and support ``L_n`` alone (the gather
-rows, which the taps build reads too, the adjoint's indices and the
-cos/sin phase matrix of the Gram blocks) are made once per ``(I_n, L_n)``
-and kept read-only in one small bounded cache keyed by those two ints,
-which holds no factor or filter data.  No operator makes filter spectra;
-:func:`forward_model`, the FFT reference for the taps, multiplies them into
-activation spectra built from the factors' 1-D DFTs, never dense tensors.
+The map runs on the real mode-n taps (:meth:`SpectralOperator.conv_taps`),
+the ``(L_n*M*R, C*Lambda)`` stack of the ``B_tau``, ``tau < L_n``: row
+``(m, r)`` of ``B_tau`` is the output, seen through mode-n tap ``tau``, of
+a unit impulse at row 0 of factor column ``(m, r)``.  With ``S_tau`` the
+cyclic shift down by ``tau`` rows, the forward map is
+``sum_tau S_tau X B_tau``; its output rows run over mode ``n`` and its
+columns over the channels, then the other modes ascending, the last
+fastest (:func:`stack_to_rows`).
 
-Mode-n taps
------------
-The map runs in the signal domain.  Channel ``c`` of the model output,
-unfolded along mode ``n``, is::
+The unitary DFT along mode ``n`` splits the normal map into one Hermitian
+block per mode-n frequency, ``G_i = sum_d P[d] exp(-2 pi j i d / I_n)``,
+from the lag products ``P[d] = sum_tau B_tau B_{tau + d}^T``, ``|d| <
+L_n``.  Filters and factors are real, so the blocks of frequencies
+``0..I_n//2`` are built (:meth:`SpectralOperator.gram_blocks`).
 
-    Y_c = sum_{tau < L_n} S_tau X B_c[tau]
-
-with ``X`` the ``(I_n, M*R)`` mode-n factors, ``S_tau`` the cyclic shift
-down by ``tau`` rows and row ``(m, r)`` of ``B_c[tau]`` the filter slice
-``d_{m,c}[tau, .]`` at mode-n tap ``tau`` circularly convolved with
-``prod_{k != n} f_k[m][:, r]``: the output, seen through tap ``tau``, for a
-unit impulse at row 0 of factor column ``(m, r)``.  So the forward map is
-one gather and one real product ``[S_0 X ... S_{L_n-1} X] @ B``, and the
-adjoint ``Z B^T`` and the sum of its ``L_n`` shifted ``(I_n, M*R)`` row
-blocks, gathered into one contiguous slab per tap and added in ``tau``
-order, with
-:meth:`SpectralOperator.conv_taps` the ``(L_n*M*R, C*Lambda)`` stack of
-the ``B_c[tau]``.  Its columns run over the channels and then the other
-modes in ascending order, the last fastest (not the order of ``unfold``):
-the row layout of :func:`stack_to_rows`.  They are built in place: one
-batched matrix product over ``(M, R)`` per other mode contracts its
-filter lags, and the last writes the taps through a view.  The fits call
-these row maps (:meth:`SpectralOperator.forward` and
-:meth:`SpectralOperator.adjoint`); the vector API,
-:meth:`SpectralOperator.apply` and :meth:`SpectralOperator.apply_adjoint`,
-wraps them in unitary DFTs of arbitrary complex spectra.
-
-Gram blocks from the taps
--------------------------
-With ``B_tau`` the ``(M*R, C*Lambda)`` rows of tap ``tau``, the normal map
-is ``X -> sum_{tau, tau'} S_{tau - tau'} X B_tau B_tau'^T``, a circulant in
-the mode-n rows.  Its lag products::
-
-    P[d] = sum_tau B_tau B_{tau + d}^T,    |d| < L_n,
-
-are added up unfolded, one contiguous slice per tap ``tau``, and the DFT
-along mode ``n`` turns the circulant into the block
-``G_i = sum_d P[d] exp(-2 pi j i d / I_n)`` per frequency.  So the half
-spectrum of blocks is one product of the ``(I_n//2 + 1, 2 L_n - 1)``
-cos/sin phase matrix with the ``2 L_n - 1`` lag sums; the phases have
-period ``I_n`` in ``d``, so when ``2 L_n - 1 > I_n`` (``S_d`` has period
-``I_n``) the product adds the aliased lags by itself.  The Gram blocks
-reuse the visit's taps through one real product ``B B^T``.
-
-Known limit: the taps' work grows with ``L_n``, and the Gram build, whose
-``B B^T`` has ``(L_n*M*R)**2`` entries, as ``L_n**2``.
-
-Vector layouts
---------------
-Both sides use one layout: the column-major vec of each leading slice
-(mode-n index fastest), stacked in order.  Factor-side vectors stack
-``vec(Xhat_m)`` over filters ``m``, giving length ``M*R*I_n``; signal-side
-vectors stack the mode-n unfoldings over channels, giving length
-``C * I_n * Lambda``.
+Spectral vectors stack the column-major vec of each leading slice: length
+``M*R*I_n`` on the factor side, ``C*I_n*Lambda`` on the signal side.
 """
 
 from functools import lru_cache
@@ -171,12 +118,8 @@ class Dictionary:
 def forward_model(dictionary, activations):
     """Synthesize the signal ``sum_m d_m (*) K_m``.
 
-    The FFT reference the taps are checked against; it reads no
-    :class:`SpectralOperator`.  ``Khat_m`` is the Kruskal tensor of the
-    factors' 1-D DFTs (``rfft`` along the last mode), so a filter costs one
-    ``rfftn`` of its bank and one rank-R rebuild on the half spectrum, one
-    ``irfftn`` ends it, and no activation is dense: memory is a few half
-    spectra per channel.
+    The FFT reference of the taps: each filter bank's half spectrum times
+    the Kruskal tensor of its factors' 1-D DFTs, so no activation is dense.
 
     Parameters
     ----------
@@ -263,17 +206,13 @@ def rows_to_factors(rows, num_filters):
 @lru_cache(maxsize=32)
 def _mode_maps(length, count):
     """The read-only arrays of a mode of length ``I`` and filter support
-    ``L``, which depend on no factors or filters: the ``(I, L)`` gather
-    rows ``(i - tau) mod I`` of :meth:`SpectralOperator.forward`, which
-    :meth:`SpectralOperator.conv_taps` reads for a mode's filter lags; the
-    ``(L, I)`` flat indices ``(i + tau) mod I * L + tau`` of the rows of
-    ``z B_tau^T`` that adjoint row ``i`` sums over ``tau < L``, one
-    contiguous row of ``I`` indices per lag ``tau``; and the
-    ``(2 (I//2 + 1), 2 L - 1)`` stacked cos/sin phase matrix
-    ``exp(-2 pi j i d / I)`` of :meth:`SpectralOperator.gram_blocks`, for
-    frequencies ``i <= I//2`` and lags ``|d| < L``.  It has period ``I``
-    in ``d``, so the product folds the aliased lags by itself; ``i d`` is
-    reduced to ``|i d| <= I / 2``."""
+    ``L``: the ``(I, L)`` gather rows ``(i - tau) mod I`` of
+    :meth:`SpectralOperator.forward` and the taps; the ``(L, I)`` flat
+    indices ``(i + tau) mod I * L + tau`` of the rows of ``z B_tau^T`` that
+    adjoint row ``i`` sums; and the stacked cos/sin phase matrix
+    ``exp(-2 pi j i d / I)``, ``i <= I//2``, ``|d| < L``, of
+    :meth:`SpectralOperator.gram_blocks`, whose period ``I`` in ``d`` folds
+    the aliased lags."""
     tau, rows = np.arange(count), np.arange(length)
     angle = ((np.outer(np.arange(length // 2 + 1),
                        np.arange(1 - count, count)) + length // 2)
@@ -289,21 +228,13 @@ def _mode_maps(length, count):
 class SpectralOperator:
     """Linear map from one mode's factors to the model output.
 
-    For mode ``n`` and fixed factors on all other modes, maps the stacked
-    spectral factors ``xhat`` (length ``M*R*I_n``) to the stacked spectra of
-    ``sum_m d_m (*) K_m`` unfolded along ``n`` (length ``C*I_n*Lambda``),
-    both under the unitary DFT.  :meth:`apply` runs the real mode-n taps
-    between an inverse DFT along mode ``n`` and a forward N-D DFT in
-    ``unfold`` order; :meth:`apply_adjoint` runs them back.  The fits skip
-    these spectral vectors and call the row maps :meth:`forward` and
-    :meth:`adjoint`.
-
-    The mode-n taps are built with the operator, and each call of
-    :meth:`gram_blocks` builds the half-spectrum Gram blocks of its normal
-    equations from them; the index arrays and the phase matrix are
-    shared, read-only, by every operator of the same ``(I_n, L_n)``.
-    Immutable; reuse one instance for all solves of the same mode while
-    the other factors are fixed.
+    For mode ``n`` and fixed factors on all other modes, :meth:`apply`
+    maps the stacked spectral factors ``xhat`` (length ``M*R*I_n``) to the
+    stacked spectra of the output unfolded along ``n`` (length
+    ``C*I_n*Lambda``), both under the unitary DFT, and
+    :meth:`apply_adjoint` maps back.  The fits call the row maps
+    :meth:`forward` and :meth:`adjoint`.  The taps are built with the
+    operator, which is immutable.
 
     Parameters
     ----------
@@ -383,16 +314,10 @@ class SpectralOperator:
                                         axis=1, norm="ortho"))
 
     def gram_blocks(self):
-        """Half-spectrum Gram blocks of the operator.
-
-        The normal matrix ``W^H W`` is block-diagonal over the mode-n
-        frequency index, and block ``I_n - i`` is the conjugate of block
-        ``i``.  The blocks are one phase product of the unfolded lag
-        products of the taps (see the module docstring).  Returns the
-        ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD stack of frequencies
-        ``0..I_n//2``, built anew on each call; each mode solver shifts it
-        by a multiple of the identity.
-        """
+        """The ``(I_n//2 + 1, M*R, M*R)`` Hermitian PSD Gram blocks of
+        frequencies ``0..I_n//2`` (block ``I_n - i`` is the conjugate of
+        block ``i``): one phase product of the taps' lag products, built
+        anew on each call."""
         taps, size = self._taps, self.num_filters * self.rank
         count, length = len(taps) // size, self.mode_length
         # pairs[tau, :, tau', :] = B_tau B_tau'^T, added into P[tau' - tau],
@@ -408,9 +333,8 @@ class SpectralOperator:
         return gram
 
     def conv_taps(self):
-        """Build the real ``(L_n*M*R, C*Lambda)`` mode-n convolution taps
-        ``B`` of the module docstring in place, the last mode first; the
-        operator builds them once, when it is made."""
+        """Build the mode-n taps ``B`` of the module docstring in place,
+        the last mode first."""
         d, n = self._dictionary.filters, self.mode
         lead = (d.shape[2 + n], self.num_filters, self.rank, d.shape[1])
         others = [k for k in range(len(self.signal_shape)) if k != n]

@@ -310,6 +310,45 @@ def _eigh(blocks):
     return np.concatenate((w, upper[0])), np.concatenate((v, upper[1]))
 
 
+# the order a Gram block is padded to, and the lowest order padded
+_PAD_ORDER, _PAD_FROM = 26, 18
+
+
+def _gram_eigh(gram):
+    """:func:`_eigh` of a Hermitian PSD stack `gram`, its blocks of order
+    ``_PAD_FROM`` to ``_PAD_ORDER - 1`` padded to order ``_PAD_ORDER``.
+
+    LAPACK's ``zheevd`` solves the tridiagonal of a block of order at most
+    ``SMLSIZ`` (25) with ``zsteqr``, whose QR rotations update a complex
+    eigenvector matrix.  From order 26 it calls ``dstedc``, which splits
+    the tridiagonal where it decouples and solves each part of order at
+    most 25 with ``dsteqr``: the same rotations on a real matrix, the
+    faster route from order 18 on.  Each block gains leading diagonal
+    entries, decoupled from it, at ``-2`` times the stack's largest
+    absolute row sum (``-1`` for an all-zero stack), below every eigenvalue
+    by Gershgorin's bound.  The Householder reduction leaves them apart,
+    so their eigenpairs sort first and are dropped, the padded rows of the
+    block's eigenvectors are exact zeros, and the eigenpairs are the
+    unpadded ones to roundoff.  A stack with a non-finite row sum is
+    decomposed unpadded, so LAPACK fails on it as on the unpadded stack
+    (``LinAlgError``).  Returns views of the padded decomposition.
+    """
+    order = gram.shape[-1]
+    if not _PAD_FROM <= order < _PAD_ORDER:
+        return _eigh(gram)
+    low = -2.0 * np.abs(gram).sum(axis=-1).max()
+    if not np.isfinite(low):
+        return _eigh(gram)
+    pad = _PAD_ORDER - order
+    padded = np.zeros((len(gram), _PAD_ORDER, _PAD_ORDER), dtype=complex)
+    padded[:, pad:, pad:] = gram
+    del gram  # a caller's temporary is freed before the decomposition
+    lead = np.arange(pad)
+    padded[:, lead, lead] = low or -1.0
+    w, v = _eigh(padded)
+    return w[:, pad:], v[:, pad:, pad:]
+
+
 def solve_mode_l2(op, signal, alpha):
     """Ridge mode solve ``(W^H W + alpha I) x = W^H s``, the l2 fit's.
 
@@ -348,7 +387,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
     when ``cfg.rho_adaptive``.  The loop, and `state`, keep the iterates as
     the ``(I_n, M*R)`` mode-n factor rows of the taps and the masked CG.
     Each step is two half-spectrum transforms, two batched products in the
-    eigenbasis of the visit's Gram blocks (:func:`_eigh`) and a shrink.
+    eigenbasis of the visit's Gram blocks (:func:`_gram_eigh`) and a shrink.
 
     Parameters
     ----------
@@ -374,7 +413,7 @@ def solve_mode_admm(op, signal, cfg, state=None):
     # one eigendecomposition G = V diag(w) V^H serves every rho:
     # (G + rho I)^-1 = V diag(1 / (w + rho)) V^H; the blocks are PSD by
     # construction, so a negative w is roundoff
-    w, v = _eigh(op.gram_blocks())
+    w, v = _gram_eigh(op.gram_blocks())
     w, vh = np.maximum(w, 0.0)[..., None], v.conj().swapaxes(1, 2)
     proj = vh @ rdft_factor(_rhs(op, signal))[..., None]
 

@@ -2057,3 +2057,182 @@ class TestSplitEigh:
         # stays 0: only the handler's own output shows that it ran
         assert child.returncode == 0, child.stderr
         assert child.stdout.split() == ["True", "True"], child.stderr
+
+
+def gram_stack(shape, support, m_count, rank, seed, mode=0):
+    d = unit_norm_dictionary(support, m_count, seed)
+    factors = factor_stacks(shape, m_count, rank, seed + 1)
+    return SpectralOperator(d, shape, factors, mode).gram_blocks()
+
+
+def recorded_eigh(monkeypatch):
+    """Record the stack of every ``np.linalg.eigh`` call, then its result
+    unless it raised."""
+    eigh, seen = np.linalg.eigh, []
+
+    def recorded(a, *args, **kwargs):
+        entry = [a]
+        seen.append(entry)
+        entry.append(eigh(a, *args, **kwargs))
+        return entry[1]
+
+    monkeypatch.setattr(lrdec.solver.np.linalg, "eigh", recorded)
+    return seen
+
+
+class TestPaddedGramEigh:
+    """An l1 visit's Gram blocks of order 18 to 25, decomposed padded to
+    order 26 with the eigenpairs of the unpadded blocks."""
+
+    @pytest.mark.parametrize("name, scale", [
+        ("order 18", 1.0), ("order 24", 1.0), ("order 25", 1.0),
+        ("rank one", 1.0), ("zero", 1.0), ("order 24", 1e-150),
+        ("order 24", 1e150)])
+    def test_padded_eigenpairs_are_the_blocks_eigenpairs(self, name, scale,
+                                                          monkeypatch):
+        # (M, R) of 6x3, 8x3 and 5x5 on (20, 8, 4), whose 32 rows per
+        # frequency leave the blocks full rank; M*R = 24 on a 1-D signal,
+        # whose blocks have rank 1; an all-zero stack of order 24
+        grams = {
+            "order 18": lambda: gram_stack((20, 8, 4), (3, 3, 2), 6, 3, 90),
+            "order 24": lambda: gram_stack((20, 8, 4), (3, 3, 2), 8, 3, 92),
+            "order 25": lambda: gram_stack((20, 8, 4), (3, 3, 2), 5, 5, 94),
+            "rank one": lambda: gram_stack((20,), (5,), 8, 3, 96),
+            "zero": lambda: np.zeros((11, 24, 24), dtype=complex),
+        }
+        gram = scale * grams[name]()
+        order = gram.shape[-1]
+        want = np.linalg.eigh(gram)[0]
+        monkeypatch.setattr(lrdec.solver, "_inline", 10**9)
+        seen = recorded_eigh(monkeypatch)
+        w, v = lrdec.solver._gram_eigh(gram)
+        [(padded, (w_padded, v_padded))] = seen
+        pad = 26 - order
+        assert padded.shape == (len(gram), 26, 26)
+        assert w.shape == want.shape and v.shape == gram.shape
+        top = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(w - want) <= 1e-13 * top)
+        # the padded pairs sort first, and the padded rows are exact zeros
+        assert np.all(w_padded[:, :pad] < w_padded[:, pad:pad + 1])
+        assert not v_padded[:, :pad, pad:].any()
+        vh = v.conj().swapaxes(1, 2)
+        rebuilt = (v * w[:, None, :]) @ vh
+        assert np.max(np.abs(rebuilt - gram)) <= 1e-13 * max(top.max(),
+                                                             scale)
+        assert np.max(np.abs(vh @ v - np.eye(order))) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 12, 16, 17, 18, 21, 24, 25, 26,
+                                       30])
+    def test_only_orders_18_to_25_are_padded(self, order, monkeypatch):
+        a = RNG(order).standard_normal((3, order, order + 2))
+        gram = (a @ a.swapaxes(1, 2)).astype(complex)
+        monkeypatch.setattr(lrdec.solver, "_inline", 10**9)
+        seen = recorded_eigh(monkeypatch)
+        w, v = lrdec.solver._gram_eigh(gram)
+        assert [e[0].shape for e in seen] == [
+            (3, 26, 26) if 18 <= order <= 25 else gram.shape]
+        assert w.shape == (3, order) and v.shape == gram.shape
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e308])
+    def test_a_stack_without_a_finite_bound_is_decomposed_unpadded(
+            self, entry, monkeypatch):
+        # so LAPACK fails on it as on the unpadded stack; a row sum of
+        # finite entries that overflows falls back alike
+        gram = gram_stack((20, 8, 4), (3, 3, 2), 8, 3, 92)
+        gram[1, 2, 2] = entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = np.linalg.eigh(gram)
+            except np.linalg.LinAlgError:
+                want = None
+            monkeypatch.setattr(lrdec.solver, "_inline", 10**9)
+            seen = recorded_eigh(monkeypatch)
+            if want is None:
+                with pytest.raises(np.linalg.LinAlgError):
+                    lrdec.solver._gram_eigh(gram)
+            else:
+                got = lrdec.solver._gram_eigh(gram)
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got, want))
+        assert [e[0].shape for e in seen] == [gram.shape]
+
+    @pytest.mark.parametrize("claimed", [True, False])
+    def test_a_split_padded_stack_equals_the_inline_call(self, claimed,
+                                                         monkeypatch):
+        # with `claimed` the worker decomposes the upper half; without, the
+        # caller may take it back, as it does on one CPU
+        gram = gram_stack((32, 8, 4), (3, 3, 2), 8, 3, 98)
+        with monkeypatch.context() as m:
+            m.setattr(lrdec.solver, "_inline", 10**9)
+            inline = lrdec.solver._gram_eigh(gram)
+        monkeypatch.setattr(lrdec.solver, "_inline", 0)
+        monkeypatch.setattr(lrdec.solver, "_HOLD", 0)
+        jobs = queued_jobs(monkeypatch, claimed=claimed)
+        seen = recorded_eigh(monkeypatch)
+        split = lrdec.solver._gram_eigh(gram)
+        assert len(jobs) == 1
+        assert sorted(e[0].shape for e in seen) == [(8, 26, 26),
+                                                    (9, 26, 26)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inline, split))
+
+    @pytest.mark.parametrize("rho_init", [1e-8, 1e-17])
+    def test_admm_on_singular_padded_blocks_matches_proximal_gradient(
+            self, rho_init, monkeypatch):
+        # M*R = 24 > C*Lambda = 1: every block has rank 1, and at rho =
+        # 1e-17 the shifted blocks G + rho I round to singular
+        shape, lam = (6,), 0.05
+        d = unit_norm_dictionary((3,), 8, seed=70)
+        factors = factor_stacks(shape, 8, 3, seed=71)
+        signal = RNG(72).standard_normal(shape)
+        op = SpectralOperator(d, shape, factors, 0)
+        cfg = SolverConfig(reg="l1", lam=lam, rho_init=rho_init,
+                           admm_iters=3000, tol_primal=1e-11, tol_dual=1e-11)
+        seen = recorded_eigh(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y, _ = solve_mode_admm(op, signal[None], cfg)
+        assert {e[0].shape[-1] for e in seen} == {26}
+        a_mat = materialize_spatial_forward(d.filters, shape, factors, 0)
+        x_ref = ista_l1(a_mat, signal, lam)
+        obj = admm_objective(a_mat, signal, y, lam)
+        obj_ref = 0.5 * np.sum((a_mat @ x_ref - signal) ** 2) + \
+            lam * np.sum(np.abs(x_ref))
+        assert abs(obj - obj_ref) <= 1e-4 * max(1.0, abs(obj_ref))
+
+    def test_l1_warm_start_on_singular_padded_blocks_is_redone_cold(
+            self, monkeypatch):
+        # M*R = 24 > C*Lambda = 1 on a 1-D signal, as in the M*R = 12
+        # problem of TestLrdFit
+        original = lrdec.solver.solve_mode_admm
+        calls = []
+
+        def recorded(op, signal, cfg, state=None):
+            done = state.iterations if state else 0
+            y, state_out = original(op, signal, cfg, state)
+            calls.append((state is None, state_out.iterations - done))
+            return y, state_out
+
+        monkeypatch.setattr(lrdec.solver, "solve_mode_admm", recorded)
+        seen = recorded_eigh(monkeypatch)
+        d = make_filters((5,), 8, seed=0)
+        cfg = SolverConfig(reg="l1", lam=0.0, rank=3, outer_iters=5)
+        for c in (1.0, 1e-6, 1e-9):
+            calls.clear()
+            _, report = lrd_fit(c * RNG(0).standard_normal(20), d, cfg)
+            assert report.converged, c
+            assert max(report.relative_residuals) < 1e-12, c
+            assert [cold for cold, _ in calls].count(True) > 1, c
+            assert sum(report.inner_iters) == sum(it for _, it in calls), c
+        assert {e[0].shape[-1] for e in seen} == {26}
+
+    def test_eigendecomposition_failure_asks_to_rescale(self):
+        # M*R = 24: the Gram blocks overflow, and the stack is decomposed
+        # unpadded, whose eigh fails
+        d, _, signal = make_problem((16, 12), (5, 5), m_count=8, rank=3,
+                                    seed=1)
+        cfg = SolverConfig(reg="l1", lam=1e-3, rank=3, outer_iters=20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^the ADMM's eigendecomposition failed at "
+                                  "sweep 0 mode 0: rescale the signal$"):
+            lrd_fit(signal, Dictionary(1e160 * d.filters, channels=True),
+                    cfg)
